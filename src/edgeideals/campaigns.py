@@ -485,6 +485,8 @@ class Campaign:
     def from_json(cls, obj) -> "Campaign":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError("campaign JSON must be an object")
         return cls(
             name=obj.get("name", "campaign"),
             graphs=obj["graphs"],

@@ -90,15 +90,18 @@ def _load_ideal_or_graph(arg: str, max_n=None):
     if os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:
             text = fh.read()
-        if text.lstrip().startswith("{"):
-            data = json.loads(text)
-            if "generators" in data:
-                ideal = MonomialIdeal.from_json(data)
-                _enforce_cap(ideal.nvars, max_n, SINGLE_GRAPH_CAP, "ideal")
-                return ideal, None
-            g = SimpleGraph.from_json(data)
-        else:
-            g = SimpleGraph.from_text(text)
+        try:
+            if text.lstrip().startswith("{"):
+                data = json.loads(text)
+                if "generators" in data:
+                    ideal = MonomialIdeal.from_json(data)
+                    _enforce_cap(ideal.nvars, max_n, SINGLE_GRAPH_CAP, "ideal")
+                    return ideal, None
+                g = SimpleGraph.from_json(data)
+            else:
+                g = SimpleGraph.from_text(text)
+        except (ValueError, KeyError) as exc:
+            _fail(f"cannot parse input file {arg!r}: {exc}")
     else:
         try:
             g = named_graph(arg)

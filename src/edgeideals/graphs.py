@@ -90,7 +90,10 @@ class SimpleGraph:
         return self.labels[v]
 
     def index_of(self, label) -> int:
-        return self.labels.index(label)
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValueError(f"unknown vertex label {label!r}") from None
 
     def label_set(self, mask: int) -> list[str]:
         return [self.labels[v] for v in iter_bits(mask)]
@@ -192,9 +195,24 @@ class SimpleGraph:
     def from_json(cls, obj) -> "SimpleGraph":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError("graph JSON must be an object")
         labels = obj.get("labels")
         edges = obj.get("edges", [])
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        ):
+            raise ValueError("'labels' must be a list of strings")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, (list, tuple))
+            and len(e) == 2
+            and all(isinstance(x, (int, str)) and not isinstance(x, bool) for x in e)
+            for e in edges
+        ):
+            raise ValueError("'edges' must be a list of [u, v] pairs of indices or labels")
         if labels is None:
+            if any(isinstance(x, str) for e in edges for x in e):
+                raise ValueError("edges name vertex labels, but no 'labels' list is given")
             n = 1 + max((max(e) for e in edges), default=-1)
             labels = [f"x{i + 1}" for i in range(n)]
         g = cls(len(labels), labels=labels)

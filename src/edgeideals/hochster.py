@@ -2,10 +2,25 @@
 
 beta_{i,sigma}(S/I) equals the dimension of the reduced homology of the
 Stanley-Reisner complex of I restricted to sigma, in dimension |sigma|-i-1.
-The table engine never builds one chain complex per sigma: restrictions split
-as joins over the connected components of the generator-support graph, cones
-(free vertices) are discarded outright, and component homology is memoized,
-so only genuinely new connected pieces ever reach the linear algebra.
+The table engine never builds one chain complex per sigma. For each
+restriction it tries, in order:
+
+- cone: a vertex in no generator support inside sigma is a cone apex, so the
+  homology is zero;
+- fold: a vertex v dominated by w (every facet containing v contains w) is
+  deleted, a strong collapse that keeps homology over every field
+  (Barmak-Minian). In terms of the minimal generator supports: for every
+  support s inside sigma with w in s, some support r with v in r has
+  r - v inside s - w. For edge ideals this is the fold lemma,
+  N(w) inside N(v) with v, w non-adjacent;
+- join: a disconnected generator-support graph splits the complex as a join
+  of its components;
+- only a connected restriction with no cone and no fold builds a chain
+  complex and reaches the linear algebra.
+
+Results are memoized per table in a list indexed by the vertex mask, with
+equal homology vectors shared as one object. betti_table walks sigma in
+increasing order, so the smaller masks a fold or join asks for are lookups.
 
 Conventions for the reduced complex: the empty face is a basis element in
 dimension -1 (so the complex {<empty>} has one-dimensional homology there and
@@ -98,11 +113,10 @@ def strand_homology(delta: SimplicialComplex, sigma: int, d: int, field: FieldSp
 
 
 class _SupportEngine:
-    """Homology vectors of ideal-restriction complexes, by join decomposition."""
+    """Homology vectors of ideal-restriction complexes, by folding and join decomposition."""
 
     def __init__(self, ideal: MonomialIdeal, field: FieldSpec):
         self.field = field
-        self.nvars = ideal.nvars
         self.singletons = 0
         self.supports = []
         for s in ideal.supports():
@@ -110,31 +124,64 @@ class _SupportEngine:
                 self.singletons |= s
             else:
                 self.supports.append(s)
-        self._component_vectors: dict[int, dict[int, int]] = {}
+        # links[w] pairs t = s - w, for each support s containing w, with the
+        # vertices v such that some support r containing v has r - v inside t;
+        # restricted to an active set containing s, those are exactly the v
+        # that pass the domination test at s
+        self._links: list[list[tuple[int, int]]] = [[] for _ in range(ideal.nvars)]
+        for s in self.supports:
+            for w in iter_bits(s):
+                t = s & ~(1 << w)
+                dom = 0
+                for r in self.supports:
+                    d = r & ~t
+                    if d & (d - 1) == 0:
+                        dom |= d
+                self._links[w].append((t, dom))
+        self._memo: list[dict[int, int] | None] = [None] * (1 << ideal.nvars)
+        self._shared: dict[tuple, dict[int, int]] = {}
 
-    def _component_homology(self, comp: int) -> dict[int, int]:
-        cached = self._component_vectors.get(comp)
-        if cached is None:
-            inside = [s for s in self.supports if s & ~comp == 0]
-            faces: dict[int, list[int]] = {}
-            for sub in iter_subsets(comp):
-                if all(s & ~sub for s in inside):
-                    faces.setdefault(sub.bit_count() - 1, []).append(sub)
-            cached = StrandComplex(comp, faces).homology(self.field)
-            self._component_vectors[comp] = cached
-        return cached
+    def _component_homology(self, comp: int, inside: list[int]) -> dict[int, int]:
+        faces: dict[int, list[int]] = {}
+        for sub in iter_subsets(comp):
+            if all(s & ~sub for s in inside):
+                faces.setdefault(sub.bit_count() - 1, []).append(sub)
+        return StrandComplex(comp, faces).homology(self.field)
 
     def vector(self, sigma: int) -> dict[int, int]:
-        """Reduced homology of the restriction to sigma, as {dimension: rank}."""
+        """Reduced homology of the restriction to sigma, as {dimension: rank}.
+
+        The returned dict is shared between equal results and must not be
+        mutated.
+        """
         active = sigma & ~self.singletons
+        known = self._memo[active]
+        if known is not None:
+            return known
+        out = self._reduce(active)
+        known = self._shared.setdefault(tuple(sorted(out.items())), out)
+        self._memo[active] = known
+        return known
+
+    def _reduce(self, active: int) -> dict[int, int]:
         if active == 0:
             return {-1: 1}
-        inside = [s for s in self.supports if s & ~sigma == 0]
+        inside = [s for s in self.supports if s & ~active == 0]
         covered = 0
         for s in inside:
             covered |= s
         if active & ~covered:
             return {}
+        # strong collapse: drop v when every facet containing v contains w
+        for w in iter_bits(active):
+            cand = active & ~(1 << w)
+            for t, dom in self._links[w]:
+                if t & ~active == 0:
+                    cand &= dom
+                    if not cand:
+                        break
+            if cand:
+                return self.vector(active & ~(cand & -cand))
         comps = []
         left = active
         while left:
@@ -149,9 +196,11 @@ class _SupportEngine:
                 comp = grown
             comps.append(comp)
             left &= ~comp
+        if len(comps) == 1:
+            return self._component_homology(active, inside)
         out = {-1: 1}
         for comp in comps:
-            part = self._component_homology(comp)
+            part = self.vector(comp)
             if not part:
                 return {}
             nxt: dict[int, int] = {}

@@ -156,7 +156,18 @@ class MonomialIdeal:
     def from_json(cls, obj) -> "MonomialIdeal":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        return cls(obj["variables"], [Monomial(e) for e in obj["generators"]])
+        if not isinstance(obj, dict):
+            raise ValueError("ideal JSON must be an object")
+        variables, gens = obj["variables"], obj["generators"]
+        if not (isinstance(variables, list) and all(isinstance(x, str) for x in variables)):
+            raise ValueError("'variables' must be a list of strings")
+        if not isinstance(gens, list) or not all(
+            isinstance(e, list)
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in e)
+            for e in gens
+        ):
+            raise ValueError("'generators' must be a list of integer exponent vectors")
+        return cls(variables, [Monomial(e) for e in gens])
 
     def to_json(self) -> dict:
         return {

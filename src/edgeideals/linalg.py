@@ -8,6 +8,37 @@ all intermediate arithmetic stays in the integers.
 from __future__ import annotations
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases.
+
+    Deterministic for n < 3.18 * 10**23, which covers every 64-bit prime;
+    beyond that a pass means a strong probable prime to all twelve bases.
+    """
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class FieldSpec:
     """A coefficient field: GF(p) for a prime p, or the exact rationals."""
 
@@ -15,7 +46,7 @@ class FieldSpec:
 
     def __init__(self, kind, p=None):
         if kind == "gf":
-            if p is None or p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+            if not isinstance(p, int) or not is_prime(p):
                 raise ValueError(f"GF order must be prime, got {p}")
         elif kind == "rat":
             p = None

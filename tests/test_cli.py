@@ -149,6 +149,29 @@ def test_verify_error_paths(capsys, tmp_path):
     assert rc == 0 and "cost estimate" in err
 
 
+def test_malformed_graph_file_fails_in_one_line(capsys, tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"edges": 5}))
+    with pytest.raises(SystemExit, match="edgeideals: error: cannot parse graph file"):
+        run(capsys, "betti", str(graph))
+    with pytest.raises(SystemExit, match="edgeideals: error: cannot parse input file"):
+        run(capsys, "lyubeznik", str(graph))
+
+
+def test_malformed_ideal_file_fails_in_one_line(capsys, tmp_path):
+    ideal = tmp_path / "i.json"
+    ideal.write_text(json.dumps({"variables": ["a", "b"], "generators": [[1, -1]]}))
+    with pytest.raises(SystemExit, match="edgeideals: error: .*negative exponent"):
+        run(capsys, "lyubeznik", str(ideal))
+
+
+def test_non_object_campaign_fails_in_one_line(capsys, tmp_path):
+    campaign = tmp_path / "c.json"
+    campaign.write_text("[]")
+    with pytest.raises(SystemExit, match="edgeideals: error: cannot load campaign"):
+        run(capsys, "verify", str(campaign))
+
+
 def test_unknown_graph_and_command(capsys):
     with pytest.raises(SystemExit, match="neither a readable file nor a catalog name"):
         run(capsys, "pd", "petersen")

@@ -128,6 +128,20 @@ def test_text_round_trip_and_validation():
         SimpleGraph.from_text("3\n0 1 2\n")
 
 
+def test_malformed_json_raises_value_error():
+    for obj in (
+        [],
+        {"edges": 5},
+        {"edges": [[0]]},
+        {"edges": [[0, 1.5]]},
+        {"edges": [["a", "b"]]},
+        {"labels": "ab", "edges": []},
+        {"labels": ["a", "b"], "edges": [["a", "z"]]},
+    ):
+        with pytest.raises(ValueError):
+            SimpleGraph.from_json(obj)
+
+
 def test_json_round_trip(tmp_path):
     g = SimpleGraph(3, [(0, 1), (1, 2)], labels=["a", "b", "c"])
     h = SimpleGraph.from_json(json.dumps(g.to_json()))

@@ -23,11 +23,24 @@ from edgeideals.hochster import (
     verify_bcp,
     verify_eagon_reiner,
 )
-from edgeideals.ideals import Monomial, MonomialIdeal, SimplicialComplex, edge_ideal
+from edgeideals.ideals import (
+    Monomial,
+    MonomialIdeal,
+    SimplicialComplex,
+    cover_ideal,
+    edge_ideal,
+)
 from edgeideals.linalg import GF2, RATIONALS, FieldSpec
 from conftest import reference_entries, reference_homology
 
 GF3 = FieldSpec.parse("gf3")
+FIELDS = ((GF2, 2), (GF3, 3), (RATIONALS, 0))
+
+# minimal 6-vertex triangulation of the real projective plane
+RP2_FACETS = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 2, 6), (1, 5, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+]
 
 
 def table_entries(table):
@@ -54,27 +67,30 @@ def test_four_cycle_table_exact():
 
 
 def test_complete_graph_linear_resolution():
-    n = 4
-    t = graph_betti_table(complete_graph(n))
-    expect = {(0, 0): 1}
-    for i in range(1, n):
-        expect[(i, i + 1)] = i * math.comb(n, i + 1)
-    assert t.graded() == expect
-    assert t.reg() == 1 and t.pd() == n - 1
+    # beta_{i,i+1} = i * C(n, i+1)
+    for n in range(2, 9):
+        expect = {(0, 0): 1}
+        for i in range(1, n):
+            expect[(i, i + 1)] = i * math.comb(n, i + 1)
+        for field, _ in FIELDS:
+            t = graph_betti_table(complete_graph(n), field)
+            assert t.graded() == expect, (n, field)
+            assert t.reg() == 1 and t.pd() == n - 1
 
 
 def test_complete_bipartite_graded_table():
-    m, n = 2, 3
-    t = graph_betti_table(complete_bipartite_graph(m, n))
-    expect = {(0, 0): 1}
-    for i in range(1, m + n):
-        v = sum(
-            math.comb(m, a) * math.comb(n, i + 1 - a) for a in range(1, i + 1)
-        )
-        if v:
-            expect[(i, i + 1)] = v
-    assert t.graded() == expect
-    assert t.pd() == m + n - 1
+    # beta_{i,i+1} = sum over a + b = i + 1, a, b >= 1, of C(m, a) * C(n, b)
+    for m in range(1, 5):
+        for n in range(m, 10 - m):
+            expect = {(0, 0): 1}
+            for i in range(1, m + n):
+                expect[(i, i + 1)] = sum(
+                    math.comb(m, a) * math.comb(n, i + 1 - a) for a in range(1, i + 1)
+                )
+            for field, _ in FIELDS:
+                t = graph_betti_table(complete_bipartite_graph(m, n), field)
+                assert t.graded() == expect, (m, n, field)
+                assert t.pd() == m + n - 1
 
 
 def test_tables_match_reference_route_small():
@@ -109,11 +125,7 @@ def test_characteristic_independence_at_desk_scale():
 def test_strand_homology_sees_torsion():
     # minimal 6-vertex projective plane: its middle homology is 2-torsion,
     # so GF(2) and the rationals genuinely disagree
-    facets_1idx = [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 2, 6), (1, 5, 6),
-        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
-    ]
-    masks = [sum(1 << (v - 1) for v in f) for f in facets_1idx]
+    masks = [sum(1 << (v - 1) for v in f) for f in RP2_FACETS]
     delta = SimplicialComplex(tuple(f"v{i}" for i in range(1, 7)), masks)
     full = (1 << 6) - 1
     for d, gf2_dim, rat_dim in ((0, 0, 0), (1, 1, 0), (2, 1, 0)):
@@ -209,3 +221,84 @@ def test_input_validation():
     with pytest.raises(ResourceLimitError):
         graph_betti_table(big, GF2)
     assert graph_betti_table(big, GF2, max_vars=17).pd() > 0
+
+
+def reference_ideal_entries(ideal, char):
+    """All nonzero beta_{i,sigma}(S/I) from brute-force Stanley-Reisner faces."""
+    supports = ideal.supports()
+    faces = [f for f in range(1 << ideal.nvars) if all(s & ~f for s in supports)]
+    entries = {}
+    for sigma in range(1 << ideal.nvars):
+        restricted = [f for f in faces if f & ~sigma == 0]
+        for i in range(sigma.bit_count() + 1):
+            v = reference_homology(restricted, sigma.bit_count() - i - 1, char)
+            if v:
+                entries[(i, sigma)] = v
+    return entries
+
+
+def random_graph(rng, n, p):
+    return SimpleGraph(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def test_cover_ideal_tables_match_reference_route():
+    rng = random.Random(23)
+    checked = 0
+    while checked < 8:
+        g = random_graph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.7))
+        if g.edge_count() == 0:
+            continue
+        ideal = cover_ideal(g)
+        for field, char in FIELDS:
+            assert table_entries(betti_table(ideal, field)) == reference_ideal_entries(
+                ideal, char
+            ), f"edges={g.edges()} field={field!r}"
+        checked += 1
+
+
+def test_projective_plane_ideal_keeps_torsion():
+    # the Stanley-Reisner ideal of RP^2_6 is generated by its ten non-face triangles
+    facets = {sum(1 << (v - 1) for v in f) for f in RP2_FACETS}
+    triangles = [m for m in range(1 << 6) if m.bit_count() == 3 and m not in facets]
+    ideal = MonomialIdeal(
+        [f"v{i}" for i in range(1, 7)], [Monomial.from_support(m, 6) for m in triangles]
+    )
+    tables = {}
+    for field, char in FIELDS:
+        tables[char] = table_entries(betti_table(ideal, field))
+        assert tables[char] == reference_ideal_entries(ideal, char), repr(field)
+    full = (1 << 6) - 1
+    # H~_1 and H~_2 are Z/2-torsion: beta_{4,[6]} and beta_{3,[6]} over GF(2) only
+    assert tables[2][(3, full)] == tables[2][(4, full)] == 1
+    assert (3, full) not in tables[0] and (4, full) not in tables[0]
+    assert tables[3] == tables[0]
+
+
+def top_vector(g, field):
+    """{i: beta_{i,[n]}} of S/I(G)."""
+    full = (1 << g.n) - 1
+    return {i: v for (i, s), v in table_entries(graph_betti_table(g, field)).items() if s == full}
+
+
+def test_kozlov_cycle_spheres():
+    # Ind(C_n) is a wedge of two (k-1)-spheres for n = 3k and one for n = 3k +- 1,
+    # so the only top-degree entry is beta_{n-k,[n]}
+    for n in range(3, 15):
+        k = round(n / 3)
+        expect = {n - k: 2 if n % 3 == 0 else 1}
+        for field, _ in FIELDS:
+            assert top_vector(cycle_graph(n), field) == expect, (n, field)
+
+
+def test_kozlov_path_spheres():
+    # Ind(P_n) is a (k-1)-sphere for n in {3k-1, 3k} and contractible for n = 3k+1
+    for n in range(1, 15):
+        if n % 3 == 1:
+            expect = {}
+        else:
+            k = (n + 1) // 3
+            expect = {n - k: 1}
+        for field, _ in FIELDS:
+            assert top_vector(path_graph(n), field) == expect, (n, field)

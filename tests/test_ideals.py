@@ -57,6 +57,17 @@ def test_ideal_json_round_trip(tmp_path):
     assert MonomialIdeal.load(str(path)) == ideal
 
 
+def test_ideal_malformed_json_raises_value_error():
+    for obj in (
+        [],
+        {"variables": ["a"], "generators": 5},
+        {"variables": "ab", "generators": [[1, 1]]},
+        {"variables": ["a", "b"], "generators": [["1", 1]]},
+    ):
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_json(obj)
+
+
 def test_edge_ideal_generators_are_edges():
     g = cycle_graph(5)
     ideal = edge_ideal(g)
