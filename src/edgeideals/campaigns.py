@@ -69,9 +69,9 @@ class _Ctx:
             self._tables[key] = graph_betti_table(self.g, field)
         return self._tables[key]
 
-    def max_witness(self, cap=None):
+    def max_witness(self):
         if self._max_witness is None:
-            self._max_witness = max_pd_witness(self.g, cap)
+            self._max_witness = max_pd_witness(self.g)
         return self._max_witness
 
 
@@ -173,6 +173,7 @@ def _assert_t24(g, field, caps, ctx):
     """If the induced graph on sigma is a disjoint union of r stars then the
     entry at (|sigma|-r, sigma) is nonzero, as is its coarse image."""
     table = ctx.table(field)
+    graded = table.graded()
     out = []
     full = g.vertex_mask()
     sigma = full
@@ -190,7 +191,7 @@ def _assert_t24(g, field, caps, ctx):
                         "beta": table.entry(i, sigma),
                     }
                 )
-            if table.graded().get((i, sigma.bit_count()), 0) < 1:
+            if graded.get((i, sigma.bit_count()), 0) < 1:
                 out.append(
                     {
                         "check": "star-components-coarse",

@@ -435,12 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="disjoint complete bipartite families")
     p.add_argument("graph")
-    p.add_argument(
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument(
         "--target",
         metavar="i,v1,v2,...",
         help="find a family for beta_i in the multidegree spanned by the listed vertices",
     )
-    p.add_argument(
+    mode.add_argument(
         "--max",
         action="store_true",
         help="maximize |sigma| - r over all valid families (the default action)",

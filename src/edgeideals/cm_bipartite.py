@@ -263,10 +263,6 @@ def is_cm_bipartite(g: SimpleGraph) -> bool:
     return cm_labeling(g) is not None
 
 
-def poset_ideals(p: Poset) -> list[int]:
-    return p.ideals()
-
-
 def hg_generators(p: Poset) -> MonomialIdeal:
     """The dual ideal: one squarefree generator per poset ideal.
 

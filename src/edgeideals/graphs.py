@@ -241,10 +241,6 @@ class SimpleGraph:
 # -- constructors ------------------------------------------------------------
 
 
-def graph_from_edges(n, edges, labels=None) -> SimpleGraph:
-    return SimpleGraph(n, edges=edges, labels=labels)
-
-
 def path_graph(n) -> SimpleGraph:
     return SimpleGraph(n, edges=[(i, i + 1) for i in range(n - 1)])
 

@@ -3,6 +3,17 @@
 Everything this package stores is squarefree (edge ideals and their duals),
 but monomials carry full exponent vectors so that Taylor-complex cofactors
 and lcm arithmetic work for arbitrary monomial input.
+
+Each ideal also carries the polarized bitmask of every generator
+(``MonomialIdeal.masks``).  Variable i gets one bit per distinct nonzero
+exponent it takes among the generators, and exponent e sets the bit of every
+such threshold <= e.  Polarization keeps the lcm lattice of the generators:
+divisibility is mask inclusion, lcm is OR, and two lcms are equal exactly
+when their masks are.  Bit i is the lowest threshold of variable i and
+further thresholds sit above bit nvars - 1, so ``mask & (2**nvars - 1)`` is
+the support, and the masks of a squarefree ideal are its supports.  The
+width counts distinct exponents, not their size: an exponent of 10**9 costs
+one bit.
 """
 
 from __future__ import annotations
@@ -86,10 +97,33 @@ def lcm_of(monomials, nvars) -> Monomial:
     return out
 
 
-class MonomialIdeal:
-    """Monomial ideal given by a minimal generating set; generator order is significant."""
+def _polarized_masks(generators, nvars: int) -> tuple[int, ...]:
+    """Polarized bitmask of each generator (layout in the module docstring)."""
+    masks = [0] * len(generators)
+    spare = nvars
+    for i, column in enumerate(zip(*(g.exps for g in generators))):
+        levels = sorted(set(column) - {0})
+        if not levels:
+            continue
+        acc = 1 << i
+        threshold = {levels[0]: acc}
+        for e in levels[1:]:
+            acc |= 1 << spare
+            spare += 1
+            threshold[e] = acc
+        for k, e in enumerate(column):
+            if e:
+                masks[k] |= threshold[e]
+    return tuple(masks)
 
-    __slots__ = ("variables", "generators")
+
+class MonomialIdeal:
+    """Monomial ideal given by a minimal generating set; generator order is significant.
+
+    ``masks[k]`` is the polarized bitmask of ``generators[k]``.
+    """
+
+    __slots__ = ("variables", "generators", "masks")
 
     def __init__(self, variables, generators):
         self.variables = tuple(variables)
@@ -104,13 +138,15 @@ class MonomialIdeal:
             if g.is_one():
                 raise ValueError("unit generator: the ideal is not proper")
             gens.append(g)
-        for i, gi in enumerate(gens):
-            for j, gj in enumerate(gens):
-                if i != j and gi.divides(gj):
+        masks = _polarized_masks(gens, len(self.variables))
+        for i, mi in enumerate(masks):
+            for j, mj in enumerate(masks):
+                if i != j and mi & ~mj == 0:
                     raise ValueError(
                         f"generators not minimal: #{i} divides #{j}"
                     )
         self.generators = tuple(gens)
+        self.masks = masks
 
     @property
     def nvars(self) -> int:
@@ -124,13 +160,21 @@ class MonomialIdeal:
         return all(g.is_squarefree() for g in self.generators)
 
     def supports(self) -> list[int]:
-        return [g.support() for g in self.generators]
+        full = (1 << self.nvars) - 1
+        return [m & full for m in self.masks]
 
     def reordered(self, order) -> "MonomialIdeal":
+        """The same ideal with generators (and masks) in the given order; a
+        permutation of a minimal generating set stays minimal, so nothing is
+        checked again."""
         order = tuple(order)
         if sorted(order) != list(range(self.ngens)):
             raise ValueError(f"order {order} is not a permutation of 0..{self.ngens - 1}")
-        return MonomialIdeal(self.variables, [self.generators[i] for i in order])
+        out = object.__new__(MonomialIdeal)
+        out.variables = self.variables
+        out.generators = tuple(self.generators[i] for i in order)
+        out.masks = tuple(self.masks[i] for i in order)
+        return out
 
     def __eq__(self, other):
         return (

@@ -11,6 +11,13 @@ leading symbol is maximal, certifies a nonzero multigraded Betti number.
 
 Cycle cancellation is checked over the integers, which is sound over every
 coefficient field at once.
+
+Admissibility and the strand tables work on the ideal's polarized generator
+masks (``MonomialIdeal.masks``): m_q divides an lcm exactly when its mask is
+inside the OR of the members' masks, and a boundary term has a unit cofactor
+exactly when dropping that member leaves the OR unchanged.  The public
+degrees and cofactors of ``symbol_degree``, ``taylor_boundary`` and the
+certificates stay ``Monomial``s.
 """
 
 from __future__ import annotations
@@ -62,20 +69,12 @@ def taylor_boundary(ideal: MonomialIdeal, indices, order=None):
 def is_admissible(ideal: MonomialIdeal, indices, order=None) -> bool:
     ordered = _ordered(ideal, order)
     indices = _check_symbol(ordered, indices)
-    gens = ordered.generators
-    s = len(indices)
-    if s <= 1:
-        return True
-    suffix = gens[indices[-1]]
-    suffixes = [suffix]
-    for t in range(s - 2, -1, -1):
-        suffix = suffix.lcm(gens[indices[t]])
-        suffixes.append(suffix)
-    suffixes.reverse()
-    for t in range(s - 1):
-        lcm_t = suffixes[t]
+    masks = ordered.masks
+    lcm = masks[indices[-1]] if indices else 0
+    for t in range(len(indices) - 2, -1, -1):
+        lcm |= masks[indices[t]]
         for q in range(indices[t]):
-            if gens[q].divides(lcm_t):
+            if masks[q] & ~lcm == 0:
                 return False
     return True
 
@@ -387,22 +386,25 @@ def lyubeznik_betti_table(
     """Betti table of S/I from the Lyubeznik resolution for the given order.
 
     The complex splits by multidegree after tensoring with the residue field;
-    each strand keeps only unit-cofactor boundary terms.  Independent of the
-    Hochster engine, so the two routes cross-check each other.
+    each strand keeps only unit-cofactor boundary terms.  Degrees are ORs of
+    generator masks, which for a squarefree ideal are the supports.
+    Independent of the Hochster engine, so the two routes cross-check each
+    other.
     """
     ordered = _ordered(ideal, order)
     if not ordered.is_squarefree():
         raise ValueError("Betti tables here are for squarefree ideals")
-    symbols = admissible_symbols(ordered)
+    masks = ordered.masks
     by_degree: dict[int, dict[int, list[tuple[int, ...]]]] = {}
-    for sym in symbols:
-        deg = symbol_degree(ordered, sym).support()
+    for sym in admissible_symbols(ordered):
+        deg = 0
+        for i in sym:
+            deg |= masks[i]
         by_degree.setdefault(deg, {}).setdefault(len(sym), []).append(sym)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     for deg, strata in by_degree.items():
         index = {
-            s: {sym: k for k, sym in enumerate(sorted(syms))}
-            for s, syms in strata.items()
+            s: {sym: k for k, sym in enumerate(syms)} for s, syms in strata.items()
         }
         ranks: dict[int, int] = {}
         for s, syms in strata.items():
@@ -411,11 +413,15 @@ def lyubeznik_betti_table(
                 ranks[s] = 0
                 continue
             rows = []
-            for sym in sorted(syms):
+            for sym in syms:
                 row = [0] * len(lower)
-                for sb, sign, cof in taylor_boundary(ordered, sym):
-                    if cof.is_one():
-                        row[lower[sb]] += sign
+                for t in range(s):
+                    sub = sym[:t] + sym[t + 1 :]
+                    rest = 0
+                    for i in sub:
+                        rest |= masks[i]
+                    if rest == deg:
+                        row[lower[sub]] += -1 if t & 1 else 1
                 rows.append(row)
             ranks[s] = rank_over(field, rows)
         for s, syms in strata.items():

@@ -257,10 +257,6 @@ class WitnessResult:
         return f"WitnessResult(value={self.value}, family={self.family})"
 
 
-def _rep_feasible(g, blocks):
-    return find_representatives(g, blocks)
-
-
 def max_pd_witness(
     g: SimpleGraph, max_block_vertices: int | None = None
 ) -> WitnessResult:
@@ -274,7 +270,7 @@ def max_pd_witness(
     def descend(start: int, used: int, value: int, chosen: list[CompleteBipartiteSub]):
         nonlocal best_value, best_family
         if chosen and value > best_value:
-            reps = _rep_feasible(g, chosen)
+            reps = find_representatives(g, chosen)
             if reps is not None:
                 best_value = value
                 best_family = DisjointFamily(list(chosen), reps)
@@ -289,7 +285,7 @@ def max_pd_witness(
             gain = b.size - 1
             if value + gain + max(0, free - b.size - 1) <= best_value:
                 continue
-            if _rep_feasible(g, chosen + [b]) is None:
+            if find_representatives(g, chosen + [b]) is None:
                 continue
             chosen.append(b)
             descend(idx + 1, used | b.vertices, value + gain, chosen)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from edgeideals.cli import main
-from edgeideals.graphs import graph_from_edges
+from edgeideals.graphs import SimpleGraph
 from edgeideals.witness import max_pd_witness
 from edgeideals.catalog import named_graph
 
@@ -71,6 +71,19 @@ def test_witness_max_and_target(capsys):
         run(capsys, "witness", "cycle_4", "--target", "x1,x2")
     with pytest.raises(SystemExit, match="unknown vertex label"):
         run(capsys, "witness", "cycle_4", "--target", "1,z9")
+    rc, out, _ = run(capsys, "witness", "cycle_4", "--max")
+    assert rc == 0 and "max family value (pd lower bound): 3" in out
+
+
+def test_witness_max_and_target_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "witness", "cycle_4", "--max", "--target", "1,x1,x2")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "edgeideals witness: error: argument --target: not allowed with argument --max"
+    ]
 
 
 def test_lyubeznik_table_symbols_order(capsys):
@@ -97,7 +110,7 @@ def test_lyubeznik_certify(capsys, tmp_path):
 
 
 def test_cm_analyze(capsys, tmp_path):
-    g = graph_from_edges(4, [(0, 2), (0, 3), (1, 3)], ["x1", "x2", "y1", "y2"])
+    g = SimpleGraph(4, edges=[(0, 2), (0, 3), (1, 3)], labels=["x1", "x2", "y1", "y2"])
     path = tmp_path / "cm.json"
     path.write_text(json.dumps(g.to_json()))
     rc, out, _ = run(capsys, "cm", "analyze", str(path))

@@ -17,7 +17,6 @@ from edgeideals.cm_bipartite import (
     is_maximal_boolean,
     maximal_boolean_bases,
     poset_of_graph,
-    poset_ideals,
 )
 from edgeideals.graphs import (
     bipartition,
@@ -105,7 +104,7 @@ def test_dual_ideal_equals_cover_ideal():
         for p in posets_on(k):
             g = graph_from_poset(p)
             assert hg_generators(p).same_generators(cover_ideal(g))
-            assert len(poset_ideals(p)) == len(hg_generators(p).generators)
+            assert len(p.ideals()) == len(hg_generators(p).generators)
 
 
 def test_free_bases_enumerate_dual_resolution():

@@ -17,6 +17,7 @@ from edgeideals.ideals import (
     is_unmixed,
     maximal_independent_sets,
     minimal_vertex_covers,
+    lcm_of,
     stanley_reisner_complex,
 )
 from conftest import brute_independent_sets
@@ -46,6 +47,77 @@ def test_ideal_validation_and_reorder():
     assert swapped.generators[0] == ideal.generators[1]
     assert ideal.same_generators(swapped)
     assert ideal != swapped
+
+
+def random_exponent_lists(rng, nvars, ngens, max_exp=3):
+    """Random non-unit exponent vectors, minimal or not."""
+    out = []
+    while len(out) < ngens:
+        exps = tuple(rng.randint(0, max_exp) for _ in range(nvars))
+        if any(exps):
+            out.append(exps)
+    return out
+
+
+def test_minimality_check_matches_exponent_division():
+    rng = random.Random(43)
+    accepted = rejected = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        gens = random_exponent_lists(rng, nvars, rng.randint(1, 5))
+        variables = [f"x{i + 1}" for i in range(nvars)]
+        divides = any(
+            i != j and all(a <= b for a, b in zip(gi, gj))
+            for i, gi in enumerate(gens)
+            for j, gj in enumerate(gens)
+        )
+        if divides:
+            with pytest.raises(ValueError, match="not minimal"):
+                MonomialIdeal(variables, gens)
+            rejected += 1
+            continue
+        ideal = MonomialIdeal(variables, gens)
+        accepted += 1
+        masks, mons = ideal.masks, ideal.generators
+        assert ideal.supports() == [m.support() for m in mons]
+        # the masks embed the lcm lattice: subsets share an lcm iff they share an OR
+        by_lcm, by_or = {}, {}
+        for size in range(1, ideal.ngens + 1):
+            for sym in itertools.combinations(range(ideal.ngens), size):
+                lcm = lcm_of([mons[k] for k in sym], nvars)
+                joined = 0
+                for k in sym:
+                    joined |= masks[k]
+                by_lcm.setdefault(lcm, set()).add(sym)
+                by_or.setdefault(joined, set()).add(sym)
+                for q in range(ideal.ngens):
+                    assert mons[q].divides(lcm) == (masks[q] & ~joined == 0)
+        assert sorted(map(sorted, by_lcm.values())) == sorted(map(sorted, by_or.values()))
+    assert accepted > 50 and rejected > 50
+
+
+def test_reordered_permutes_masks():
+    rng = random.Random(47)
+    checked = 0
+    while checked < 30:
+        nvars = rng.randint(1, 5)
+        gens = random_exponent_lists(rng, nvars, rng.randint(1, 6))
+        try:
+            ideal = MonomialIdeal([f"x{i + 1}" for i in range(nvars)], gens)
+        except ValueError:
+            continue
+        order = list(range(ideal.ngens))
+        rng.shuffle(order)
+        again = ideal.reordered(order)
+        assert again.masks == tuple(ideal.masks[i] for i in order)
+        assert again.masks == MonomialIdeal(ideal.variables, again.generators).masks
+        checked += 1
+
+
+def test_squarefree_masks_are_supports():
+    for g in (cycle_graph(5), path_graph(4), complete_graph(4)):
+        for ideal in (edge_ideal(g), cover_ideal(g)):
+            assert list(ideal.masks) == [m.support() for m in ideal.generators]
 
 
 def test_ideal_json_round_trip(tmp_path):

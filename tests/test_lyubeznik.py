@@ -10,8 +10,8 @@ from edgeideals.catalog import generate_catalog, graphs_on
 from edgeideals.errors import ResourceLimitError
 from edgeideals.graphs import SimpleGraph, complete_bipartite_graph, cycle_graph
 from edgeideals.hochster import graph_betti_table, betti_table
-from edgeideals.ideals import Monomial, MonomialIdeal, edge_ideal
-from edgeideals.linalg import GF2, RATIONALS
+from edgeideals.ideals import Monomial, MonomialIdeal, cover_ideal, edge_ideal, lcm_of
+from edgeideals.linalg import GF2, RATIONALS, FieldSpec
 from edgeideals.lyubeznik import (
     Cycle,
     admissible_symbols,
@@ -100,6 +100,71 @@ def test_admissibility_downward_closed_random():
         assert set(admissible_symbols(ideal)) == {s for s in admissible if s}
 
 
+def reference_admissible(ideal, sym):
+    """Admissibility from the definition, on exponent vectors."""
+    gens = ideal.generators
+    for t in range(len(sym) - 1):
+        lcm = lcm_of([gens[i] for i in sym[t:]], ideal.nvars)
+        if any(gens[q].divides(lcm) for q in range(sym[t])):
+            return False
+    return True
+
+
+def test_admissibility_on_masks_matches_exponent_vectors():
+    rng = random.Random(37)
+    for _ in range(40):
+        ideal = random_ideal(rng, rng.randint(1, 5), rng.randint(1, 7), max_exp=3)
+        u = ideal.ngens
+        order = list(range(u))
+        rng.shuffle(order)
+        shuffled = MonomialIdeal(ideal.variables, [ideal.generators[i] for i in order])
+        for size in range(u + 1):
+            for sym in itertools.combinations(range(u), size):
+                assert is_admissible(ideal, sym) == reference_admissible(ideal, sym)
+                assert is_admissible(ideal, sym, tuple(order)) == reference_admissible(
+                    shuffled, sym
+                )
+
+
+def polarization(ideal):
+    """The squarefree ideal whose generator supports are the polarized masks."""
+    width = max(m.bit_length() for m in ideal.masks)
+    return MonomialIdeal(
+        [f"p{k}" for k in range(width)],
+        [Monomial.from_support(m, width) for m in ideal.masks],
+    )
+
+
+def test_huge_exponent_costs_one_bit():
+    big = 10**9
+    ideal = MonomialIdeal.from_json(
+        {
+            "variables": ["x", "y", "z"],
+            "generators": [[big, 1, 0], [1, big, 0], [0, 1, big], [2, 0, 1]],
+        }
+    )
+    bound = ideal.nvars * ideal.ngens
+    assert all(m.bit_length() <= bound for m in ideal.masks)
+    # only the order of each variable's exponents matters
+    small = MonomialIdeal(ideal.variables, [(3, 1, 0), (1, 3, 0), (0, 1, 3), (2, 0, 1)])
+    assert small.masks == ideal.masks
+    symbols = admissible_symbols(ideal)
+    assert symbols == admissible_symbols(small)
+    assert set(symbols) == {
+        sym
+        for size in range(1, ideal.ngens + 1)
+        for sym in itertools.combinations(range(ideal.ngens), size)
+        if reference_admissible(ideal, sym)
+    }
+    polar = polarization(ideal)
+    table = lyubeznik_betti_table(polar, field=RATIONALS)
+    assert all(sigma.bit_length() <= bound for _, sigma, _ in table.nonzero())
+    want = betti_table(polar, RATIONALS)
+    assert {(i, s): v for i, s, v in table.nonzero()} == {
+        (i, s): v for i, s, v in want.nonzero()
+    }
+
+
 def test_admissible_symbols_four_cycle():
     ideal = edge_ideal(cycle_graph(4))
     assert set(admissible_symbols(ideal, s=2)) == {
@@ -162,6 +227,26 @@ def test_strand_table_matches_hochster_on_random_ideals():
             for i, s, v in lyubeznik_betti_table(ideal, tuple(order), field=field).nonzero()
         }
         assert got == want
+
+
+def test_strand_table_matches_hochster_on_cover_ideals():
+    rng = random.Random(41)
+    for field in (GF2, FieldSpec.parse("gf3"), RATIONALS):
+        checked = 0
+        while checked < 6:
+            n = rng.randint(5, 8)
+            g = SimpleGraph(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+            )
+            if g.edge_count() == 0:
+                continue
+            ideal = cover_ideal(g)
+            order = list(range(ideal.ngens))
+            rng.shuffle(order)
+            want = {(i, s): v for i, s, v in betti_table(ideal, field).nonzero()}
+            got = lyubeznik_betti_table(ideal, tuple(order), field=field)
+            assert {(i, s): v for i, s, v in got.nonzero()} == want, f"edges={g.edges()}"
+            checked += 1
 
 
 def test_lyubeznik_rejects_non_squarefree():
