@@ -33,7 +33,12 @@ from .graphs import (
     is_ferrers,
     iter_bits,
 )
-from .hochster import graph_betti_table, verify_bcp, verify_eagon_reiner
+from .hochster import (
+    compare_bcp,
+    compare_eagon_reiner,
+    cover_betti_table,
+    graph_betti_table,
+)
 from .ideals import is_unmixed
 from .linalg import FieldSpec
 from .lyubeznik import main_theorem_certificate
@@ -45,6 +50,7 @@ from .witness import (
     cochordal_pd,
     is_valid_family,
     max_pd_witness,
+    valid_representatives,
     witness_for,
 )
 
@@ -56,18 +62,34 @@ def _labels(g: SimpleGraph, mask: int) -> list[str]:
 
 
 class _Ctx:
-    """Per-graph cache shared by the assertions of one run."""
+    """Per-graph cache shared by the assertions of one run.
+
+    It holds, per field, the quotient table of S/I(G) and the table of the
+    cover ideal I(G)* (built on first use, shared by T6.1 and T6.2), the
+    maximal witness, and ``certificates``, the memo that
+    ``main_theorem_certificate`` keys by ordered generator supports and block
+    shapes.  The certificate check does not depend on the field, so that memo
+    serves every field of the graph.  A context lives for one graph of one
+    ``run_campaign`` call.
+    """
 
     def __init__(self, g: SimpleGraph):
         self.g = g
-        self._tables: dict[str, object] = {}
+        self._tables: dict[tuple[str, str], object] = {}
         self._max_witness = None
+        self.certificates: dict = {}
+
+    def _table(self, kind: str, build, field: FieldSpec):
+        key = (kind, repr(field))
+        if key not in self._tables:
+            self._tables[key] = build(self.g, field)
+        return self._tables[key]
 
     def table(self, field: FieldSpec):
-        key = repr(field)
-        if key not in self._tables:
-            self._tables[key] = graph_betti_table(self.g, field)
-        return self._tables[key]
+        return self._table("quotient", graph_betti_table, field)
+
+    def cover_table(self, field: FieldSpec):
+        return self._table("cover", cover_betti_table, field)
 
     def max_witness(self):
         if self._max_witness is None:
@@ -75,10 +97,10 @@ class _Ctx:
         return self._max_witness
 
 
-def _certified(g, fam):
+def _certified(g, fam, memo=None):
     """(ok, error) from running the resolution certificate on a family."""
     try:
-        s, sigma = main_theorem_certificate(g, fam)
+        s, sigma = main_theorem_certificate(g, fam, memo)
     except Exception as exc:
         return False, f"{type(exc).__name__}: {exc}"
     if s != fam.value or sigma != fam.sigma:
@@ -114,7 +136,8 @@ def _assert_t11(g, field, caps, ctx):
     out = []
     for fam_blocks in _iter_families(blocks, int(caps.get("family_size", 2))):
         fam = DisjointFamily(fam_blocks)
-        if not is_valid_family(g, fam):
+        reps = valid_representatives(g, fam)
+        if reps is None:
             continue
         beta = table.entry(fam.value, fam.sigma)
         if beta < 1:
@@ -127,7 +150,7 @@ def _assert_t11(g, field, caps, ctx):
                     "family": fam.to_json(g),
                 }
             )
-        ok, err = _certified(g, fam)
+        ok, err = _certified(g, DisjointFamily(fam_blocks, reps), ctx.certificates)
         if not ok:
             out.append(
                 {"check": "certificate", "family": fam.to_json(g), "error": err}
@@ -223,7 +246,7 @@ def _assert_t25(g, field, caps, ctx):
                         "beta": beta,
                     }
                 )
-            ok, err = _certified(g, fam)
+            ok, err = _certified(g, fam, ctx.certificates)
             if not ok:
                 out.append(
                     {"check": "certificate", "family": fam.to_json(g), "error": err}
@@ -331,14 +354,18 @@ def _assert_t58(g, field, caps, ctx):
 
 
 def _assert_t61(g, field, caps, ctx):
-    report = verify_bcp(g, field)
+    if g.edge_count() == 0:
+        return []
+    report = compare_bcp(ctx.cover_table(field), ctx.table(field))
     if report.ok:
         return []
     return [{"check": "extremal-duality", "note": report.note}]
 
 
 def _assert_t62(g, field, caps, ctx):
-    report = verify_eagon_reiner(g, field)
+    if g.edge_count() == 0:
+        return []
+    report = compare_eagon_reiner(ctx.cover_table(field), ctx.table(field))
     if report.ok:
         return []
     return [{"check": "dual-pd-reg-swap", "note": report.note}]
@@ -437,7 +464,7 @@ def _assert_t71(g, field, caps, ctx):
                 "sigma": _labels(g, w.family.sigma),
             }
         )
-    ok, err = _certified(g, w.family)
+    ok, err = _certified(g, w.family, ctx.certificates)
     if not ok:
         out.append({"check": "certificate", "family": w.family.to_json(g), "error": err})
     search = ctx.max_witness()

@@ -356,16 +356,14 @@ class DualityReport:
         return f"DualityReport({status}, {len(self.comparisons)} comparisons{', ' + self.note if self.note else ''})"
 
 
-def verify_bcp(g: SimpleGraph, field: FieldSpec = GF2) -> DualityReport:
-    """Check the extremal-duality equalities between I(G)* and S/I(G).
+def cover_betti_table(g: SimpleGraph, field: FieldSpec = GF2) -> BettiTable:
+    """Betti table of the cover ideal I(G)* itself (subject "ideal")."""
+    return betti_table(cover_ideal(g), field=field, subject="ideal")
 
-    For every extremal entry (r, sigma) of the Betti table of the cover ideal,
-    beta_{r,sigma}(I(G)*) must equal beta_{|sigma|-r,sigma}(S/I(G)).
-    """
-    if g.edge_count() == 0:
-        return DualityReport(True, [], note="skipped: no edges")
-    dual_table = betti_table(cover_ideal(g), field=field, subject="ideal")
-    quot_table = graph_betti_table(g, field=field)
+
+def compare_bcp(dual_table: BettiTable, quot_table: BettiTable) -> DualityReport:
+    """For every extremal entry (r, sigma) of the cover-ideal table,
+    beta_{r,sigma}(I(G)*) must equal beta_{|sigma|-r,sigma}(S/I(G))."""
     comparisons = []
     ok = True
     for r, sigma in dual_table.extremal():
@@ -378,18 +376,29 @@ def verify_bcp(g: SimpleGraph, field: FieldSpec = GF2) -> DualityReport:
     return DualityReport(ok, comparisons)
 
 
-def verify_eagon_reiner(g: SimpleGraph, field: FieldSpec = GF2) -> DualityReport:
+def compare_eagon_reiner(dual_table: BettiTable, quot_table: BettiTable) -> DualityReport:
     """reg(I(G)*) = pd(S/I(G)) and pd(I(G)*) = reg(S/I(G))."""
-    if g.edge_count() == 0:
-        return DualityReport(True, [], note="skipped: no edges")
-    dual_table = betti_table(cover_ideal(g), field=field, subject="ideal")
-    quot_table = graph_betti_table(g, field=field)
     comparisons = [
         {"lhs": "reg(dual)", "left": dual_table.reg(), "rhs": "pd(quotient)", "right": quot_table.pd()},
         {"lhs": "pd(dual)", "left": dual_table.pd(), "rhs": "reg(quotient)", "right": quot_table.reg()},
     ]
     ok = all(c["left"] == c["right"] for c in comparisons)
     return DualityReport(ok, comparisons)
+
+
+def verify_bcp(g: SimpleGraph, field: FieldSpec = GF2) -> DualityReport:
+    """Check the extremal-duality equalities between I(G)* and S/I(G)
+    (``compare_bcp`` on freshly built tables)."""
+    if g.edge_count() == 0:
+        return DualityReport(True, [], note="skipped: no edges")
+    return compare_bcp(cover_betti_table(g, field), graph_betti_table(g, field))
+
+
+def verify_eagon_reiner(g: SimpleGraph, field: FieldSpec = GF2) -> DualityReport:
+    """``compare_eagon_reiner`` on freshly built tables."""
+    if g.edge_count() == 0:
+        return DualityReport(True, [], note="skipped: no edges")
+    return compare_eagon_reiner(cover_betti_table(g, field), graph_betti_table(g, field))
 
 
 def projective_dimension(g: SimpleGraph, field: FieldSpec = GF2) -> int:

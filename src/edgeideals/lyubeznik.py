@@ -27,7 +27,7 @@ from .graphs import SimpleGraph, bit_list, iter_bits
 from .hochster import BettiTable
 from .ideals import Monomial, MonomialIdeal, edge_ideal, lcm_of
 from .linalg import GF2, FieldSpec, rank_over
-from .witness import DisjointFamily, find_representatives, is_valid_family
+from .witness import DisjointFamily, representative_in, valid_representatives
 
 MAX_ADMISSIBLE_GENS = 24
 
@@ -67,16 +67,34 @@ def taylor_boundary(ideal: MonomialIdeal, indices, order=None):
 
 
 def is_admissible(ideal: MonomialIdeal, indices, order=None) -> bool:
+    """Whether the symbol is admissible, in one backward walk over it.
+
+    The walk checks order and range as it goes, and a symbol that is not
+    strictly increasing or not in range raises the ValueError of
+    ``_check_symbol`` even when it is already known to be inadmissible.
+    """
     ordered = _ordered(ideal, order)
-    indices = _check_symbol(ordered, indices)
+    indices = tuple(indices)
+    if not indices:
+        return True
     masks = ordered.masks
-    lcm = masks[indices[-1]] if indices else 0
+    nxt = indices[-1]
+    if not 0 <= nxt < len(masks):
+        _check_symbol(ordered, indices)
+    lcm = masks[nxt]
+    admissible = True
     for t in range(len(indices) - 2, -1, -1):
-        lcm |= masks[indices[t]]
-        for q in range(indices[t]):
-            if masks[q] & ~lcm == 0:
-                return False
-    return True
+        i = indices[t]
+        if not 0 <= i < nxt:
+            _check_symbol(ordered, indices)
+        nxt = i
+        if admissible:
+            lcm |= masks[i]
+            for q in range(i):
+                if masks[q] & ~lcm == 0:
+                    admissible = False
+                    break
+    return admissible
 
 
 def admissible_symbols(ideal: MonomialIdeal, order=None, s: int | None = None):
@@ -243,7 +261,11 @@ def bipartite_cycle(m: int, n: int, left_labels=None, right_labels=None):
     for beta in range(n):
         for alpha in range(m):
             gens.append(Monomial.from_support(1 << alpha | 1 << (m + beta), m + n))
-    ideal = MonomialIdeal(variables, gens)
+    return MonomialIdeal(variables, gens), _threshold_cycle(m, n)
+
+
+def _threshold_cycle(m: int, n: int) -> Cycle:
+    """The cycle of ``bipartite_cycle(m, n)``, which depends on (m, n) alone."""
 
     def tau(ts: tuple[int, ...]) -> tuple[int, ...]:
         bounds = (1,) + ts + (m,)
@@ -265,35 +287,37 @@ def bipartite_cycle(m: int, n: int, left_labels=None, right_labels=None):
     norm = (-1) ** (m * (n - 1))
     terms = {tau(ts): norm * (-1) ** sum(ts) for ts in all_ts}
     leading = tau((m,) * (n - 1))
-    return ideal, Cycle(terms, leading)
+    return Cycle(terms, leading)
 
 
 def product_cycle(parts) -> Cycle:
     """Cycle of a product symbol over variable-disjoint ordered blocks.
 
-    parts is a list of (block_ideal, block_cycle); indices are shifted by the
-    generator counts of the preceding blocks, matching an order that lists
-    each block's generators consecutively, in block order.
+    parts is a list of (ngens, block_cycle), ngens being the block's number of
+    generators; indices are shifted by the generator counts of the preceding
+    blocks, matching an order that lists each block's generators
+    consecutively, in block order.
     """
     if not parts:
         raise ValueError("need at least one block")
     terms: dict[tuple[int, ...], int] = {(): 1}
     leading: tuple[int, ...] = ()
     offset = 0
-    for ideal, cyc in parts:
+    for ngens, cyc in parts:
         nxt: dict[tuple[int, ...], int] = {}
         for base, c0 in terms.items():
             for sym, c1 in cyc.terms.items():
                 nxt[base + tuple(offset + i for i in sym)] = c0 * c1
         terms = nxt
         leading = leading + tuple(offset + i for i in cyc.leading)
-        offset += ideal.ngens
+        offset += ngens
     return Cycle(terms, leading)
 
 
-def _block_run(g: SimpleGraph, block, rep):
-    """Generator run for one block: cross edges row-major with the representative
-    endpoints last in their parts, then the block's other induced edges."""
+def _block_run(g: SimpleGraph, block, rep, bit: dict[int, int]):
+    """Generator supports for one block, with bit[w] the bit of vertex w: cross
+    edges row-major with the representative endpoints last in their parts,
+    then the block's other induced edges.  Also returns the part sizes."""
     u, v = rep
     if 1 << u & block.left and 1 << v & block.right:
         left, right = block.left, block.right
@@ -303,23 +327,14 @@ def _block_run(g: SimpleGraph, block, rep):
         raise ValueError("representative must be a cross edge of its block")
     lefts = [w for w in iter_bits(left) if w != u] + [u]
     rights = [w for w in iter_bits(right) if w != v] + [v]
-    cross = [(a, b) if a < b else (b, a) for b in rights for a in lefts]
-    mask = block.vertices
-    inner = []
-    for a in iter_bits(mask):
-        for b in iter_bits(g.adj[a] & mask):
-            if b > a and not representative_cross(left, right, a, b):
-                inner.append((a, b))
-    return cross + sorted(inner), len(lefts), len(rights)
+    run = [bit[a] | bit[b] for b in rights for a in lefts]
+    for a, b in sub_edges_original(g, block.vertices):
+        if not representative_in(block, (a, b)):
+            run.append(bit[a] | bit[b])
+    return run, len(lefts), len(rights)
 
 
-def representative_cross(left: int, right: int, a: int, b: int) -> bool:
-    return bool(
-        (1 << a & left and 1 << b & right) or (1 << a & right and 1 << b & left)
-    )
-
-
-def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily):
+def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | None = None):
     """Certify beta_{|sigma|-r, sigma}(S/I(G)) != 0 for a valid disjoint family.
 
     Works inside the induced subgraph on sigma (Betti numbers in degree sigma
@@ -327,41 +342,42 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily):
     row-major with the representative last, then the block's other induced
     edges), forms the product of the blocks' threshold cycles, and runs the
     cycle certificate.  Returns (|sigma| - r, sigma) on success.
+
+    The cycle check reads only the ordered generator supports (bitmasks over
+    sigma's positions) and each block's shape (m, n, run length), so memo, a
+    dict the caller owns, keeps its result under exactly that key.  The check
+    does not depend on the field, so one memo serves every field of a graph;
+    campaigns keep one per graph and other callers pass none.  Validating the
+    family and checking the strand run on every call.
     """
-    if not is_valid_family(g, fam):
-        raise ValueError("family is not valid for this graph")
-    reps = fam.representatives
+    reps = valid_representatives(g, fam)
     if reps is None:
-        reps = find_representatives(g, fam.blocks)
-        if reps is None:
-            raise ValueError("no 3-disjoint representative assignment exists")
+        raise ValueError("family is not valid for this graph")
     sigma = fam.sigma
     verts = bit_list(sigma)
-    pos = {w: i for i, w in enumerate(verts)}
-    sub = g.induced_subgraph(sigma)
-
-    gen_order: list[tuple[int, int]] = []
-    parts = []
+    bit = {w: 1 << i for i, w in enumerate(verts)}
+    supports: list[int] = []
+    shapes = []
     for block, rep in zip(fam.blocks, reps):
-        run, msize, nsize = _block_run(g, block, rep)
-        gen_order.extend(run)
-        block_ideal_gens = [
-            Monomial.from_support(1 << pos[a] | 1 << pos[b], len(verts))
-            for a, b in run
-        ]
-        block_ideal = MonomialIdeal(sub.labels, block_ideal_gens)
-        _, cyc = bipartite_cycle(msize, nsize)
-        parts.append((block_ideal, cyc))
-    seen = set(gen_order)
-    others = sorted(e for e in sub_edges_original(g, sigma) if e not in seen)
-    gen_order.extend(others)
-
-    full_gens = [
-        Monomial.from_support(1 << pos[a] | 1 << pos[b], len(verts)) for a, b in gen_order
-    ]
-    full_ideal = MonomialIdeal(sub.labels, full_gens)
-    cycle = product_cycle(parts)
-    res = check_cycle_certificate(full_ideal, cycle)
+        run, msize, nsize = _block_run(g, block, rep, bit)
+        supports.extend(run)
+        shapes.append((msize, nsize, len(run)))
+    seen = set(supports)
+    for a, b in sub_edges_original(g, sigma):
+        if bit[a] | bit[b] not in seen:
+            supports.append(bit[a] | bit[b])
+    key = (tuple(supports), tuple(shapes))
+    if memo is None:
+        memo = {}
+    if key not in memo:
+        nvars = len(verts)
+        ideal = MonomialIdeal(
+            [g.labels[w] for w in verts],
+            [Monomial.from_support(s, nvars) for s in supports],
+        )
+        cycle = product_cycle([(k, _threshold_cycle(m, n)) for m, n, k in shapes])
+        memo[key] = check_cycle_certificate(ideal, cycle)
+    res = memo[key]
     if res is None:
         raise RuntimeError("certificate construction failed; theorem hypothesis violated")
     s, degree = res

@@ -172,34 +172,44 @@ def find_representatives(g: SimpleGraph, blocks) -> list[tuple[int, int]] | None
     return None
 
 
+def valid_representatives(g: SimpleGraph, fam: DisjointFamily) -> list[tuple[int, int]] | None:
+    """The representatives of a valid family, or None when it is not valid.
+
+    Valid means vertex-disjoint genuine blocks with pairwise 3-disjoint
+    representatives.  A family that carries representatives gets them checked
+    and returned; otherwise one assignment is searched for and returned.
+    """
+    used = 0
+    for b in fam.blocks:
+        if b.vertices & used:
+            return None
+        used |= b.vertices
+        if b.vertices & ~g.vertex_mask():
+            return None
+        if not is_block(g, b):
+            return None
+    if not fam.blocks:
+        return None
+    reps = fam.representatives
+    if reps is None:
+        return find_representatives(g, fam.blocks)
+    for e, b in zip(reps, fam.blocks):
+        if not g.has_edge(*e) or not representative_in(b, e):
+            return None
+    for a in range(len(reps)):
+        for b2 in range(a + 1, len(reps)):
+            if not is_three_disjoint(g, reps[a], reps[b2]):
+                return None
+    return reps
+
+
 def is_valid_family(g: SimpleGraph, fam: DisjointFamily) -> bool:
     """Vertex-disjoint genuine blocks with pairwise 3-disjoint representatives.
 
     When the family carries no representatives, an assignment is searched for;
     validity then means some assignment exists.
     """
-    used = 0
-    for b in fam.blocks:
-        if b.vertices & used:
-            return False
-        used |= b.vertices
-        if b.vertices & ~g.vertex_mask():
-            return False
-        if not is_block(g, b):
-            return False
-    if not fam.blocks:
-        return False
-    if fam.representatives is None:
-        return find_representatives(g, fam.blocks) is not None
-    for e, b in zip(fam.representatives, fam.blocks):
-        if not g.has_edge(*e) or not representative_in(b, e):
-            return False
-    reps = fam.representatives
-    for a in range(len(reps)):
-        for b2 in range(a + 1, len(reps)):
-            if not is_three_disjoint(g, reps[a], reps[b2]):
-                return False
-    return True
+    return valid_representatives(g, fam) is not None
 
 
 def all_blocks(

@@ -4,7 +4,28 @@ import json
 
 import pytest
 
-from edgeideals.campaigns import REGISTRY, Campaign, default_workers, run_campaign
+from edgeideals.campaigns import (
+    REGISTRY,
+    Campaign,
+    _certified,
+    _Ctx,
+    _iter_families,
+    default_workers,
+    run_campaign,
+)
+from edgeideals.catalog import generate_catalog
+from edgeideals.graphs import path_graph
+from edgeideals.hochster import compare_bcp, compare_eagon_reiner, verify_bcp, verify_eagon_reiner
+from edgeideals.ideals import Monomial, MonomialIdeal
+from edgeideals.linalg import FieldSpec
+from edgeideals.lyubeznik import bipartite_cycle, check_cycle_certificate, product_cycle
+from edgeideals.witness import (
+    CompleteBipartiteSub,
+    DisjointFamily,
+    all_blocks,
+    bouquet_family,
+    is_valid_family,
+)
 
 EXPECTED_TAGS = {
     "T1.1", "T2.2", "T2.3", "T2.4", "T2.5",
@@ -153,3 +174,74 @@ def test_full_registry_on_tiny_corpus():
     report = run_campaign(c, workers=2)
     assert report.ok
     assert len(report.results) == (1 + 2 + 4) * 2 * 16
+
+
+def campaign_families(g):
+    """The families T1.1 (with its default caps) and T2.5 hand to the certificate."""
+    for blocks in _iter_families(all_blocks(g, max_vertices=5), 2):
+        yield DisjointFamily(blocks)
+    full = g.vertex_mask()
+    sigma = full
+    while sigma:
+        fam = bouquet_family(g, sigma)
+        if fam is not None:
+            yield fam
+        sigma = (sigma - 1) & full
+
+
+def test_certificate_memo_never_changes_a_verdict():
+    calls = keys = rejected = 0
+    for _, g in generate_catalog({"class": "all", "max_n": 5}):
+        memo = {}
+        for fam in campaign_families(g):
+            verdict = _certified(g, fam, memo)
+            assert verdict == _certified(g, fam)
+            assert verdict[0] == is_valid_family(g, fam)
+            calls += 1
+            rejected += not verdict[0]
+        keys += len(memo)
+        # each entry is the cycle check on exactly what its key names: the
+        # ordered generator supports and the (m, n, run length) block shapes
+        for (supports, shapes), result in memo.items():
+            nvars = max(supports).bit_length()
+            ideal = MonomialIdeal(
+                [f"x{i}" for i in range(nvars)],
+                [Monomial.from_support(s, nvars) for s in supports],
+            )
+            cycle = product_cycle([(k, bipartite_cycle(m, n)[1]) for m, n, k in shapes])
+            assert check_cycle_certificate(ideal, cycle) == result
+    assert calls - rejected > 2 * keys > 0 and rejected > 0
+
+
+def test_certificate_memo_keeps_rejecting_invalid_families():
+    g = path_graph(6)
+    blocks = [CompleteBipartiteSub(1 << 1, 1 << 0 | 1 << 2), CompleteBipartiteSub(1 << 4, 1 << 3 | 1 << 5)]
+    memo = {}
+    assert _certified(g, DisjointFamily(blocks, [(0, 1), (4, 5)]), memo) == (True, "")
+    assert len(memo) == 1
+    # same blocks and sigma, but the representatives share the edge 2-3
+    bad = DisjointFamily(blocks, [(1, 2), (3, 4)])
+    expected = (False, "ValueError: family is not valid for this graph")
+    assert _certified(g, bad, memo) == _certified(g, bad) == expected
+    assert len(memo) == 1
+
+
+def test_duality_tags_on_shared_tables_match_fresh_verification():
+    graphs = dict(generate_catalog({"class": "all", "max_n": 5}))
+    fields = ["gf2", "gf3"]
+    c = Campaign("duality", {"class": "all", "max_n": 5}, fields, ["T6.1", "T6.2"])
+    rows = {(r["graph"], r["field"], r["assertion"]): r for r in run_campaign(c, workers=1).results}
+    assert len(rows) == len(graphs) * len(fields) * 2
+    for gid, g in graphs.items():
+        ctx = _Ctx(g)
+        for fname in fields:
+            field = FieldSpec.parse(fname)
+            for tag, verify, compare in (
+                ("T6.1", verify_bcp, compare_bcp),
+                ("T6.2", verify_eagon_reiner, compare_eagon_reiner),
+            ):
+                fresh = verify(g, field)
+                assert rows[(gid, fname, tag)]["status"] == ("ok" if fresh.ok else "violation")
+                if g.edge_count():
+                    shared = compare(ctx.cover_table(field), ctx.table(field))
+                    assert shared.comparisons == fresh.comparisons

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -108,6 +109,32 @@ def reference_admissible(ideal, sym):
         if any(gens[q].divides(lcm) for q in range(sym[t])):
             return False
     return True
+
+
+def test_is_admissible_raises_the_symbol_errors_of_taylor_boundary():
+    # the order and range checks ride on the admissibility walk; a bad symbol
+    # must raise even when a later suffix already made it inadmissible
+    ideal = edge_ideal(cycle_graph(5))
+    u = ideal.ngens
+    raised = inadmissible = 0
+    for size in range(4):
+        for sym in itertools.product(range(-2, u + 2), repeat=size):
+            try:
+                taylor_boundary(ideal, sym)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    is_admissible(ideal, sym)
+                raised += 1
+                continue
+            verdict = is_admissible(ideal, sym)
+            assert verdict == reference_admissible(ideal, sym)
+            inadmissible += not verdict
+    assert raised > 500 and inadmissible > 0
+    assert not is_admissible(ideal, (1, 2))
+    with pytest.raises(ValueError, match="strictly increase"):
+        is_admissible(ideal, (3, 0, 1, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        is_admissible(ideal, (-1, 1, 2))
 
 
 def test_admissibility_on_masks_matches_exponent_vectors():
