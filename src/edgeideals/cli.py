@@ -224,7 +224,10 @@ def cmd_lyubeznik(args) -> int:
     ideal, g = _load_ideal_or_graph(args.source, args.max_n)
     order = None
     if args.order:
-        order = tuple(int(tok) for tok in args.order.split(",") if tok.strip())
+        try:
+            order = tuple(int(tok) for tok in args.order.split(",") if tok.strip())
+        except ValueError:
+            _fail(f"--order takes comma-separated 0-based generator positions, got {args.order!r}")
         if sorted(order) != list(range(ideal.ngens)):
             _fail(
                 f"--order must be a permutation of 0..{ideal.ngens - 1} "
@@ -238,8 +241,11 @@ def cmd_lyubeznik(args) -> int:
     if args.certify:
         if g is None:
             _fail("--certify needs a graph input (families live on graphs)")
-        with open(args.certify, encoding="utf-8") as fh:
-            fam = DisjointFamily.from_json(g, json.load(fh))
+        try:
+            with open(args.certify, encoding="utf-8") as fh:
+                fam = DisjointFamily.from_json(g, json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            _fail(f"cannot load family {args.certify!r}: {exc}")
         try:
             s, sigma = main_theorem_certificate(g, fam)
         except (ValueError, RuntimeError) as exc:

@@ -16,7 +16,12 @@ restriction it tries, in order:
 - join: a disconnected generator-support graph splits the complex as a join
   of its components;
 - only a connected restriction with no cone and no fold builds a chain
-  complex and reaches the linear algebra.
+  complex and reaches the linear algebra. Its faces are enumerated level by
+  level: a face grows only by vertices above its top one, testing only the
+  supports through the new vertex. Its boundary matrices are sparse rows
+  ({(d-1)-face index: +-1}), and each goes once to ``linalg.rank_over``,
+  which eliminates unit pivots over Z (exact over every field) and leaves
+  only a residual, usually empty, to field arithmetic.
 
 Results are memoized per table in a list indexed by the vertex mask, with
 equal homology vectors shared as one object. betti_table walks sigma in
@@ -30,14 +35,14 @@ nothing else), and the void complex has zero homology everywhere.
 from __future__ import annotations
 
 from .errors import ResourceLimitError
-from .graphs import SimpleGraph, bit_list, iter_bits, iter_subsets
+from .graphs import SimpleGraph, bit_list, iter_bits
 from .ideals import (
     MonomialIdeal,
     SimplicialComplex,
     cover_ideal,
     edge_ideal,
 )
-from .linalg import GF2, RATIONALS, FieldSpec, rank_over
+from .linalg import GF2, FieldSpec, rank_over
 
 MAX_TABLE_VARS = 16
 
@@ -46,8 +51,9 @@ class StrandComplex:
     """Reduced chain complex of a simplicial complex restriction.
 
     faces[d] lists the dimension-d faces (bitmasks), with faces[-1] == [0];
-    boundary[d] is an integer matrix, one row per d-face, columns indexed by
-    the (d-1)-faces.  d o d = 0 is asserted at construction.
+    boundary[d] holds one sparse row per d-face, a dict from the index of
+    each (d-1)-face in faces[d-1] to its sign +-1.  d o d = 0 is asserted
+    on these rows at construction.
     """
 
     __slots__ = ("sigma", "faces", "boundary")
@@ -55,19 +61,18 @@ class StrandComplex:
     def __init__(self, sigma: int, faces_by_dim: dict[int, list[int]]):
         self.sigma = sigma
         self.faces = {d: list(fs) for d, fs in sorted(faces_by_dim.items())}
-        self.boundary: dict[int, list[list[int]]] = {}
-        index = {d: {f: i for i, f in enumerate(fs)} for d, fs in self.faces.items()}
+        self.boundary: dict[int, list[dict[int, int]]] = {}
+        lower: dict[int, int] = {}
         for d, fs in self.faces.items():
-            if d - 1 not in self.faces:
-                continue
-            lower = index[d - 1]
-            rows = []
-            for f in fs:
-                row = [0] * len(self.faces[d - 1])
-                for t, v in enumerate(bit_list(f)):
-                    row[lower[f ^ (1 << v)]] += -1 if t & 1 else 1
-                rows.append(row)
-            self.boundary[d] = rows
+            if d - 1 in self.faces:
+                rows = []
+                for f in fs:
+                    row = {}
+                    for t, v in enumerate(bit_list(f)):
+                        row[lower[f ^ (1 << v)]] = -1 if t & 1 else 1
+                    rows.append(row)
+                self.boundary[d] = rows
+            lower = {f: i for i, f in enumerate(fs)}
         self._assert_square_zero()
 
     def _assert_square_zero(self):
@@ -76,19 +81,15 @@ class StrandComplex:
             if not below:
                 continue
             for row in rows:
-                acc = [0] * len(below[0])
-                for j, coef in enumerate(row):
-                    if coef:
-                        for k, c2 in enumerate(below[j]):
-                            acc[k] += coef * c2
-                if any(acc):
+                acc: dict[int, int] = {}
+                for j, coef in row.items():
+                    for k, c2 in below[j].items():
+                        acc[k] = acc.get(k, 0) + coef * c2
+                if any(acc.values()):
                     raise RuntimeError("boundary composition is nonzero")
 
     def is_void(self) -> bool:
         return not self.faces
-
-    def face_count(self, d: int) -> int:
-        return len(self.faces.get(d, ()))
 
     def homology(self, field: FieldSpec) -> dict[int, int]:
         """Reduced homology dimensions over the field, omitting zeros."""
@@ -142,10 +143,29 @@ class _SupportEngine:
         self._shared: dict[tuple, dict[int, int]] = {}
 
     def _component_homology(self, comp: int, inside: list[int]) -> dict[int, int]:
+        # faces level by level: a face grows only by vertices above its top
+        # one, and f + v is a face when no support s through v has s - v in f
+        grow = []
+        for v in iter_bits(comp):
+            bit = 1 << v
+            grow.append((bit, [s & ~bit for s in inside if s & bit]))
         faces: dict[int, list[int]] = {}
-        for sub in iter_subsets(comp):
-            if all(s & ~sub for s in inside):
-                faces.setdefault(sub.bit_count() - 1, []).append(sub)
+        level = [(0, 0)]
+        d = -1
+        while level:
+            faces[d] = [f for f, _ in level]
+            nxt = []
+            for f, first in level:
+                outside = ~f
+                for i in range(first, len(grow)):
+                    bit, rests = grow[i]
+                    for t in rests:
+                        if not t & outside:
+                            break
+                    else:
+                        nxt.append((f | bit, i + 1))
+            level = nxt
+            d += 1
         return StrandComplex(comp, faces).homology(self.field)
 
     def vector(self, sigma: int) -> dict[int, int]:

@@ -1,8 +1,13 @@
 """Exact rank computations over prime fields and the rationals.
 
-GF(2) matrices are lists of int bitmasks (one per row); general matrices are
-lists of int lists.  Rational ranks use fraction-free Bareiss elimination so
-all intermediate arithmetic stays in the integers.
+One kernel, ``rank_over``, takes integer matrices as sparse rows (a dict
+from column to nonzero entry).  It eliminates unit (+-1) pivots over Z
+first, pivoting each row on its largest column as persistence reduction
+pivots on the "low" entry; every such step is unimodular, so it is exact
+over every field at once.  What no unit pivot clears is compacted into a
+small dense residual and finished by field arithmetic: fraction-free
+Bareiss elimination over the rationals (all arithmetic stays in the
+integers), bit-packed rows over GF(2), modular elimination over GF(p).
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ class FieldSpec:
         text = text.strip().lower()
         if text in ("rat", "q", "rational", "rationals"):
             return cls("rat")
-        if text.startswith("gf"):
+        if text.startswith("gf") and text[2:].isdecimal():
             return cls("gf", int(text[2:]))
         raise ValueError(f"cannot parse field {text!r}; use gf<p> or rat")
 
@@ -78,29 +83,102 @@ GF2 = FieldSpec("gf", 2)
 RATIONALS = FieldSpec("rat")
 
 
-def rank_gf2(rows: list[int]) -> int:
-    """Rank over GF(2); rows are bitmasks and are consumed by elimination."""
+def rank_over(field: FieldSpec, int_rows: list[dict[int, int]]) -> int:
+    """Rank over the field of an integer matrix given as sparse rows.
+
+    Each row maps a column to a nonzero integer; the rows are not mutated.
+    Every row is first reduced over Z by pivot rows whose largest column
+    holds a unit (+-1), and becomes one itself when its own largest column
+    does.  Each step adds an integer multiple of a unit-pivot row, so it is
+    unimodular, and the pivot rows are independent over every field.  The
+    rows left over are reduced against the final pivots; the rank is the
+    number of pivots plus the rank of that residual over the field.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    rest: list[dict[int, int]] = []
+    for row in int_rows:
+        row = dict(row)
+        while row:
+            col = max(row)
+            head = row[col]
+            piv = pivots.get(col)
+            if piv is None:
+                if head == 1 or head == -1:
+                    pivots[col] = row
+                else:
+                    rest.append(row)
+                break
+            _eliminate(row, piv, head * piv[col])
+    if not rest:
+        return len(pivots)
+    # eliminating a pivot column only touches smaller columns, so one
+    # descending sweep clears every pivot column
+    order = sorted(pivots, reverse=True)
+    residual = []
+    for row in rest:
+        for col in order:
+            if col in row:
+                piv = pivots[col]
+                _eliminate(row, piv, row[col] * piv[col])
+        if row:
+            residual.append(row)
+    return len(pivots) + _residual_rank(field, residual)
+
+
+def _eliminate(row: dict[int, int], piv: dict[int, int], factor: int) -> None:
+    """row -= factor * piv, dropping the entries that cancel."""
+    for c, x in piv.items():
+        v = row.get(c, 0) - factor * x
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
+def _residual_rank(field: FieldSpec, rows: list[dict[int, int]]) -> int:
+    """Rank of the rows no unit pivot eliminated, compacted to dense form."""
+    if not rows:
+        return 0
+    cols = {c: k for k, c in enumerate(sorted(set().union(*rows)))}
+    if field.p == 2:
+        packed = []
+        for row in rows:
+            bits = 0
+            for c, x in row.items():
+                if x & 1:
+                    bits |= 1 << cols[c]
+            packed.append(bits)
+        return _rank_gf2(packed)
+    dense = []
+    for row in rows:
+        out = [0] * len(cols)
+        for c, x in row.items():
+            out[cols[c]] = x
+        dense.append(out)
+    if field.kind == "rat":
+        return _rank_bareiss(dense)
+    return _rank_gfp(dense, field.p)
+
+
+def _rank_gf2(rows: list[int]) -> int:
+    """Rank over GF(2) of rows given as bitmasks."""
     pivots: list[int] = []
-    rank = 0
     for row in rows:
         for p in pivots:
             if row & (p & -p):
                 row ^= p
         if row:
             pivots.append(row)
-            rank += 1
-    return rank
+    return len(pivots)
 
 
-def rank_gfp(rows: list[list[int]], p: int) -> int:
-    """Rank over GF(p) by straightforward modular elimination."""
+def _rank_gfp(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p) by modular elimination."""
     mat = [[x % p for x in row] for row in rows]
-    if not mat:
-        return 0
     ncols = len(mat[0])
+    nrows = len(mat)
     rank = 0
     col = 0
-    nrows = len(mat)
     while rank < nrows and col < ncols:
         piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
         if piv is None:
@@ -109,8 +187,8 @@ def rank_gfp(rows: list[list[int]], p: int) -> int:
         mat[rank], mat[piv] = mat[piv], mat[rank]
         inv = pow(mat[rank][col], p - 2, p)
         mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(nrows):
-            if r != rank and mat[r][col]:
+        for r in range(rank + 1, nrows):
+            if mat[r][col]:
                 f = mat[r][col]
                 mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
         rank += 1
@@ -118,11 +196,8 @@ def rank_gfp(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank over the rationals via fraction-free Bareiss elimination."""
-    mat = [list(row) for row in rows]
-    if not mat:
-        return 0
+def _rank_bareiss(mat: list[list[int]]) -> int:
+    """Rank over the rationals by fraction-free Bareiss elimination; consumes mat."""
     nrows, ncols = len(mat), len(mat[0])
     rank = 0
     prev = 1
@@ -146,21 +221,3 @@ def rank_bareiss(rows: list[list[int]]) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def rank_over(field: FieldSpec, int_rows: list[list[int]]) -> int:
-    """Rank of an integer matrix viewed over the given field."""
-    if not int_rows or not int_rows[0]:
-        return 0
-    if field.kind == "rat":
-        return rank_bareiss(int_rows)
-    if field.p == 2:
-        packed = []
-        for row in int_rows:
-            bits = 0
-            for c, x in enumerate(row):
-                if x & 1:
-                    bits |= 1 << c
-            packed.append(bits)
-        return rank_gf2(packed)
-    return rank_gfp(int_rows, field.p)

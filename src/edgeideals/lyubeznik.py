@@ -402,10 +402,10 @@ def lyubeznik_betti_table(
     """Betti table of S/I from the Lyubeznik resolution for the given order.
 
     The complex splits by multidegree after tensoring with the residue field;
-    each strand keeps only unit-cofactor boundary terms.  Degrees are ORs of
-    generator masks, which for a squarefree ideal are the supports.
-    Independent of the Hochster engine, so the two routes cross-check each
-    other.
+    each strand keeps only unit-cofactor boundary terms, as sparse rows for
+    ``linalg.rank_over``.  Degrees are ORs of generator masks, which for a
+    squarefree ideal are the supports.  Independent of the Hochster engine,
+    so the two routes cross-check each other.
     """
     ordered = _ordered(ideal, order)
     if not ordered.is_squarefree():
@@ -430,14 +430,14 @@ def lyubeznik_betti_table(
                 continue
             rows = []
             for sym in syms:
-                row = [0] * len(lower)
+                row = {}
                 for t in range(s):
                     sub = sym[:t] + sym[t + 1 :]
                     rest = 0
                     for i in sub:
                         rest |= masks[i]
                     if rest == deg:
-                        row[lower[sub]] += -1 if t & 1 else 1
+                        row[lower[sub]] = -1 if t & 1 else 1
                 rows.append(row)
             ranks[s] = rank_over(field, rows)
         for s, syms in strata.items():

@@ -97,6 +97,27 @@ def test_lyubeznik_table_symbols_order(capsys):
         run(capsys, "lyubeznik", "cycle_4", "--order", "0,1,2")
 
 
+def test_malformed_order_and_field_fail_in_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "lyubeznik", "cycle_5", "--order", "a,b")
+    assert str(exc.value) == (
+        "edgeideals: error: --order takes comma-separated 0-based generator positions, got 'a,b'"
+    )
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "pd", "cycle_4", "--field", "gfx")
+    assert str(exc.value) == "edgeideals: error: cannot parse field 'gfx'; use gf<p> or rat"
+
+
+def test_malformed_family_file_fails_in_one_line(capsys, tmp_path):
+    family = tmp_path / "fam.json"
+    for text in ('{"blocks": 3}', '{"blocks": [{"left": ["zz"], "right": [1]}]}', "{"):
+        family.write_text(text)
+        with pytest.raises(SystemExit, match="edgeideals: error: cannot load family"):
+            run(capsys, "lyubeznik", "cycle_4", "--certify", str(family))
+    with pytest.raises(SystemExit, match="edgeideals: error: cannot load family"):
+        run(capsys, "lyubeznik", "cycle_4", "--certify", str(tmp_path / "missing.json"))
+
+
 def test_lyubeznik_certify(capsys, tmp_path):
     g = named_graph("cycle_4")
     fam = max_pd_witness(g).family

@@ -16,6 +16,7 @@ from edgeideals.graphs import (
 )
 from edgeideals.hochster import (
     betti_table,
+    build_strand,
     graph_betti_table,
     projective_dimension,
     regularity,
@@ -29,6 +30,7 @@ from edgeideals.ideals import (
     SimplicialComplex,
     cover_ideal,
     edge_ideal,
+    independence_complex,
 )
 from edgeideals.linalg import GF2, RATIONALS, FieldSpec
 from conftest import reference_entries, reference_homology
@@ -302,3 +304,17 @@ def test_kozlov_path_spheres():
             expect = {n - k: 1}
         for field, _ in FIELDS:
             assert top_vector(path_graph(n), field) == expect, (n, field)
+
+
+def test_kozlov_spheres_beyond_the_table_cap():
+    # the same spheres on the whole independence complex for n = 15..20, past
+    # MAX_TABLE_VARS; Ind(C_20) has 15,127 faces
+    for n in range(15, 21):
+        full = (1 << n) - 1
+        k = round(n / 3)
+        cycle = {k - 1: 2 if n % 3 == 0 else 1}
+        path = {} if n % 3 == 1 else {(n + 1) // 3 - 1: 1}
+        for mk, expect in ((cycle_graph, cycle), (path_graph, path)):
+            strand = build_strand(independence_complex(mk(n)), full)
+            for field, _ in FIELDS:
+                assert strand.homology(field) == expect, (mk.__name__, n, field)
