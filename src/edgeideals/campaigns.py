@@ -13,7 +13,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .catalog import generate_catalog
+from .catalog import catalog_sizes, generate_catalog
 from .cm_bipartite import (
     cm_labeling,
     cm_pd,
@@ -26,7 +26,7 @@ from .graphs import (
     SimpleGraph,
     a_number,
     bipartition,
-    c_number,
+    complement_components,
     is_chordal,
     is_cochordal,
     is_complete_bipartite,
@@ -50,7 +50,6 @@ from .witness import (
     cochordal_pd,
     is_valid_family,
     max_pd_witness,
-    valid_representatives,
     witness_for,
 )
 
@@ -64,37 +63,94 @@ def _labels(g: SimpleGraph, mask: int) -> list[str]:
 class _Ctx:
     """Per-graph cache shared by the assertions of one run.
 
-    It holds, per field, the quotient table of S/I(G) and the table of the
-    cover ideal I(G)* (built on first use, shared by T6.1 and T6.2), the
-    maximal witness, and ``certificates``, the memo that
-    ``main_theorem_certificate`` keys by ordered generator supports and block
-    shapes.  The certificate check does not depend on the field, so that memo
-    serves every field of the graph.  A context lives for one graph of one
+    Per field it holds the quotient table of S/I(G) and the table of the
+    cover ideal I(G)* (shared by T6.1 and T6.2).  Graph Betti numbers can
+    depend on the characteristic, so only these tables are kept per field.
+
+    Everything else an assertion needs is combinatorial and field-free, so it
+    is built once, on first use, and read by every field: T1.1's valid
+    families with their certificate verdicts, the star families that T2.4
+    and T2.5 share (with T2.5's verdicts), P5.1's complement component
+    counts, T5.8's induced complete bipartite subsets, C5.2's
+    ``witness_for`` results, the graph-class tests, the closed-form values
+    and the maximal witness.  Each assertion then only reads its field's
+    table, and emits its rows in the order of a fresh walk.
+
+    ``certificates`` is the memo that ``main_theorem_certificate`` keys by
+    ordered generator supports over sigma's positions and block shapes.  The
+    key does not mention the graph, so ``run_campaign`` hands one memo to
+    every graph of a call.  A context lives for one graph of one
     ``run_campaign`` call.
     """
 
-    def __init__(self, g: SimpleGraph):
+    def __init__(self, g: SimpleGraph, certificates: dict | None = None):
         self.g = g
-        self._tables: dict[tuple[str, str], object] = {}
-        self._max_witness = None
-        self.certificates: dict = {}
+        self.certificates = {} if certificates is None else certificates
+        self._cache: dict = {}
 
-    def _table(self, kind: str, build, field: FieldSpec):
-        key = (kind, repr(field))
-        if key not in self._tables:
-            self._tables[key] = build(self.g, field)
-        return self._tables[key]
+    def _once(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def table(self, field: FieldSpec):
-        return self._table("quotient", graph_betti_table, field)
+        return self._once(("quotient", repr(field)), lambda: graph_betti_table(self.g, field))
 
     def cover_table(self, field: FieldSpec):
-        return self._table("cover", cover_betti_table, field)
+        return self._once(("cover", repr(field)), lambda: cover_betti_table(self.g, field))
 
-    def max_witness(self):
-        if self._max_witness is None:
-            self._max_witness = max_pd_witness(self.g)
-        return self._max_witness
+    def of(self, fn):
+        """fn(G), computed once per graph; fn must not read a field."""
+        return self._once(fn, lambda: fn(self.g))
+
+    def witness(self, i: int, sigma: int):
+        return self._once(("witness", i, sigma), lambda: witness_for(self.g, i, sigma))
+
+    def families(self, max_vertices: int, max_r: int):
+        """T1.1's valid families as (|sigma| - r, sigma, family, ok, error),
+        in search order."""
+
+        def build():
+            blocks = all_blocks(self.g, max_vertices=max_vertices)
+            return [
+                (i, sigma, fam, *_certified(self.g, fam, self.certificates))
+                for i, sigma, fam in _valid_families(self.g, blocks, max_r)
+            ]
+
+        return self._once(("families", max_vertices, max_r), build)
+
+    def bouquet_certificates(self):
+        """``_bouquets(G)`` with each family's certificate verdict (ok, error)."""
+        return self._once(
+            "bouquet_certificates",
+            lambda: [
+                (sigma, fam, *_certified(self.g, fam, self.certificates))
+                for sigma, fam in self.of(_bouquets)
+            ],
+        )
+
+
+def _subsets_down(g: SimpleGraph):
+    """Every nonempty vertex subset, as a mask, from the full vertex set down."""
+    return range(g.vertex_mask(), 0, -1)
+
+
+def _bouquets(g: SimpleGraph):
+    """(sigma, bouquet_family(G, sigma)) for each sigma, from the full vertex
+    set down, whose induced graph is a disjoint union of stars with
+    3-disjoint representatives."""
+    return [(sigma, fam) for sigma in _subsets_down(g) if (fam := bouquet_family(g, sigma)) is not None]
+
+
+def _top_strand(g: SimpleGraph):
+    """(sigma, c(G_sigma) - 1) for every sigma, from the full vertex set down."""
+    return [(sigma, complement_components(g, sigma) - 1) for sigma in _subsets_down(g)]
+
+
+def _complete_bipartite(g: SimpleGraph) -> dict:
+    """The sigmas whose induced graph is complete bipartite, from the full
+    vertex set down, as the keys of a dict."""
+    return dict.fromkeys(sigma for sigma in _subsets_down(g) if is_complete_bipartite(g, sigma))
 
 
 def _certified(g, fam, memo=None):
@@ -108,52 +164,74 @@ def _certified(g, fam, memo=None):
     return True, ""
 
 
-def _iter_families(blocks, max_r):
-    """Index-increasing tuples of pairwise vertex-disjoint blocks."""
-    acc: list = []
+def _valid_families(g: SimpleGraph, blocks, max_r: int) -> list[tuple[int, int, DisjointFamily]]:
+    """(|sigma| - r, sigma, family) for every valid family of up to max_r
+    index-increasing, pairwise vertex-disjoint blocks, with representatives,
+    in depth-first preorder.
 
-    def rec(start, mask):
-        if acc:
-            yield list(acc)
-        if len(acc) == max_r:
-            return
+    An edge is 3-disjoint from chosen representatives exactly when its
+    endpoints avoid the union of their closed neighbourhoods, so a block can
+    join exactly when, for some assignment of the family so far, both of its
+    parts leave that union.  Each family keeps one assignment per distinct
+    union (what its extensions depend on), built from its parent's, and a
+    family with none is not extended: it has no valid extension.
+    """
+    closed = [1 << v | g.adj[v] for v in range(g.n)]
+    parts = [(b.left, b.right) for b in blocks]
+    verts = [b.vertices for b in blocks]
+    out: list[tuple[int, int, DisjointFamily]] = []
+    chosen: list[int] = []
+
+    def grow(start: int, used: int, assignments: list):
+        """assignments: (union of closed neighbourhoods, representatives)."""
+        last = len(chosen) + 1 == max_r
         for idx in range(start, len(blocks)):
-            b = blocks[idx]
-            if b.vertices & mask:
+            if verts[idx] & used:
                 continue
-            acc.append(b)
-            yield from rec(idx + 1, mask | b.vertices)
-            acc.pop()
+            left, right = parts[idx]
+            extended: dict = {}
+            for blocked, reps in assignments:
+                for u in iter_bits(left & ~blocked):
+                    for v in iter_bits(right & ~blocked):
+                        mask = blocked | closed[u] | closed[v]
+                        if mask not in extended:
+                            extended[mask] = reps + [(u, v) if u < v else (v, u)]
+                if last and extended:
+                    break  # a family that is not extended needs one assignment
+            if not extended:
+                continue
+            chosen.append(idx)
+            sigma = used | verts[idx]
+            fam = DisjointFamily([blocks[k] for k in chosen], next(iter(extended.values())))
+            out.append((sigma.bit_count() - len(chosen), sigma, fam))
+            if not last:
+                grow(idx + 1, sigma, list(extended.items()))
+            chosen.pop()
 
-    yield from rec(0, 0)
+    grow(0, 0, [(0, [])])
+    return out
 
 
 def _assert_t11(g, field, caps, ctx):
     """Every valid disjoint family witnesses a nonzero Betti entry and is
     certified by an explicit resolution cycle."""
     table = ctx.table(field)
-    blocks = all_blocks(g, max_vertices=int(caps.get("block_vertices", 5)))
     out = []
-    for fam_blocks in _iter_families(blocks, int(caps.get("family_size", 2))):
-        fam = DisjointFamily(fam_blocks)
-        reps = valid_representatives(g, fam)
-        if reps is None:
-            continue
-        beta = table.entry(fam.value, fam.sigma)
+    for i, sigma, fam, ok, err in ctx.families(caps.get("block_vertices", 5), caps.get("family_size", 2)):
+        beta = table.entry(i, sigma)
         if beta < 1:
             out.append(
                 {
                     "check": "betti-positive",
-                    "i": fam.value,
-                    "sigma": _labels(g, fam.sigma),
+                    "i": i,
+                    "sigma": _labels(g, sigma),
                     "beta": beta,
-                    "family": fam.to_json(g),
+                    "family": DisjointFamily(fam.blocks).to_json(g),
                 }
             )
-        ok, err = _certified(g, DisjointFamily(fam_blocks, reps), ctx.certificates)
         if not ok:
             out.append(
-                {"check": "certificate", "family": fam.to_json(g), "error": err}
+                {"check": "certificate", "family": DisjointFamily(fam.blocks).to_json(g), "error": err}
             )
     return out
 
@@ -163,7 +241,7 @@ def _assert_t22(g, field, caps, ctx):
     table is the multidegree table summed by support size."""
     table = ctx.table(field)
     out = []
-    reg, a = table.reg(), a_number(g)
+    reg, a = table.reg(), ctx.of(a_number)
     if reg < a:
         out.append({"check": "reg>=a", "reg": reg, "a": a})
     regroup: dict[tuple[int, int], int] = {}
@@ -183,10 +261,10 @@ def _assert_t22(g, field, caps, ctx):
 
 def _assert_t23(g, field, caps, ctx):
     """reg = a for chordal graphs and for unmixed bipartite graphs."""
-    if not (is_chordal(g) or (bipartition(g) is not None and is_unmixed(g))):
+    if not (ctx.of(is_chordal) or (ctx.of(bipartition) is not None and ctx.of(is_unmixed))):
         return None
     table = ctx.table(field)
-    reg, a = table.reg(), a_number(g)
+    reg, a = table.reg(), ctx.of(a_number)
     if reg != a:
         return [{"check": "reg=a", "reg": reg, "a": a}]
     return []
@@ -198,31 +276,25 @@ def _assert_t24(g, field, caps, ctx):
     table = ctx.table(field)
     graded = table.graded()
     out = []
-    full = g.vertex_mask()
-    sigma = full
-    while sigma > 0:
-        h = g.induced_subgraph(sigma)
-        fam = bouquet_family(h, h.vertex_mask())
-        if fam is not None:
-            i = sigma.bit_count() - fam.r
-            if table.entry(i, sigma) < 1:
-                out.append(
-                    {
-                        "check": "star-components",
-                        "i": i,
-                        "sigma": _labels(g, sigma),
-                        "beta": table.entry(i, sigma),
-                    }
-                )
-            if graded.get((i, sigma.bit_count()), 0) < 1:
-                out.append(
-                    {
-                        "check": "star-components-coarse",
-                        "i": i,
-                        "j": sigma.bit_count(),
-                    }
-                )
-        sigma = (sigma - 1) & full
+    for sigma, fam in ctx.of(_bouquets):
+        i = sigma.bit_count() - fam.r
+        if table.entry(i, sigma) < 1:
+            out.append(
+                {
+                    "check": "star-components",
+                    "i": i,
+                    "sigma": _labels(g, sigma),
+                    "beta": table.entry(i, sigma),
+                }
+            )
+        if graded.get((i, sigma.bit_count()), 0) < 1:
+            out.append(
+                {
+                    "check": "star-components-coarse",
+                    "i": i,
+                    "j": sigma.bit_count(),
+                }
+            )
     return out
 
 
@@ -231,27 +303,21 @@ def _assert_t25(g, field, caps, ctx):
     entries and carry resolution certificates."""
     table = ctx.table(field)
     out = []
-    full = g.vertex_mask()
-    sigma = full
-    while sigma > 0:
-        fam = bouquet_family(g, sigma)
-        if fam is not None:
-            beta = table.entry(fam.value, fam.sigma)
-            if beta < 1:
-                out.append(
-                    {
-                        "check": "betti-positive",
-                        "i": fam.value,
-                        "sigma": _labels(g, sigma),
-                        "beta": beta,
-                    }
-                )
-            ok, err = _certified(g, fam, ctx.certificates)
-            if not ok:
-                out.append(
-                    {"check": "certificate", "family": fam.to_json(g), "error": err}
-                )
-        sigma = (sigma - 1) & full
+    for sigma, fam, ok, err in ctx.bouquet_certificates():
+        beta = table.entry(fam.value, fam.sigma)
+        if beta < 1:
+            out.append(
+                {
+                    "check": "betti-positive",
+                    "i": fam.value,
+                    "sigma": _labels(g, sigma),
+                    "beta": beta,
+                }
+            )
+        if not ok:
+            out.append(
+                {"check": "certificate", "family": fam.to_json(g), "error": err}
+            )
     return out
 
 
@@ -260,10 +326,7 @@ def _assert_p51(g, field, caps, ctx):
     = c(G_sigma) - 1."""
     table = ctx.table(field)
     out = []
-    full = g.vertex_mask()
-    sigma = full
-    while sigma > 0:
-        expected = c_number(g.induced_subgraph(sigma)) - 1
+    for sigma, expected in ctx.of(_top_strand):
         got = table.entry(sigma.bit_count() - 1, sigma)
         if got != expected:
             out.append(
@@ -274,14 +337,13 @@ def _assert_p51(g, field, caps, ctx):
                     "got": got,
                 }
             )
-        sigma = (sigma - 1) & full
     return out
 
 
 def _assert_c52(g, field, caps, ctx):
     """Co-chordal graphs have linear tables and every nonzero positive-degree
     entry is witnessed by one spanning block."""
-    if not is_cochordal(g):
+    if not ctx.of(is_cochordal):
         return None
     table = ctx.table(field)
     out = []
@@ -293,7 +355,7 @@ def _assert_c52(g, field, caps, ctx):
                 {"check": "linear-table", "i": i, "sigma": _labels(g, s), "beta": v}
             )
             continue
-        fam = witness_for(g, i, s)
+        fam = ctx.witness(i, s)
         if fam is None or fam.r != 1:
             out.append({"check": "spanning-block", "i": i, "sigma": _labels(g, s)})
     return out
@@ -302,32 +364,32 @@ def _assert_c52(g, field, caps, ctx):
 def _assert_c54(g, field, caps, ctx):
     """Co-chordal projective dimension is the largest block size minus one,
     and the regularity is one."""
-    if not is_cochordal(g):
+    if not ctx.of(is_cochordal):
         return None
     table = ctx.table(field)
     out = []
-    closed = cochordal_pd(g)
+    closed = ctx.of(cochordal_pd)
     if closed != table.pd():
         out.append({"check": "pd-formula", "closed": closed, "table": table.pd()})
     if g.edge_count() > 0:
         if table.reg() != 1:
             out.append({"check": "reg=1", "reg": table.reg()})
-        if a_number(g) != 1:
-            out.append({"check": "a=1", "a": a_number(g)})
+        if ctx.of(a_number) != 1:
+            out.append({"check": "a=1", "a": ctx.of(a_number)})
     return out
 
 
 def _assert_t58(g, field, caps, ctx):
     """Ferrers tables: positive-degree entries are exactly the induced
     complete bipartite subgraphs, each with multiplicity one."""
-    if not is_ferrers(g):
+    if not ctx.of(is_ferrers):
         return None
     table = ctx.table(field)
+    blocks = ctx.of(_complete_bipartite)
     out = []
     positive = {(i, s): v for i, s, v in table.nonzero() if i >= 1}
     for (i, s), v in positive.items():
-        h = g.induced_subgraph(s)
-        if s.bit_count() != i + 1 or is_complete_bipartite(h) is None or v != 1:
+        if s.bit_count() != i + 1 or s not in blocks or v != 1:
             out.append(
                 {
                     "check": "entry-shape",
@@ -336,20 +398,14 @@ def _assert_t58(g, field, caps, ctx):
                     "beta": v,
                 }
             )
-    full = g.vertex_mask()
-    sigma = full
-    while sigma > 0:
-        if sigma.bit_count() >= 2:
-            h = g.induced_subgraph(sigma)
-            if is_complete_bipartite(h) is not None:
-                if positive.get((sigma.bit_count() - 1, sigma)) != 1:
-                    out.append(
-                        {
-                            "check": "induced-block-entry",
-                            "sigma": _labels(g, sigma),
-                        }
-                    )
-        sigma = (sigma - 1) & full
+    for sigma in blocks:
+        if positive.get((sigma.bit_count() - 1, sigma)) != 1:
+            out.append(
+                {
+                    "check": "induced-block-entry",
+                    "sigma": _labels(g, sigma),
+                }
+            )
     return out
 
 
@@ -371,12 +427,9 @@ def _assert_t62(g, field, caps, ctx):
     return [{"check": "dual-pd-reg-swap", "note": report.note}]
 
 
-def _assert_p66(g, field, caps, ctx):
-    """Maximal Boolean bases of the poset resolution extract valid families
-    on exactly the basis multidegree."""
-    if not is_cm_bipartite(g):
-        return None
-    table = ctx.table(field)
+def _basis_families(g: SimpleGraph):
+    """P6.6's field-free part: per maximal Boolean basis, the extracted family
+    (None when extraction fails) and the violations found without a table."""
     lab = cm_labeling(g)
     p = poset_of_graph(g, lab)
     out = []
@@ -385,11 +438,16 @@ def _assert_p66(g, field, caps, ctx):
             fam = extract_family(g, lab, basis)
         except Exception as exc:
             out.append(
-                {
-                    "check": "extraction",
-                    "basis": repr(basis),
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
+                (
+                    None,
+                    [
+                        {
+                            "check": "extraction",
+                            "basis": repr(basis),
+                            "error": f"{type(exc).__name__}: {exc}",
+                        }
+                    ],
+                )
             )
             continue
         want = 0
@@ -398,11 +456,25 @@ def _assert_p66(g, field, caps, ctx):
                 want |= 1 << lab.xs[q]
             if basis.degree >> (p.n + q) & 1:
                 want |= 1 << lab.ys[q]
+        found = []
         if fam.sigma != want or fam.r != basis.i:
-            out.append(
+            found.append(
                 {"check": "degree-match", "basis": repr(basis), "family": fam.to_json(g)}
             )
-        if table.entry(fam.value, fam.sigma) < 1:
+        out.append((fam, found))
+    return out
+
+
+def _assert_p66(g, field, caps, ctx):
+    """Maximal Boolean bases of the poset resolution extract valid families
+    on exactly the basis multidegree."""
+    if not ctx.of(is_cm_bipartite):
+        return None
+    table = ctx.table(field)
+    out = []
+    for fam, found in ctx.of(_basis_families):
+        out.extend(found)
+        if fam is not None and table.entry(fam.value, fam.sigma) < 1:
             out.append(
                 {"check": "betti-positive", "i": fam.value, "sigma": _labels(g, fam.sigma)}
             )
@@ -410,32 +482,32 @@ def _assert_p66(g, field, caps, ctx):
 
 
 def _assert_c67(g, field, caps, ctx):
-    if not is_cm_bipartite(g):
+    if not ctx.of(is_cm_bipartite):
         return None
     table = ctx.table(field)
-    if table.reg() != a_number(g):
-        return [{"check": "reg=a", "reg": table.reg(), "a": a_number(g)}]
+    if table.reg() != ctx.of(a_number):
+        return [{"check": "reg=a", "reg": table.reg(), "a": ctx.of(a_number)}]
     return []
 
 
 def _assert_c68(g, field, caps, ctx):
     """Closed-form projective dimension of CM bipartite graphs matches the
     table and the exhaustive family search."""
-    if not is_cm_bipartite(g):
+    if not ctx.of(is_cm_bipartite):
         return None
     table = ctx.table(field)
     out = []
-    closed = cm_pd(g)
+    closed = ctx.of(cm_pd)
     if closed != table.pd():
         out.append({"check": "pd-formula", "closed": closed, "table": table.pd()})
-    witness = ctx.max_witness()
+    witness = ctx.of(max_pd_witness)
     if witness.value != table.pd():
         out.append({"check": "pd-witness", "witness": witness.value, "table": table.pd()})
     return out
 
 
 def _assert_p72(g, field, caps, ctx):
-    if not is_unmixed_bipartite(g):
+    if not ctx.of(is_unmixed_bipartite):
         return None
     table = ctx.table(field)
     closed = kummini_pd(g, field)
@@ -447,7 +519,7 @@ def _assert_p72(g, field, caps, ctx):
 def _assert_t71(g, field, caps, ctx):
     """The weighted dual maximizer lifts to a valid, certified family whose
     value is the projective dimension; the family search agrees."""
-    if not is_unmixed_bipartite(g):
+    if not ctx.of(is_unmixed_bipartite):
         return None
     table = ctx.table(field)
     out = []
@@ -467,7 +539,7 @@ def _assert_t71(g, field, caps, ctx):
     ok, err = _certified(g, w.family, ctx.certificates)
     if not ok:
         out.append({"check": "certificate", "family": w.family.to_json(g), "error": err})
-    search = ctx.max_witness()
+    search = ctx.of(max_pd_witness)
     if search.value != table.pd():
         out.append({"check": "pd-search", "search": search.value, "table": table.pd()})
     return out
@@ -493,21 +565,62 @@ REGISTRY = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# least value of each integer cap
+_CAP_MINIMUM = {"max_n": 1, "family_size": 1, "block_vertices": 2}
+
+
 class Campaign:
+    """A graph catalog spec, fields, assertion tags and caps.
+
+    ``graphs`` is a catalog spec object (see ``catalog.generate_catalog``);
+    ``fields`` and ``assertions`` are lists of field names and registry
+    tags; ``caps`` may set the integers ``max_n`` (vertex cap, default 7,
+    at least 1), ``family_size`` (most blocks in a T1.1 family, default 2,
+    at least 1) and ``block_vertices`` (most vertices in a T1.1 block,
+    default 5, at least 2).  Malformed fields raise ``ValueError``.
+
+    ``seed`` is a label copied into the report; nothing reads it, because
+    every catalog is exhaustive and every assertion deterministic.
+    """
+
     __slots__ = ("name", "graphs", "fields", "caps", "assertions", "seed")
 
     def __init__(self, name, graphs, fields, assertions, caps=None, seed=0):
         self.name = name
+        if not isinstance(graphs, dict):
+            raise ValueError(f"campaign 'graphs' must be a catalog spec object, got {graphs!r}")
         self.graphs = graphs
+        if not isinstance(fields, (list, tuple)) or not all(
+            isinstance(f, (str, FieldSpec)) for f in fields
+        ):
+            raise ValueError(f"campaign 'fields' must be a list of field names, got {fields!r}")
         self.fields = [f if isinstance(f, str) else repr(f) for f in fields]
         for f in self.fields:
             FieldSpec.parse(f)
-        self.caps = dict(caps or {})
+        if caps is None:
+            caps = {}
+        if not isinstance(caps, dict):
+            raise ValueError(f"campaign 'caps' must be an object, got {caps!r}")
+        for key, least in _CAP_MINIMUM.items():
+            if key in caps and not (_is_int(caps[key]) and caps[key] >= least):
+                raise ValueError(f"caps.{key} must be an integer >= {least}, got {caps[key]!r}")
+        self.caps = dict(caps)
+        if not isinstance(assertions, (list, tuple)) or not all(
+            isinstance(a, str) for a in assertions
+        ):
+            raise ValueError(f"campaign 'assertions' must be a list of tags, got {assertions!r}")
         unknown = [a for a in assertions if a not in REGISTRY]
         if unknown:
             raise ValueError(f"unknown assertion tags: {unknown}")
         self.assertions = list(assertions)
-        self.seed = int(seed)
+        try:
+            self.seed = int(seed)
+        except (TypeError, ValueError):
+            raise ValueError(f"campaign 'seed' must be an integer, got {seed!r}") from None
 
     @classmethod
     def from_json(cls, obj) -> "Campaign":
@@ -515,6 +628,9 @@ class Campaign:
             obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise ValueError("campaign JSON must be an object")
+        missing = [key for key in ("graphs", "assertions") if key not in obj]
+        if missing:
+            raise ValueError(f"campaign needs {' and '.join(map(repr, missing))}")
         return cls(
             name=obj.get("name", "campaign"),
             graphs=obj["graphs"],
@@ -588,10 +704,12 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _run_graph(task):
+def _run_graph(task, certificates=None):
+    """Rows of one graph.  certificates is the run's certificate memo; a pool
+    worker, called without one, keeps a memo for its task."""
     gid, gjson, fields, caps, assertions, timing = task
     g = SimpleGraph.from_json(gjson)
-    ctx = _Ctx(g)
+    ctx = _Ctx(g, certificates)
     rows = []
     for fname in fields:
         field = FieldSpec.parse(fname)
@@ -621,8 +739,21 @@ def default_workers() -> int:
 
 
 def run_campaign(campaign: Campaign, workers: int | None = None, timing: bool = False) -> Report:
+    """Evaluate every assertion on every graph over every field.
+
+    Sizes a sized catalog names are checked against ``caps.max_n`` before its
+    graphs are generated; other catalogs are checked once built.  One
+    certificate memo serves every graph of a serial run and is dropped when
+    the call returns.
+    """
+    cap_n = campaign.caps.get("max_n", 7)
+    named = catalog_sizes(campaign.graphs)
+    if named and max(named) > cap_n:
+        raise ValueError(
+            f"graphs exceed the vertex cap {cap_n}: the catalog names {max(named)} vertices; "
+            "raise caps.max_n explicitly"
+        )
     catalog = generate_catalog(campaign.graphs)
-    cap_n = int(campaign.caps.get("max_n", 7))
     oversized = [(gid, g.n) for gid, g in catalog if g.n > cap_n]
     if oversized:
         raise ValueError(
@@ -640,7 +771,8 @@ def run_campaign(campaign: Campaign, workers: int | None = None, timing: bool = 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_graph, tasks))
     else:
-        chunks = [_run_graph(t) for t in tasks]
+        certificates: dict = {}
+        chunks = [_run_graph(t, certificates) for t in tasks]
     results = [row for chunk in chunks for row in chunk]
     timing_info = None
     if timing:

@@ -170,27 +170,38 @@ def named_graph(name: str) -> SimpleGraph:
     raise ValueError(f"unknown named graph: {name!r}")
 
 
+_SIZED_CLASSES = ("all", "connected", "chordal", "cochordal")
+
+
+def catalog_sizes(spec: dict) -> list[int] | None:
+    """The vertex counts a spec of a sized class names: "n" (exact) or
+    "max_n" (sweep from 1); None for the other classes, whose sizes are
+    only known once their graphs are built."""
+    cls = spec.get("class")
+    if cls not in _SIZED_CLASSES:
+        return None
+    for key in ("n", "max_n"):
+        if key in spec:
+            value = spec[key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"catalog {key!r} must be an integer >= 0, got {value!r}")
+            return [value] if key == "n" else list(range(1, value + 1))
+    raise ValueError(f"catalog class {cls!r} needs 'n' or 'max_n'")
+
+
 def generate_catalog(spec: dict) -> list[tuple[str, SimpleGraph]]:
     """Materialize a graph corpus from a JSON-able spec.
 
-    Classes: all, connected, chordal, cochordal, cm_posets, unmixed_blowups,
-    ferrers, named, files.  Size selection: "n" (exact) or "max_n" (sweep
-    from 1).
+    Classes: all, connected, chordal, cochordal (sized by ``catalog_sizes``),
+    cm_posets, unmixed_blowups, ferrers, named, files.
     """
     cls = spec.get("class")
     if cls is None:
         raise ValueError("catalog spec needs a 'class' key")
 
-    def sizes():
-        if "n" in spec:
-            return [int(spec["n"])]
-        if "max_n" in spec:
-            return list(range(1, int(spec["max_n"]) + 1))
-        raise ValueError(f"catalog class {cls!r} needs 'n' or 'max_n'")
-
     out: list[tuple[str, SimpleGraph]] = []
-    if cls in ("all", "connected", "chordal", "cochordal"):
-        for n in sizes():
+    if cls in _SIZED_CLASSES:
+        for n in catalog_sizes(spec):
             pool = graphs_on(n) if cls == "all" else connected_graphs_on(n)
             if cls == "chordal":
                 pool = [g for g in graphs_on(n) if is_chordal(g)]

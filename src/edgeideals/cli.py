@@ -361,6 +361,8 @@ def cmd_verify(args) -> int:
     if args.seed is not None:
         campaign.seed = args.seed
     if args.max_n is not None:
+        if args.max_n < 1:
+            _fail(f"--max-n must be at least 1, got {args.max_n}")
         campaign.caps["max_n"] = args.max_n
         if args.max_n > CAMPAIGN_CAP:
             print(
@@ -501,7 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json_out(p)
     p.add_argument("--csv", metavar="OUT", help="also write CSV to OUT ('-' for stdout)")
     p.add_argument("--workers", type=int, default=None, help="worker processes")
-    p.add_argument("--seed", type=int, default=None, help="override the campaign seed")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="override the campaign seed, a label copied into the report that nothing reads",
+    )
     _add_max_n(p)
     p.add_argument("--timing", action="store_true", help="include wall-clock timing in reports")
     p.set_defaults(func=cmd_verify)

@@ -348,6 +348,27 @@ def a_number(g: SimpleGraph) -> int:
     return best
 
 
+def complement_components(g: SimpleGraph, within: int) -> int:
+    """Number of connected components of the complement of G_within.
+
+    Grows each component on adjacency masks: the complement neighbours of u
+    inside `within` are ``within & ~adj[u]``, so no subgraph is built.
+    """
+    count = 0
+    left = within
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            nxt = 0
+            for u in iter_bits(frontier):
+                nxt |= within & ~g.adj[u]
+            frontier = nxt & ~comp
+            comp |= frontier
+        left &= ~comp
+        count += 1
+    return count
+
+
 def c_number(g: SimpleGraph) -> int:
     """Largest c with a spanning complete c-partite subgraph; 1 if none.
 
@@ -356,7 +377,7 @@ def c_number(g: SimpleGraph) -> int:
     """
     if g.n == 0:
         raise ValueError("c-number needs at least one vertex")
-    return len(g.complement().components())
+    return complement_components(g, g.vertex_mask())
 
 
 def bipartition(g: SimpleGraph) -> tuple[int, int] | None:
@@ -384,23 +405,29 @@ def bipartition(g: SimpleGraph) -> tuple[int, int] | None:
     return left, right
 
 
-def is_complete_bipartite(g: SimpleGraph) -> tuple[int, int] | None:
-    """The (left, right) partition if G is complete bipartite with both parts nonempty."""
-    if g.n < 2:
+def is_complete_bipartite(g: SimpleGraph, within: int | None = None) -> tuple[int, int] | None:
+    """The (left, right) partition if G_within (default: G) is complete bipartite
+    with both parts nonempty; left holds the lowest vertex.
+
+    Works on adjacency masks: the parts can only be the neighbours of the
+    lowest vertex and the rest, and each part must see exactly the other.
+    """
+    if within is None:
+        within = g.vertex_mask()
+    low = (within & -within).bit_length() - 1
+    if low < 0:
         return None
-    parts = bipartition(g)
-    if parts is None:
-        return None
-    left, right = parts
-    if left == 0 or right == 0:
-        return None
-    lsize, rsize = left.bit_count(), right.bit_count()
-    if g.edge_count() != lsize * rsize:
+    right = g.adj[low] & within
+    left = within & ~right
+    if right == 0:
         return None
     for u in iter_bits(left):
-        if g.adj[u] != right:
+        if g.adj[u] & within != right:
             return None
-    return parts
+    for u in iter_bits(right):
+        if g.adj[u] & within != left:
+            return None
+    return left, right
 
 
 def is_chordal(g: SimpleGraph) -> bool:

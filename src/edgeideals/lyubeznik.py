@@ -27,7 +27,7 @@ from .graphs import SimpleGraph, bit_list, iter_bits
 from .hochster import BettiTable
 from .ideals import Monomial, MonomialIdeal, edge_ideal, lcm_of
 from .linalg import GF2, FieldSpec, rank_over
-from .witness import DisjointFamily, representative_in, valid_representatives
+from .witness import DisjointFamily, valid_representatives
 
 MAX_ADMISSIBLE_GENS = 24
 
@@ -328,8 +328,10 @@ def _block_run(g: SimpleGraph, block, rep, bit: dict[int, int]):
     lefts = [w for w in iter_bits(left) if w != u] + [u]
     rights = [w for w in iter_bits(right) if w != v] + [v]
     run = [bit[a] | bit[b] for b in rights for a in lefts]
-    for a, b in sub_edges_original(g, block.vertices):
-        if not representative_in(block, (a, b)):
+    # then the edges inside a part, each as (a, b) with a < b, in increasing order
+    for a in iter_bits(block.vertices):
+        part = left if left >> a & 1 else right
+        for b in iter_bits(g.adj[a] & part & ~((2 << a) - 1)):
             run.append(bit[a] | bit[b])
     return run, len(lefts), len(rights)
 
@@ -345,10 +347,10 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | N
 
     The cycle check reads only the ordered generator supports (bitmasks over
     sigma's positions) and each block's shape (m, n, run length), so memo, a
-    dict the caller owns, keeps its result under exactly that key.  The check
-    does not depend on the field, so one memo serves every field of a graph;
-    campaigns keep one per graph and other callers pass none.  Validating the
-    family and checking the strand run on every call.
+    dict the caller owns, keeps its result under exactly that key.  The key
+    names neither the graph nor the field, so one memo serves every graph and
+    field; campaigns keep one per ``run_campaign`` call and other callers pass
+    none.  Validating the family and checking the strand run on every call.
     """
     reps = valid_representatives(g, fam)
     if reps is None:
@@ -363,9 +365,10 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | N
         supports.extend(run)
         shapes.append((msize, nsize, len(run)))
     seen = set(supports)
-    for a, b in sub_edges_original(g, sigma):
-        if bit[a] | bit[b] not in seen:
-            supports.append(bit[a] | bit[b])
+    for a in iter_bits(sigma):
+        for b in iter_bits(g.adj[a] & sigma & ~((2 << a) - 1)):
+            if bit[a] | bit[b] not in seen:
+                supports.append(bit[a] | bit[b])
     key = (tuple(supports), tuple(shapes))
     if memo is None:
         memo = {}
@@ -384,16 +387,6 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | N
     if s != fam.value or degree.support() != (1 << len(verts)) - 1:
         raise RuntimeError("certificate landed in an unexpected strand")
     return s, sigma
-
-
-def sub_edges_original(g: SimpleGraph, sigma: int):
-    """Edges of the induced subgraph on sigma, in original vertex indices."""
-    out = []
-    for a in iter_bits(sigma):
-        for b in iter_bits(g.adj[a] & sigma):
-            if b > a:
-                out.append((a, b))
-    return out
 
 
 def lyubeznik_betti_table(

@@ -11,7 +11,15 @@ from __future__ import annotations
 
 import json
 
-from .graphs import SimpleGraph, bit_list, bits_of, is_three_disjoint, iter_bits, iter_subsets
+from .graphs import (
+    SimpleGraph,
+    bit_list,
+    bits_of,
+    complement_components,
+    is_three_disjoint,
+    iter_bits,
+    iter_subsets,
+)
 
 
 class CompleteBipartiteSub:
@@ -196,10 +204,12 @@ def valid_representatives(g: SimpleGraph, fam: DisjointFamily) -> list[tuple[int
     for e, b in zip(reps, fam.blocks):
         if not g.has_edge(*e) or not representative_in(b, e):
             return None
-    for a in range(len(reps)):
-        for b2 in range(a + 1, len(reps)):
-            if not is_three_disjoint(g, reps[a], reps[b2]):
-                return None
+    # 3-disjoint: neither edge meets the other's closed neighbourhood
+    ends = [1 << u | 1 << v for u, v in reps]
+    for a, (u, v) in enumerate(reps):
+        near = ends[a] | g.adj[u] | g.adj[v]
+        if any(near & ends[b2] for b2 in range(a + 1, len(reps))):
+            return None
     return reps
 
 
@@ -346,11 +356,9 @@ def witness_for(g: SimpleGraph, i: int, sigma: int) -> DisjointFamily | None:
 
 def linear_strand_betti(g: SimpleGraph, sigma: int) -> int:
     """beta_{|sigma|-1, sigma}(S/I(G)) = (number of components of complement of G_sigma) - 1."""
-    from .graphs import c_number
-
     if sigma == 0:
         raise ValueError("sigma must be nonempty")
-    return c_number(g.induced_subgraph(sigma)) - 1
+    return complement_components(g, sigma) - 1
 
 
 def cochordal_pd(g: SimpleGraph) -> int:

@@ -1,19 +1,21 @@
 """Campaign engine: registry, determinism, caps, statuses, report formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from edgeideals import campaigns, catalog
 from edgeideals.campaigns import (
     REGISTRY,
     Campaign,
     _certified,
     _Ctx,
-    _iter_families,
+    _valid_families,
     default_workers,
     run_campaign,
 )
-from edgeideals.catalog import generate_catalog
+from edgeideals.catalog import generate_catalog, graphs_on
 from edgeideals.graphs import path_graph
 from edgeideals.hochster import compare_bcp, compare_eagon_reiner, verify_bcp, verify_eagon_reiner
 from edgeideals.ideals import Monomial, MonomialIdeal
@@ -25,6 +27,7 @@ from edgeideals.witness import (
     all_blocks,
     bouquet_family,
     is_valid_family,
+    valid_representatives,
 )
 
 EXPECTED_TAGS = {
@@ -176,9 +179,31 @@ def test_full_registry_on_tiny_corpus():
     assert len(report.results) == (1 + 2 + 4) * 2 * 16
 
 
+def disjoint_families(blocks, max_r):
+    """Index-increasing tuples of pairwise vertex-disjoint blocks, valid or not,
+    in depth-first preorder."""
+    acc = []
+
+    def rec(start, mask):
+        if acc:
+            yield list(acc)
+        if len(acc) == max_r:
+            return
+        for idx in range(start, len(blocks)):
+            b = blocks[idx]
+            if b.vertices & mask:
+                continue
+            acc.append(b)
+            yield from rec(idx + 1, mask | b.vertices)
+            acc.pop()
+
+    yield from rec(0, 0)
+
+
 def campaign_families(g):
-    """The families T1.1 (with its default caps) and T2.5 hand to the certificate."""
-    for blocks in _iter_families(all_blocks(g, max_vertices=5), 2):
+    """Every disjoint family T1.1 (with its default caps) considers, valid or
+    not, and the families T2.5 hands to the certificate."""
+    for blocks in disjoint_families(all_blocks(g, max_vertices=5), 2):
         yield DisjointFamily(blocks)
     full = g.vertex_mask()
     sigma = full
@@ -245,3 +270,166 @@ def test_duality_tags_on_shared_tables_match_fresh_verification():
                 if g.edge_count():
                     shared = compare(ctx.cover_table(field), ctx.table(field))
                     assert shared.comparisons == fresh.comparisons
+
+
+def test_valid_families_are_the_valid_disjoint_families():
+    checked = 0
+    for _, g in generate_catalog({"class": "all", "max_n": 6}):
+        for max_vertices, max_r in ((3, 3), (5, 2), (6, 1)):
+            blocks = all_blocks(g, max_vertices=max_vertices)
+            got = _valid_families(g, blocks, max_r)
+            want = [fam for fam in disjoint_families(blocks, max_r) if is_valid_family(g, DisjointFamily(fam))]
+            assert [fam.blocks for _, _, fam in got] == want
+            for i, sigma, fam in got:
+                assert (i, sigma) == (fam.value, fam.sigma)
+                # the representatives found along the way are themselves valid
+                assert valid_representatives(g, fam) == fam.representatives
+            checked += len(got)
+    assert checked > 1000
+
+
+def test_star_walk_on_sigma_matches_the_induced_subgraph():
+    # T2.4 reads r off bouquet_family(G, sigma) in place of G[sigma]'s own walk
+    for g in graphs_on(5):
+        for sigma in range(1, 1 << g.n):
+            h = g.induced_subgraph(sigma)
+            fam, sub = bouquet_family(g, sigma), bouquet_family(h, h.vertex_mask())
+            assert (fam is None) == (sub is None)
+            if fam is not None:
+                assert fam.sigma == sigma and fam.r == sub.r
+
+
+def rows_by_key(report):
+    return {(r["graph"], r["field"], r["assertion"]): r for r in report.to_json()["results"]}
+
+
+def test_field_free_results_belong_to_one_graph():
+    spec = {"class": "all", "max_n": 4}
+    fields, tags = ["gf2", "gf3"], sorted(EXPECTED_TAGS)
+    report = run_campaign(Campaign("all", spec, fields, tags), workers=1)
+    assert report.ok
+    together = rows_by_key(report)
+    assert len(together) == (1 + 2 + 4 + 11) * 2 * 16
+    # a fresh context per graph, as a campaign of that graph alone would have
+    for gid, g in generate_catalog(spec):
+        ctx = _Ctx(g)
+        for fname in fields:
+            field = FieldSpec.parse(fname)
+            for tag in tags:
+                got = REGISTRY[tag](g, field, {}, ctx)
+                row = together[(gid, fname, tag)]
+                assert row["violations"] == (got or [])
+                assert row["status"] == ("skipped" if got is None else ("ok" if not got else "violation"))
+
+
+def test_field_free_work_runs_once_per_graph(monkeypatch):
+    calls = {"bouquet_family": 0, "witness_for": 0, "main_theorem_certificate": 0}
+
+    def counted(name):
+        original = getattr(campaigns, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(campaigns, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    def run(fields):
+        for name in calls:
+            calls[name] = 0
+        c = Campaign("k23", {"class": "named", "names": ["complete_bipartite_2_3"]},
+                     fields, ["T1.1", "T2.4", "T2.5", "C5.2"])
+        report = run_campaign(c, workers=1)
+        assert report.ok and len(report.results) == len(fields) * 4
+        return dict(calls)
+
+    three = run(["gf2", "gf3", "rat"])
+    # one walk over the 31 nonempty subsets serves T2.4 and T2.5 on all fields
+    assert three["bouquet_family"] == 31
+    assert three["witness_for"] > 0 and three["main_theorem_certificate"] > 0
+    assert three == run(["gf2"])
+
+
+def test_one_certificate_memo_per_run(monkeypatch):
+    seen = []
+    original = campaigns._run_graph
+
+    def spy(task, certificates=None):
+        seen.append(certificates)
+        return original(task, certificates)
+
+    monkeypatch.setattr(campaigns, "_run_graph", spy)
+    c = small_campaign(assertions=["T1.1", "T2.5"])
+    first = run_campaign(c, workers=1)
+    memo = seen[0]
+    assert len(seen) == 10 and all(m is memo for m in seen) and memo
+    seen.clear()
+    second = run_campaign(c, workers=1)
+    assert seen[0] is not memo and all(m is seen[0] for m in seen)
+    assert first.to_json() == second.to_json()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("graphs", 5),
+        ("graphs", "all"),
+        ("assertions", "T1.1"),
+        ("assertions", [1]),
+        ("fields", "gf2"),
+        ("fields", [2]),
+        ("caps", [1]),
+        ("caps", {"family_size": 0}),
+        ("caps", {"family_size": -1}),
+        ("caps", {"max_n": 0}),
+        ("caps", {"max_n": 7.5}),
+        ("caps", {"max_n": True}),
+        ("caps", {"block_vertices": "x"}),
+        ("caps", {"block_vertices": 1}),
+        ("seed", [1]),
+    ],
+)
+def test_malformed_campaign_fields_raise_value_error(field, value):
+    obj = {"graphs": {"class": "named", "names": ["path_3"]}, "assertions": ["T1.1"], field: value}
+    with pytest.raises(ValueError):
+        Campaign.from_json(obj)
+
+
+def test_missing_campaign_fields_raise_value_error():
+    with pytest.raises(ValueError, match="needs 'graphs'"):
+        Campaign.from_json({"assertions": ["T1.1"]})
+    with pytest.raises(ValueError, match="needs 'assertions'"):
+        Campaign.from_json({"graphs": {"class": "all", "n": 2}})
+
+
+def test_over_cap_catalogs_are_rejected_before_generation(monkeypatch):
+    original = catalog.graphs_on
+
+    def guarded(n):
+        if n > 7:
+            raise AssertionError(f"generated graphs on {n} vertices")
+        return original(n)
+
+    monkeypatch.setattr(catalog, "graphs_on", guarded)
+    for spec, caps in (
+        ({"class": "all", "n": 8}, {}),
+        ({"class": "connected", "max_n": 9}, {}),
+        ({"class": "chordal", "n": 8}, {"max_n": 7}),
+        ({"class": "cochordal", "max_n": 5}, {"max_n": 4}),
+    ):
+        c = Campaign("big", spec, ["gf2"], ["T2.2"], caps=caps)
+        with pytest.raises(ValueError, match="vertex cap"):
+            run_campaign(c, workers=1)
+    # within the cap the same classes still run
+    assert run_campaign(Campaign("ok", {"class": "cochordal", "max_n": 3}, ["gf2"], ["T2.2"])).ok
+
+
+def test_readme_smoke_campaign_is_the_checked_in_file():
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    checked_in = json.loads((root / "tests" / "data" / "smoke_campaign.json").read_text(encoding="utf-8"))
+    assert json.loads(block) == checked_in
+    Campaign.from_json(checked_in)

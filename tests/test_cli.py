@@ -211,3 +211,35 @@ def test_unknown_graph_and_command(capsys):
         run(capsys, "pd", "petersen")
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("graphs", 5),
+        ("caps", [1]),
+        ("assertions", "T1.1"),
+        ("fields", "gf2"),
+        ("caps", {"family_size": 0}),
+        ("caps", {"family_size": -1}),
+        ("caps", {"block_vertices": "x"}),
+    ],
+)
+def test_malformed_campaign_fields_fail_in_one_line(capsys, tmp_path, field, value):
+    spec = {"graphs": {"class": "named", "names": ["path_3"]}, "assertions": ["T1.1"], field: value}
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", str(campaign))
+    msg = str(exc.value)
+    assert msg.startswith("edgeideals: error: cannot load campaign") and "\n" not in msg
+    assert repr(field) in msg or f"caps.{next(iter(value))}" in msg
+
+
+def test_over_cap_catalog_fails_before_generating(capsys, tmp_path):
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"graphs": {"class": "all", "n": 9}, "assertions": ["T2.2"]}))
+    with pytest.raises(SystemExit, match="edgeideals: error: graphs exceed the vertex cap 7"):
+        run(capsys, "verify", str(campaign))
+    with pytest.raises(SystemExit, match="edgeideals: error: --max-n must be at least 1"):
+        run(capsys, "verify", str(campaign), "--max-n", "0")

@@ -13,6 +13,7 @@ from edgeideals.graphs import (
     bipartition,
     c_number,
     canonical_form,
+    complement_components,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -188,6 +189,30 @@ def test_c_number_is_complement_component_count():
     assert c_number(complete_bipartite_graph(2, 3)) == 2
     assert c_number(complete_graph(1)) == 1
     assert c_number(path_graph(4)) == 1
+
+
+def brute_complete_bipartite(g, sigma):
+    """Every split of sigma into two nonempty parts with exactly the cross edges."""
+    verts = [v for v in range(g.n) if sigma >> v & 1]
+    for bits in range(1, 1 << len(verts)):
+        left = sum(1 << v for k, v in enumerate(verts) if bits >> k & 1)
+        right = sigma & ~left
+        if right and left & 1 << verts[0] and all(
+            g.has_edge(u, w) == ((left >> u & 1) != (left >> w & 1))
+            for u, w in itertools.combinations(verts, 2)
+        ):
+            return left, right
+    return None
+
+
+def test_mask_helpers_match_induced_subgraphs():
+    for g in small_graphs(5):
+        for sigma in range(1, 1 << g.n):
+            h = g.induced_subgraph(sigma)
+            assert complement_components(g, sigma) == brute_complement_components(h)
+            assert is_complete_bipartite(g, sigma) == brute_complete_bipartite(g, sigma)
+        assert complement_components(g, 0) == 0
+        assert is_complete_bipartite(g, 0) is None
 
 
 def test_bipartition_and_complete_bipartite():

@@ -12,6 +12,7 @@ from edgeideals.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     path_graph,
 )
 from edgeideals.hochster import (
@@ -243,6 +244,44 @@ def random_graph(rng, n, p):
     return SimpleGraph(
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     )
+
+
+def permute_mask(mask, perm):
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
+
+
+def test_relabeling_permutes_the_multigraded_table():
+    rng = random.Random(31)
+    for _ in range(20):
+        n = rng.randint(3, 10)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.7))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = SimpleGraph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        for field, _ in FIELDS:
+            moved = {
+                (i, permute_mask(s, perm)): v
+                for (i, s), v in table_entries(graph_betti_table(g, field)).items()
+            }
+            assert table_entries(graph_betti_table(h, field)) == moved, f"edges={g.edges()} perm={perm}"
+
+
+def test_disjoint_union_table_is_the_product_of_tables():
+    # beta_{i, s1 u s2}(G1 + G2) = sum over a + b = i of beta_{a, s1}(G1) * beta_{b, s2}(G2)
+    rng = random.Random(37)
+    for _ in range(12):
+        g1 = random_graph(rng, rng.randint(2, 6), rng.uniform(0.3, 0.8))
+        g2 = random_graph(rng, rng.randint(2, 6), rng.uniform(0.3, 0.8))
+        union = disjoint_union(g1, g2)
+        for field, _ in FIELDS:
+            product = {}
+            for (a, s1), v1 in table_entries(graph_betti_table(g1, field)).items():
+                for (b, s2), v2 in table_entries(graph_betti_table(g2, field)).items():
+                    key = (a + b, s1 | s2 << g1.n)
+                    product[key] = product.get(key, 0) + v1 * v2
+            assert table_entries(graph_betti_table(union, field)) == product, (
+                f"edges={g1.edges()} + {g2.edges()}"
+            )
 
 
 def test_cover_ideal_tables_match_reference_route():
