@@ -11,7 +11,6 @@ Cohen-Macaulay and unmixed bipartite graphs.
 from .errors import ResourceLimitError
 from .graphs import (
     SimpleGraph,
-    a_number,
     bipartition,
     c_number,
     complete_bipartite_graph,
@@ -22,7 +21,6 @@ from .graphs import (
     is_chordal,
     is_cochordal,
     is_complete_bipartite,
-    is_three_disjoint,
     path_graph,
 )
 from .hochster import (
@@ -63,8 +61,10 @@ from .lyubeznik import (
 from .witness import (
     CompleteBipartiteSub,
     DisjointFamily,
+    a_number,
     cochordal_pd,
     enumerate_blocks,
+    is_three_disjoint,
     is_valid_family,
     linear_strand_betti,
     max_pd_witness,

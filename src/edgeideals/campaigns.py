@@ -24,7 +24,6 @@ from .cm_bipartite import (
 )
 from .graphs import (
     SimpleGraph,
-    a_number,
     bipartition,
     complement_components,
     is_chordal,
@@ -42,9 +41,11 @@ from .hochster import (
 from .ideals import is_unmixed
 from .linalg import FieldSpec
 from .lyubeznik import main_theorem_certificate
-from .unmixed import is_unmixed_bipartite, kummini_pd, unmixed_pd_witness
+from .unmixed import _dual_scores, _witness, acyclic_reduction, is_unmixed_bipartite
 from .witness import (
     DisjointFamily,
+    _extend,
+    a_number,
     all_blocks,
     bouquet_family,
     cochordal_pd,
@@ -63,8 +64,9 @@ def _labels(g: SimpleGraph, mask: int) -> list[str]:
 class _Ctx:
     """Per-graph cache shared by the assertions of one run.
 
-    Per field it holds the quotient table of S/I(G) and the table of the
-    cover ideal I(G)* (shared by T6.1 and T6.2).  Graph Betti numbers can
+    Per field it holds the quotient table of S/I(G), the table of the
+    cover ideal I(G)* (shared by T6.1 and T6.2) and the dual table of the
+    acyclic reduction (shared by P7.2 and T7.1).  Graph Betti numbers can
     depend on the characteristic, so only these tables are kept per field.
 
     Everything else an assertion needs is combinatorial and field-free, so it
@@ -72,9 +74,9 @@ class _Ctx:
     families with their certificate verdicts, the star families that T2.4
     and T2.5 share (with T2.5's verdicts), P5.1's complement component
     counts, T5.8's induced complete bipartite subsets, C5.2's
-    ``witness_for`` results, the graph-class tests, the closed-form values
-    and the maximal witness.  Each assertion then only reads its field's
-    table, and emits its rows in the order of a fresh walk.
+    ``witness_for`` results, the graph-class tests, the closed-form values,
+    the acyclic reduction and the maximal witness.  Each assertion then only
+    reads its field's table, and emits its rows in the order of a fresh walk.
 
     ``certificates`` is the memo that ``main_theorem_certificate`` keys by
     ordered generator supports over sigma's positions and block shapes.  The
@@ -98,6 +100,9 @@ class _Ctx:
 
     def cover_table(self, field: FieldSpec):
         return self._once(("cover", repr(field)), lambda: cover_betti_table(self.g, field))
+
+    def reduced_scores(self, field: FieldSpec):
+        return self._once(("reduced", repr(field)), lambda: _dual_scores(self.of(acyclic_reduction), field))
 
     def of(self, fn):
         """fn(G), computed once per graph; fn must not read a field."""
@@ -169,46 +174,30 @@ def _valid_families(g: SimpleGraph, blocks, max_r: int) -> list[tuple[int, int, 
     index-increasing, pairwise vertex-disjoint blocks, with representatives,
     in depth-first preorder.
 
-    An edge is 3-disjoint from chosen representatives exactly when its
-    endpoints avoid the union of their closed neighbourhoods, so a block can
-    join exactly when, for some assignment of the family so far, both of its
-    parts leave that union.  Each family keeps one assignment per distinct
-    union (what its extensions depend on), built from its parent's, and a
-    family with none is not extended: it has no valid extension.
+    Each family carries its representative assignments, one per union of
+    closed neighbourhoods (``witness._extend``), built from its parent's; a
+    block joins exactly when it extends one of them, so a family with none
+    is never reached.  A family that is not extended needs only its first.
     """
-    closed = [1 << v | g.adj[v] for v in range(g.n)]
-    parts = [(b.left, b.right) for b in blocks]
     verts = [b.vertices for b in blocks]
     out: list[tuple[int, int, DisjointFamily]] = []
-    chosen: list[int] = []
 
-    def grow(start: int, used: int, assignments: list):
-        """assignments: (union of closed neighbourhoods, representatives)."""
+    def grow(start: int, used: int, chosen: list, assignments):
         last = len(chosen) + 1 == max_r
         for idx in range(start, len(blocks)):
             if verts[idx] & used:
                 continue
-            left, right = parts[idx]
-            extended: dict = {}
-            for blocked, reps in assignments:
-                for u in iter_bits(left & ~blocked):
-                    for v in iter_bits(right & ~blocked):
-                        mask = blocked | closed[u] | closed[v]
-                        if mask not in extended:
-                            extended[mask] = reps + [(u, v) if u < v else (v, u)]
-                if last and extended:
-                    break  # a family that is not extended needs one assignment
-            if not extended:
+            extended = _extend(g, assignments, blocks[idx])
+            first = next(extended, None)
+            if first is None:
                 continue
-            chosen.append(idx)
+            family = chosen + [blocks[idx]]
             sigma = used | verts[idx]
-            fam = DisjointFamily([blocks[k] for k in chosen], next(iter(extended.values())))
-            out.append((sigma.bit_count() - len(chosen), sigma, fam))
+            out.append((sigma.bit_count() - len(family), sigma, DisjointFamily(family, first[1])))
             if not last:
-                grow(idx + 1, sigma, list(extended.items()))
-            chosen.pop()
+                grow(idx + 1, sigma, family, [first, *extended])
 
-    grow(0, 0, [(0, [])])
+    grow(0, 0, [], [(0, ())])
     return out
 
 
@@ -510,7 +499,7 @@ def _assert_p72(g, field, caps, ctx):
     if not ctx.of(is_unmixed_bipartite):
         return None
     table = ctx.table(field)
-    closed = kummini_pd(g, field)
+    closed = max(v for v, _, _ in ctx.reduced_scores(field)[1])
     if closed != table.pd():
         return [{"check": "pd-formula", "closed": closed, "table": table.pd()}]
     return []
@@ -523,7 +512,7 @@ def _assert_t71(g, field, caps, ctx):
         return None
     table = ctx.table(field)
     out = []
-    w = unmixed_pd_witness(g, field)
+    w = _witness(ctx.of(acyclic_reduction), *ctx.reduced_scores(field))
     if w.value != table.pd():
         out.append({"check": "pd-equality", "witness": w.value, "table": table.pd()})
     if not is_valid_family(g, w.family):
@@ -741,8 +730,9 @@ def default_workers() -> int:
 def run_campaign(campaign: Campaign, workers: int | None = None, timing: bool = False) -> Report:
     """Evaluate every assertion on every graph over every field.
 
-    Sizes a sized catalog names are checked against ``caps.max_n`` before its
-    graphs are generated; other catalogs are checked once built.  One
+    Sizes a catalog names (``catalog.catalog_sizes``) are checked against
+    ``caps.max_n`` before its graphs are generated; other catalogs are
+    checked once built.  One
     certificate memo serves every graph of a serial run and is dropped when
     the call returns.
     """

@@ -104,9 +104,10 @@ def unmixed_blowups(max_elements=3, max_zeta=3, max_vertices=12) -> list[SimpleG
     has at most max_elements classes of size at most max_zeta each."""
     out = []
     seen = _IsoDedup()
-    for k in range(1, max_elements + 1):
+    # k classes need 2k vertices, and leave one class max_vertices // 2 - k + 1
+    for k in range(1, min(max_elements, max_vertices // 2) + 1):
         for p in posets_on(k):
-            for zeta in product(range(1, max_zeta + 1), repeat=k):
+            for zeta in product(range(1, min(max_zeta, max_vertices // 2 - k + 1) + 1), repeat=k):
                 if 2 * sum(zeta) > max_vertices:
                     continue
                 g = blow_up(p, zeta)
@@ -173,19 +174,37 @@ def named_graph(name: str) -> SimpleGraph:
 _SIZED_CLASSES = ("all", "connected", "chordal", "cochordal")
 
 
+def _spec_int(spec: dict, key: str, default=None) -> int:
+    """spec[key] (or default) as an integer >= 0; anything else is a ValueError."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"catalog {key!r} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _spec_strings(spec: dict, key: str) -> list[str]:
+    value = spec.get(key)
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"catalog {key!r} must be a list of strings, got {value!r}")
+    return value
+
+
 def catalog_sizes(spec: dict) -> list[int] | None:
-    """The vertex counts a spec of a sized class names: "n" (exact) or
-    "max_n" (sweep from 1); None for the other classes, whose sizes are
-    only known once their graphs are built."""
+    """The vertex counts a spec names: "n" (exact) or "max_n" (sweep from 1)
+    of a sized class, 2k per poset size k of cm_posets, up to max_rows +
+    max_cols for ferrers; None where only the built graphs tell."""
     cls = spec.get("class")
+    if cls == "cm_posets":
+        return [2 * k for k in range(1, _spec_int(spec, "max_elements", 4) + 1)]
+    if cls == "ferrers":
+        rows, cols = _spec_int(spec, "max_rows", 4), _spec_int(spec, "max_cols", 4)
+        return list(range(2, rows + cols + 1)) if rows and cols else []
     if cls not in _SIZED_CLASSES:
         return None
-    for key in ("n", "max_n"):
-        if key in spec:
-            value = spec[key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"catalog {key!r} must be an integer >= 0, got {value!r}")
-            return [value] if key == "n" else list(range(1, value + 1))
+    if "n" in spec:
+        return [_spec_int(spec, "n")]
+    if "max_n" in spec:
+        return list(range(1, _spec_int(spec, "max_n") + 1))
     raise ValueError(f"catalog class {cls!r} needs 'n' or 'max_n'")
 
 
@@ -193,7 +212,8 @@ def generate_catalog(spec: dict) -> list[tuple[str, SimpleGraph]]:
     """Materialize a graph corpus from a JSON-able spec.
 
     Classes: all, connected, chordal, cochordal (sized by ``catalog_sizes``),
-    cm_posets, unmixed_blowups, ferrers, named, files.
+    cm_posets, unmixed_blowups, ferrers, named, files.  A malformed spec
+    raises ``ValueError``, an unreadable file ``OSError``.
     """
     cls = spec.get("class")
     if cls is None:
@@ -202,35 +222,31 @@ def generate_catalog(spec: dict) -> list[tuple[str, SimpleGraph]]:
     out: list[tuple[str, SimpleGraph]] = []
     if cls in _SIZED_CLASSES:
         for n in catalog_sizes(spec):
-            pool = graphs_on(n) if cls == "all" else connected_graphs_on(n)
-            if cls == "chordal":
-                pool = [g for g in graphs_on(n) if is_chordal(g)]
-            elif cls == "cochordal":
-                pool = [g for g in graphs_on(n) if is_cochordal(g)]
+            pool = connected_graphs_on(n) if cls == "connected" else graphs_on(n)
+            if cls in ("chordal", "cochordal"):
+                pool = [g for g in pool if (is_chordal if cls == "chordal" else is_cochordal)(g)]
             for idx, g in enumerate(pool):
                 out.append((f"{cls}/{n}/{idx}", g))
     elif cls == "cm_posets":
-        for idx, g in enumerate(cm_poset_graphs(int(spec.get("max_elements", 4)))):
+        for idx, g in enumerate(cm_poset_graphs(_spec_int(spec, "max_elements", 4))):
             out.append((f"cm_posets/{idx}", g))
     elif cls == "unmixed_blowups":
         graphs = unmixed_blowups(
-            int(spec.get("max_elements", 3)),
-            int(spec.get("max_zeta", 3)),
-            int(spec.get("max_vertices", 12)),
+            _spec_int(spec, "max_elements", 3),
+            _spec_int(spec, "max_zeta", 3),
+            _spec_int(spec, "max_vertices", 12),
         )
         for idx, g in enumerate(graphs):
             out.append((f"unmixed_blowups/{idx}", g))
     elif cls == "ferrers":
-        graphs = ferrers_graphs(
-            int(spec.get("max_rows", 4)), int(spec.get("max_cols", 4))
-        )
+        graphs = ferrers_graphs(_spec_int(spec, "max_rows", 4), _spec_int(spec, "max_cols", 4))
         for idx, g in enumerate(graphs):
             out.append((f"ferrers/{idx}", g))
     elif cls == "named":
-        for name in spec["names"]:
+        for name in _spec_strings(spec, "names"):
             out.append((f"named/{name}", named_graph(name)))
     elif cls == "files":
-        for path in spec["files"]:
+        for path in _spec_strings(spec, "files"):
             out.append((f"file/{path}", SimpleGraph.load(path)))
     else:
         raise ValueError(f"unknown catalog class: {cls!r}")

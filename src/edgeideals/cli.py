@@ -372,7 +372,7 @@ def cmd_verify(args) -> int:
             )
     try:
         report = run_campaign(campaign, workers=args.workers, timing=args.timing)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         _fail(str(exc))
     print(report.human())
     if args.json:

@@ -18,7 +18,7 @@ from itertools import permutations
 
 from .graphs import SimpleGraph, bipartition, bit_list, bits_of, iter_bits
 from .ideals import Monomial, MonomialIdeal
-from .witness import CompleteBipartiteSub, DisjointFamily, find_representatives, is_valid_family
+from .witness import CompleteBipartiteSub, DisjointFamily, is_valid_family
 
 
 class Poset:

@@ -308,46 +308,6 @@ def normalize_edge(g: SimpleGraph, e) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def is_three_disjoint(g: SimpleGraph, e1, e2) -> bool:
-    """Edges are 3-disjoint when disjoint and inducing no third edge between them.
-
-    Equivalently the induced subgraph on their four endpoints is exactly 2K2.
-    """
-    a, b = normalize_edge(g, e1)
-    c, d = normalize_edge(g, e2)
-    if (1 << a | 1 << b) & (1 << c | 1 << d):
-        return False
-    cross = (g.adj[a] | g.adj[b]) & (1 << c | 1 << d)
-    return cross == 0
-
-
-def a_number(g: SimpleGraph) -> int:
-    """Maximum size of a set of pairwise 3-disjoint edges."""
-    edges = g.edges()
-    m = len(edges)
-    compat = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if is_three_disjoint(g, edges[i], edges[j]):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-    best = 0
-
-    def grow(cand: int, size: int):
-        nonlocal best
-        if size > best:
-            best = size
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            i = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            grow(cand & compat[i], size + 1)
-
-    grow((1 << m) - 1, 0)
-    return best
-
-
 def complement_components(g: SimpleGraph, within: int) -> int:
     """Number of connected components of the complement of G_within.
 

@@ -18,6 +18,7 @@ from .cm_bipartite import (
     Poset,
     _matching_search,
     _relation_arcs,
+    _transitive,
     extract_family,
     graph_from_poset,
     maximal_boolean_bases,
@@ -45,12 +46,8 @@ def directed_relation(g: SimpleGraph, lab: CMGraphLabeling) -> list[int]:
     """Arc masks of the x->y relation; arcs[i] holds j when x_i y_j is an edge
     and i != j.  Raises if the relation is not transitive."""
     arcs = _relation_arcs(g, lab.xs, lab.ys)
-    for i in range(len(arcs)):
-        reach = 0
-        for j in iter_bits(arcs[i]):
-            reach |= arcs[j]
-        if reach & ~arcs[i] & ~(1 << i):
-            raise ValueError("labeling relation is not transitive")
+    if not _transitive(arcs):
+        raise ValueError("labeling relation is not transitive")
     return arcs
 
 
@@ -209,13 +206,18 @@ def blow_up(p: Poset, zeta) -> SimpleGraph:
     return g
 
 
+def _dual_scores(red: AcyclicReduction, field: FieldSpec):
+    """The Betti table of the dual ideal of ghat over field, and (zeta-weighted
+    size - homological degree, degree, sigma-hat) for each nonzero entry."""
+    table = betti_table(cover_ideal(red.ghat), field, subject="ideal")
+    return table, [(red.sigma_zeta(s) - r, r, s) for r, s, _ in table.nonzero()]
+
+
 def kummini_pd(g: SimpleGraph, field: FieldSpec = GF2) -> int:
     """Projective dimension of S/I(G) for unmixed bipartite G, as the maximum
     of (zeta-weighted multidegree size - homological degree) over the nonzero
     Betti entries of the dual ideal of the reduction."""
-    red = acyclic_reduction(g)
-    table = betti_table(cover_ideal(red.ghat), field, subject="ideal")
-    return max(red.sigma_zeta(s) - r for r, s, _ in table.nonzero())
+    return max(v for v, _, _ in _dual_scores(acyclic_reduction(g), field)[1])
 
 
 class UnmixedWitness:
@@ -274,8 +276,11 @@ def unmixed_pd_witness(g: SimpleGraph, field: FieldSpec = GF2) -> UnmixedWitness
     """Maximize the weighted formula, pick the lexicographically smallest
     extremal maximizer, extract its family in ghat, and lift it."""
     red = acyclic_reduction(g)
-    table = betti_table(cover_ideal(red.ghat), field, subject="ideal")
-    scored = [(red.sigma_zeta(s) - r, r, s) for r, s, _ in table.nonzero()]
+    return _witness(red, *_dual_scores(red, field))
+
+
+def _witness(red: AcyclicReduction, table, scored) -> UnmixedWitness:
+    """``unmixed_pd_witness`` on a reduction and its ``_dual_scores``."""
     best = max(v for v, _, _ in scored)
     maximizers = sorted(
         ((r, s) for v, r, s in scored if v == best),

@@ -5,6 +5,11 @@ edges inside the parts may or may not exist).  A disjoint family is a set of
 vertex-disjoint blocks together with one representative edge per block, the
 representatives pairwise 3-disjoint in G.  Such a family of r blocks covering
 sigma witnesses beta_{|sigma|-r, sigma}(S/I(G)) != 0.
+
+3-disjointness is decided here alone, by one rule: an edge is 3-disjoint
+from a set of edges exactly when both its ends lie outside the union of
+their closed neighbourhoods adj[u] | adj[v].  Every search extends a
+family's representative assignments one block at a time with ``_extend``.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from .graphs import (
     bit_list,
     bits_of,
     complement_components,
-    is_three_disjoint,
     iter_bits,
     iter_subsets,
+    normalize_edge,
 )
 
 
@@ -139,45 +144,74 @@ def is_block(g: SimpleGraph, block: CompleteBipartiteSub) -> bool:
     return True
 
 
-def representative_in(block: CompleteBipartiteSub, edge) -> bool:
-    u, v = edge
-    um, vm = 1 << u, 1 << v
-    return bool(
-        (um & block.left and vm & block.right) or (um & block.right and vm & block.left)
-    )
+def is_three_disjoint(g: SimpleGraph, e1, e2) -> bool:
+    """Edges are 3-disjoint when disjoint and inducing no third edge between them.
+
+    Equivalently the induced subgraph on their four endpoints is exactly 2K2,
+    that is, neither end of e2 lies in the closed neighbourhood of e1.
+    """
+    a, b = normalize_edge(g, e1)
+    c, d = normalize_edge(g, e2)
+    return not (g.adj[a] | g.adj[b]) & (1 << c | 1 << d)
+
+
+def a_number(g: SimpleGraph) -> int:
+    """Maximum size of a set of pairwise 3-disjoint edges."""
+    edges = g.edges()
+    near = [g.adj[u] | g.adj[v] for u, v in edges]
+    ends = [1 << u | 1 << v for u, v in edges]
+    compat = [bits_of(j for j, e in enumerate(ends) if not mask & e) for mask in near]
+    best = 0
+
+    def grow(cand: int, size: int):
+        nonlocal best
+        if size > best:
+            best = size
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            i = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            grow(cand & compat[i], size + 1)
+
+    grow((1 << len(edges)) - 1, 0)
+    return best
+
+
+def _extend(g: SimpleGraph, assignments, block: CompleteBipartiteSub):
+    """Each (union, reps) that gives the block a representative.
+
+    An assignment (blocked, reps) holds 3-disjoint representatives and the
+    union of their closed neighbourhoods; cross edge uv joins it exactly when
+    u and v lie outside blocked.  Later blocks see only the new union, so
+    only its first assignment is yielded, in the order of assignments, u, v.
+    """
+    adj = g.adj
+    seen = set()
+    for blocked, reps in assignments:
+        right = block.right & ~blocked
+        for u in iter_bits(block.left & ~blocked):
+            for v in iter_bits(right):
+                union = blocked | adj[u] | adj[v]
+                if union not in seen:
+                    seen.add(union)
+                    yield union, reps + ((u, v) if u < v else (v, u),)
 
 
 def find_representatives(g: SimpleGraph, blocks) -> list[tuple[int, int]] | None:
-    """One cross edge per block, pairwise 3-disjoint in G; None if impossible."""
-    per_block = []
-    for b in blocks:
-        cross = [
-            (u, v) if u < v else (v, u)
-            for u in iter_bits(b.left)
-            for v in iter_bits(b.right)
-        ]
-        per_block.append(cross)
-    order = sorted(range(len(blocks)), key=lambda k: len(per_block[k]))
-    chosen: list[tuple[int, int] | None] = [None] * len(blocks)
+    """One cross edge per block, pairwise 3-disjoint in G; None if impossible.
 
-    def place(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        k = order[pos]
-        for e in per_block[k]:
-            if all(
-                chosen[order[q]] is None or is_three_disjoint(g, e, chosen[order[q]])
-                for q in range(pos)
-            ):
-                chosen[k] = e
-                if place(pos + 1):
-                    return True
-                chosen[k] = None
-        return False
-
-    if place(0):
-        return [e for e in chosen]  # type: ignore[misc]
-    return None
+    Blocks are taken fewest cross edges first, and the assignment returned
+    is the first in that order.
+    """
+    order = sorted(range(len(blocks)), key=lambda k: blocks[k].left.bit_count() * blocks[k].right.bit_count())
+    assignments = [(0, ())]
+    for k in order:
+        assignments = list(_extend(g, assignments, blocks[k]))
+        if not assignments:
+            return None
+    reps = dict(zip(order, assignments[0][1]))
+    return [reps[k] for k in range(len(blocks))]
 
 
 def valid_representatives(g: SimpleGraph, fam: DisjointFamily) -> list[tuple[int, int]] | None:
@@ -201,14 +235,15 @@ def valid_representatives(g: SimpleGraph, fam: DisjointFamily) -> list[tuple[int
     reps = fam.representatives
     if reps is None:
         return find_representatives(g, fam.blocks)
-    for e, b in zip(reps, fam.blocks):
-        if not g.has_edge(*e) or not representative_in(b, e):
+    # each representative must be a cross edge of its block, and joins as the
+    # block cut down to its two ends
+    assignments = [(0, ())]
+    for (u, v), b in zip(reps, fam.blocks):
+        ends = 1 << u | 1 << v
+        if not (b.left & ends and b.right & ends):
             return None
-    # 3-disjoint: neither edge meets the other's closed neighbourhood
-    ends = [1 << u | 1 << v for u, v in reps]
-    for a, (u, v) in enumerate(reps):
-        near = ends[a] | g.adj[u] | g.adj[v]
-        if any(near & ends[b2] for b2 in range(a + 1, len(reps))):
+        assignments = list(_extend(g, assignments, CompleteBipartiteSub(b.left & ends, b.right & ends)))
+        if not assignments:
             return None
     return reps
 
@@ -285,15 +320,12 @@ def max_pd_witness(
     blocks.sort(key=lambda b: -b.size)
     n = g.n
     best_value = 0
-    best_family: DisjointFamily | None = None
+    best_blocks: list[CompleteBipartiteSub] = []
 
-    def descend(start: int, used: int, value: int, chosen: list[CompleteBipartiteSub]):
-        nonlocal best_value, best_family
+    def descend(start: int, used: int, value: int, chosen: list[CompleteBipartiteSub], assignments):
+        nonlocal best_value, best_blocks
         if chosen and value > best_value:
-            reps = find_representatives(g, chosen)
-            if reps is not None:
-                best_value = value
-                best_family = DisjointFamily(list(chosen), reps)
+            best_value, best_blocks = value, chosen
         free = n - used.bit_count()
         # one extra block on k of the free vertices adds k-1 <= free-1
         if value + max(0, free - 1) <= best_value:
@@ -305,14 +337,13 @@ def max_pd_witness(
             gain = b.size - 1
             if value + gain + max(0, free - b.size - 1) <= best_value:
                 continue
-            if find_representatives(g, chosen + [b]) is None:
-                continue
-            chosen.append(b)
-            descend(idx + 1, used | b.vertices, value + gain, chosen)
-            chosen.pop()
+            extended = list(_extend(g, assignments, b))
+            if extended:
+                descend(idx + 1, used | b.vertices, value + gain, chosen + [b], extended)
 
-    descend(0, 0, 0, [])
-    return WitnessResult(best_value, best_family)
+    descend(0, 0, 0, [], [(0, ())])
+    family = DisjointFamily(best_blocks, find_representatives(g, best_blocks)) if best_blocks else None
+    return WitnessResult(best_value, family)
 
 
 def witness_for(g: SimpleGraph, i: int, sigma: int) -> DisjointFamily | None:
@@ -326,32 +357,24 @@ def witness_for(g: SimpleGraph, i: int, sigma: int) -> DisjointFamily | None:
     for b in blocks:
         by_low.setdefault((b.vertices & -b.vertices).bit_length() - 1, []).append(b)
 
-    found: DisjointFamily | None = None
-
-    def cover(remaining: int, chosen: list[CompleteBipartiteSub]):
-        nonlocal found
-        if found is not None:
-            return
-        if remaining == 0:
-            if len(chosen) == r:
-                reps = find_representatives(g, chosen)
-                if reps is not None:
-                    found = DisjointFamily(list(chosen), reps)
-            return
-        left = r - len(chosen)
-        if left <= 0 or remaining.bit_count() < 2 * left:
-            return
+    def cover(remaining: int, chosen: list[CompleteBipartiteSub], assignments) -> list | None:
+        """Blocks covering remaining with the r - len(chosen) blocks left."""
+        left = r - len(chosen) - 1  # blocks left after this one
         v = (remaining & -remaining).bit_length() - 1
         for b in by_low.get(v, ()):
-            if b.vertices & ~remaining == 0:
-                chosen.append(b)
-                cover(remaining & ~b.vertices, chosen)
-                chosen.pop()
-                if found is not None:
-                    return
+            rest = remaining & ~b.vertices
+            if b.vertices & ~remaining or (rest == 0) != (left == 0) or rest.bit_count() < 2 * left:
+                continue
+            extended = list(_extend(g, assignments, b))
+            if not extended:
+                continue
+            found = chosen + [b] if rest == 0 else cover(rest, chosen + [b], extended)
+            if found is not None:
+                return found
+        return None
 
-    cover(sigma, [])
-    return found
+    found = cover(sigma, [], [(0, ())])
+    return None if found is None else DisjointFamily(found, find_representatives(g, found))
 
 
 def linear_strand_betti(g: SimpleGraph, sigma: int) -> int:

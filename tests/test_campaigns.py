@@ -412,12 +412,21 @@ def test_over_cap_catalogs_are_rejected_before_generation(monkeypatch):
             raise AssertionError(f"generated graphs on {n} vertices")
         return original(n)
 
+    def refuse(*args):
+        raise AssertionError("generated an over-cap catalog")
+
     monkeypatch.setattr(catalog, "graphs_on", guarded)
+    monkeypatch.setattr(catalog, "cm_poset_graphs", refuse)
+    monkeypatch.setattr(catalog, "ferrers_graphs", refuse)
     for spec, caps in (
         ({"class": "all", "n": 8}, {}),
         ({"class": "connected", "max_n": 9}, {}),
         ({"class": "chordal", "n": 8}, {"max_n": 7}),
         ({"class": "cochordal", "max_n": 5}, {"max_n": 4}),
+        ({"class": "cm_posets", "max_elements": 4}, {}),  # 8 vertices
+        ({"class": "cm_posets", "max_elements": 5}, {"max_n": 9}),
+        ({"class": "ferrers", "max_rows": 4, "max_cols": 4}, {}),  # K_{4,4}
+        ({"class": "ferrers", "max_rows": 2, "max_cols": 3}, {"max_n": 4}),
     ):
         c = Campaign("big", spec, ["gf2"], ["T2.2"], caps=caps)
         with pytest.raises(ValueError, match="vertex cap"):

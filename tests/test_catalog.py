@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from edgeideals import catalog
 from edgeideals.catalog import (
     cm_poset_graphs,
     connected_graphs_on,
@@ -146,3 +147,37 @@ def test_generate_catalog_files(tmp_path):
     path.write_text(json.dumps(g.to_json()))
     entries = generate_catalog({"class": "files", "files": [str(path)]})
     assert len(entries) == 1 and entries[0][1] == g
+
+
+def test_unmixed_blowups_skip_what_max_vertices_leaves_no_room_for(monkeypatch):
+    original = catalog.posets_on
+
+    def guarded(k):
+        if k > 4:
+            raise AssertionError(f"built the posets on {k} elements")
+        return original(k)
+
+    monkeypatch.setattr(catalog, "posets_on", guarded)
+    # 5 classes need 10 vertices, and no class can have more than 4 columns
+    assert unmixed_blowups(7, 3, 8) == unmixed_blowups(4, 3, 8)
+    assert unmixed_blowups(2, 10**9, 8) == unmixed_blowups(2, 4, 8)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"class": "all", "n": "5"},
+        {"class": "cm_posets", "max_elements": 2.0},
+        {"class": "unmixed_blowups", "max_zeta": True},
+        {"class": "unmixed_blowups", "max_vertices": -2},
+        {"class": "ferrers", "max_rows": [1]},
+        {"class": "ferrers", "max_cols": -1},
+        {"class": "named"},
+        {"class": "named", "names": [5]},
+        {"class": "named", "names": "path_3"},
+        {"class": "files", "files": "g.txt"},
+    ],
+)
+def test_malformed_catalog_specs_raise_value_error(spec):
+    with pytest.raises(ValueError):
+        generate_catalog(spec)

@@ -236,6 +236,28 @@ def test_malformed_campaign_fields_fail_in_one_line(capsys, tmp_path, field, val
     assert repr(field) in msg or f"caps.{next(iter(value))}" in msg
 
 
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        {"class": "named"},
+        {"class": "named", "names": [5]},
+        {"class": "ferrers", "max_rows": [1]},
+        {"class": "ferrers", "max_rows": 4, "max_cols": 4},
+        {"class": "cm_posets", "max_elements": 4},
+        {"class": "cm_posets", "max_elements": "2"},
+        {"class": "unmixed_blowups", "max_elements": 1, "max_zeta": -1},
+        {"class": "files", "files": ["no/such/graph.txt"]},
+    ],
+)
+def test_malformed_catalog_specs_fail_in_one_line(capsys, tmp_path, graphs):
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"graphs": graphs, "assertions": ["T2.2"]}))
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", str(campaign))
+    msg = str(exc.value)
+    assert msg.startswith("edgeideals: error: ") and "\n" not in msg
+
+
 def test_over_cap_catalog_fails_before_generating(capsys, tmp_path):
     campaign = tmp_path / "c.json"
     campaign.write_text(json.dumps({"graphs": {"class": "all", "n": 9}, "assertions": ["T2.2"]}))

@@ -9,7 +9,6 @@ import pytest
 from edgeideals.catalog import connected_graphs_on, graphs_on
 from edgeideals.graphs import (
     SimpleGraph,
-    a_number,
     bipartition,
     c_number,
     canonical_form,
@@ -24,9 +23,9 @@ from edgeideals.graphs import (
     is_cochordal,
     is_complete_bipartite,
     is_ferrers,
-    is_three_disjoint,
     path_graph,
 )
+from edgeideals.witness import a_number, is_three_disjoint
 
 
 def brute_three_disjoint(g, e1, e2):

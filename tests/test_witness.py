@@ -1,16 +1,17 @@
 """Complete bipartite blocks, disjoint families, and witness searches."""
 
 import itertools
+import random
 
 import pytest
 
 from edgeideals.catalog import graphs_on
 from edgeideals.graphs import (
+    SimpleGraph,
     complete_bipartite_graph,
     cycle_graph,
     disjoint_union,
     is_cochordal,
-    is_three_disjoint,
     path_graph,
 )
 from edgeideals.hochster import graph_betti_table
@@ -24,11 +25,13 @@ from edgeideals.witness import (
     enumerate_blocks,
     find_representatives,
     is_block,
+    is_three_disjoint,
     is_valid_family,
     linear_strand_betti,
     max_pd_witness,
     witness_for,
 )
+from test_campaigns import disjoint_families
 
 
 def test_block_normalization_and_validation():
@@ -115,6 +118,106 @@ def test_find_representatives_pairwise_three_disjoint():
     p4 = path_graph(4)
     blocks = [CompleteBipartiteSub(1, 2), CompleteBipartiteSub(4, 8)]
     assert find_representatives(p4, blocks) is None
+
+
+def pairwise_three_disjoint(g, e1, e2):
+    """The induced subgraph on the four ends is exactly the two edges."""
+    ends = set(e1) | set(e2)
+    return len(ends) == 4 and not any(g.has_edge(x, y) for x in e1 for y in e2)
+
+
+def cross_edges(g, b):
+    return [(min(u, v), max(u, v)) for u in range(g.n) if b.left >> u & 1 for v in range(g.n) if b.right >> v & 1]
+
+
+def pairwise_representatives(g, blocks):
+    """The reference search: one cross edge per block, blocks fewest cross
+    edges first, backtracking on pairwise 3-disjointness; the first
+    assignment found, or None."""
+    per_block = [cross_edges(g, b) for b in blocks]
+    order = sorted(range(len(blocks)), key=lambda k: len(per_block[k]))
+    chosen = [None] * len(blocks)
+
+    def place(pos):
+        if pos == len(order):
+            return True
+        k = order[pos]
+        for e in per_block[k]:
+            if all(pairwise_three_disjoint(g, e, chosen[order[q]]) for q in range(pos)):
+                chosen[k] = e
+                if place(pos + 1):
+                    return True
+        chosen[k] = None
+        return False
+
+    return list(chosen) if place(0) else None
+
+
+def gnp(n, p, seed):
+    rng = random.Random(seed)
+    return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def reference_corpus():
+    """Every graph on at most 6 vertices with all its blocks, then seeded
+    G(n, p) for n = 7..11 with blocks of at most 3 vertices."""
+    for n in range(2, 7):
+        for g in graphs_on(n):
+            yield g, all_blocks(g)
+    for k in range(10):
+        g = gnp(7 + k % 5, (0.3, 0.45, 0.6)[k % 3], 100 + k)
+        yield g, all_blocks(g, max_vertices=3)
+
+
+def test_find_representatives_is_the_pairwise_reference():
+    compared = found = 0
+    for g, blocks in reference_corpus():
+        for fam in disjoint_families(blocks, 3):
+            if len(fam) > 1:
+                want = pairwise_representatives(g, fam)
+                assert find_representatives(g, fam) == want
+                compared += 1
+                found += want is not None
+    assert compared > 10000 and 0 < found < compared
+
+
+def test_valid_representatives_folds_the_pairwise_rule():
+    rng = random.Random(5)
+    for g, blocks in reference_corpus():
+        for fam in disjoint_families(blocks, 3):
+            reps = [rng.choice(cross_edges(g, b)) for b in fam]
+            want = all(pairwise_three_disjoint(g, e, f) for e, f in itertools.combinations(reps, 2))
+            assert is_valid_family(g, DisjointFamily(fam, reps)) == want
+
+
+def reference_families(g, blocks):
+    """Every valid disjoint family, by the reference."""
+    return [fam for fam in disjoint_families(blocks, len(blocks)) if pairwise_representatives(g, fam) is not None]
+
+
+def test_max_pd_witness_is_the_brute_force_maximum():
+    for n in range(2, 7):
+        for g in graphs_on(n):
+            best = max((DisjointFamily(fam).value for fam in reference_families(g, all_blocks(g))), default=0)
+            wit = max_pd_witness(g)
+            assert wit.value == best
+            if best:
+                assert wit.family.value == best
+                assert wit.family.representatives == pairwise_representatives(g, wit.family.blocks)
+
+
+def test_witness_for_is_none_exactly_without_a_covering_family():
+    for n in range(2, 6):
+        for g in graphs_on(n):
+            covered = {(DisjointFamily(fam).sigma, len(fam)) for fam in reference_families(g, all_blocks(g))}
+            for sigma in range(1, 1 << n):
+                size = sigma.bit_count()
+                for r in range(1, size + 1):
+                    fam = witness_for(g, size - r, sigma)
+                    assert (fam is not None) == ((sigma, r) in covered)
+                    if fam is not None:
+                        assert (fam.sigma, fam.r) == (sigma, r)
+                        assert fam.representatives == pairwise_representatives(g, fam.blocks)
 
 
 def test_is_valid_family_rejections():
