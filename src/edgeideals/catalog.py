@@ -191,11 +191,20 @@ def _spec_strings(spec: dict, key: str) -> list[str]:
 
 def catalog_sizes(spec: dict) -> list[int] | None:
     """The vertex counts a spec names: "n" (exact) or "max_n" (sweep from 1)
-    of a sized class, 2k per poset size k of cm_posets, up to max_rows +
-    max_cols for ferrers; None where only the built graphs tell."""
+    of a sized class, 2k per poset size k of cm_posets, twice each total
+    weight of unmixed_blowups, up to max_rows + max_cols for ferrers; None
+    where only the built graphs tell."""
     cls = spec.get("class")
     if cls == "cm_posets":
         return [2 * k for k in range(1, _spec_int(spec, "max_elements", 4) + 1)]
+    if cls == "unmixed_blowups":
+        # a blow-up has 2 * sum(zeta) vertices, and every total weight from 1
+        # to max_elements * max_zeta that max_vertices leaves room for is built
+        most = min(
+            _spec_int(spec, "max_elements", 3) * _spec_int(spec, "max_zeta", 3),
+            _spec_int(spec, "max_vertices", 12) // 2,
+        )
+        return [2 * w for w in range(1, most + 1)]
     if cls == "ferrers":
         rows, cols = _spec_int(spec, "max_rows", 4), _spec_int(spec, "max_cols", 4)
         return list(range(2, rows + cols + 1)) if rows and cols else []

@@ -33,11 +33,11 @@ from .cm_bipartite import (
     poset_of_graph,
 )
 from .graphs import SimpleGraph, bit_list, iter_bits
-from .hochster import betti_table, graph_betti_table, projective_dimension
+from .hochster import graph_betti_table, projective_dimension
 from .ideals import MonomialIdeal, cover_ideal, edge_ideal
 from .linalg import FieldSpec
 from .lyubeznik import admissible_symbols, lyubeznik_betti_table, main_theorem_certificate
-from .unmixed import acyclic_reduction, kummini_pd, unmixed_pd_witness
+from .unmixed import _dual_scores, _witness, acyclic_reduction
 from .witness import DisjointFamily, max_pd_witness, witness_for
 
 SINGLE_GRAPH_CAP = 14
@@ -63,9 +63,9 @@ def _enforce_cap(n: int, max_n, default_cap: int, what: str):
             f"rerun with --max-n {n} to accept the cost"
         )
     if max_n is not None and n > default_cap:
-        # the table walks every vertex subset, so be upfront about the bill
+        # the table walks up to every vertex subset, so be upfront about the bill
         print(
-            f"cost estimate: 2^{n} = {1 << n} subset strands per table",
+            f"cost estimate: at most 2^{n} = {1 << n} subset strands per table",
             file=sys.stderr,
         )
 
@@ -337,16 +337,16 @@ def cmd_unmixed(args) -> int:
     print(f"acyclic reduction on {red.t} classes, edges:")
     for u, v in red.ghat.edges():
         print(f"  {red.ghat.labels[u]} {red.ghat.labels[v]}")
-    dual_table = betti_table(cover_ideal(red.ghat), field, subject="ideal")
+    dual_table, scored = _dual_scores(red, field)
     _print_table(dual_table, f"dual Betti table of the reduction over {field!r}")
-    wit = unmixed_pd_witness(g, field)
+    wit = _witness(red, dual_table, scored)
     print("weighted maximizers (r, sigma-hat):")
     for r, s in wit.maximizers:
         print(f"  r={r}  sigma-hat={{{','.join(red.ghat.label_set(s))}}}")
     r, s = wit.entry
     print(f"chosen entry: r={r}, sigma-hat={{{','.join(red.ghat.label_set(s))}}}")
     print(f"lifted family: {json.dumps(wit.family.to_json(g))}")
-    formula = kummini_pd(g, field)
+    formula = max(v for v, _, _ in scored)
     oracle = projective_dimension(g, field)
     verdict = "OK" if formula == oracle == wit.value else "MISMATCH"
     print(f"pd: formula {formula}, witness {wit.value}, Betti table {oracle}  [{verdict}]")
@@ -366,7 +366,7 @@ def cmd_verify(args) -> int:
         campaign.caps["max_n"] = args.max_n
         if args.max_n > CAMPAIGN_CAP:
             print(
-                f"cost estimate: tables walk 2^{args.max_n} = {1 << args.max_n} "
+                f"cost estimate: tables walk at most 2^{args.max_n} = {1 << args.max_n} "
                 "subsets per graph; graph counts grow superexponentially in the cap",
                 file=sys.stderr,
             )

@@ -23,9 +23,20 @@ restriction it tries, in order:
   which eliminates unit pivots over Z (exact over every field) and leaves
   only a residual, usually empty, to field arithmetic.
 
-Results are memoized per table in a list indexed by the vertex mask, with
-equal homology vectors shared as one object. betti_table walks sigma in
-increasing order, so the smaller masks a fold or join asks for are lookups.
+betti_table never visits a cone. A depth-first walk (``_SupportEngine.walk``)
+yields only the active sets (sigma without the singleton-generator
+variables) that are unions of the generator supports inside them, each once
+and every submask before its supersets; it decides the vertices in
+increasing order, carries the supports inside the chosen set, and cuts a
+branch once a chosen vertex has no support left that could still cover it.
+Each such set then stands for every sigma that adds singleton variables to
+it, and every other sigma is a cone. So a table costs at most 2^n
+restrictions, and on sparse graphs far fewer: 2,627 of 16,384 for C_14.
+
+Results are memoized per table in a dict keyed by the active mask, with equal
+homology vectors shared as one object. The walk hands each set its list of
+inside supports; a fold or join looks up a smaller mask, which the walk has
+already visited unless it is a cone.
 
 Conventions for the reduced complex: the empty face is a basis element in
 dimension -1 (so the complex {<empty>} has one-dimensional homology there and
@@ -35,7 +46,7 @@ nothing else), and the void complex has zero homology everywhere.
 from __future__ import annotations
 
 from .errors import ResourceLimitError
-from .graphs import SimpleGraph, bit_list, iter_bits
+from .graphs import SimpleGraph, bit_list, iter_bits, iter_subsets
 from .ideals import (
     MonomialIdeal,
     SimplicialComplex,
@@ -139,8 +150,62 @@ class _SupportEngine:
                     if d & (d - 1) == 0:
                         dom |= d
                 self._links[w].append((t, dom))
-        self._memo: list[dict[int, int] | None] = [None] * (1 << ideal.nvars)
+        self._memo: dict[int, dict[int, int]] = {}
         self._shared: dict[tuple, dict[int, int]] = {}
+
+    def walk(self):
+        """Yield (active, inside) for every union of supports, 0 included, once
+        each and every submask before its supersets; inside lists the supports
+        inside active and must not be mutated.
+
+        The vertices in some support are decided in increasing order. A node
+        has decided the first ``start`` of them: it carries the chosen set,
+        the supports inside it and their union, and as a mask over support
+        indices the supports still alive (no decided vertex left out, top
+        vertex not yet decided). It yields its chosen set when that set is
+        covered, then grows it by the vertex at one position p >= start,
+        leaving out the vertices between; a branch is cut once some chosen,
+        uncovered vertex has no alive support left.
+        """
+        sups = self.supports
+        through = [0] * len(self._links)  # one support-index mask per variable
+        tops: dict[int, list[tuple[int, int]]] = {}
+        for j, s in enumerate(sups):
+            for v in iter_bits(s):
+                through[v] |= 1 << j
+            tops.setdefault(s.bit_length() - 1, []).append((1 << j, s))
+        verts = [v for v, thr in enumerate(through) if thr]
+        stack = [(0, 0, 0, (1 << len(sups)) - 1, [])]
+        while stack:
+            start, chosen, covered, alive, inside = stack.pop()
+            pending = chosen & ~covered
+            if not pending:
+                yield chosen, inside
+            # children are pushed in increasing p, so the largest p, whose
+            # set leaves out the most vertices, is explored first
+            for p in range(start, len(verts)):
+                v = verts[p]
+                hit = alive & through[v]
+                if not hit:
+                    continue
+                grown, cov, left = inside, covered, alive
+                for b, s in tops.get(v, ()):
+                    if alive & b:
+                        grown = grown + [s]
+                        cov |= s
+                        left ^= b
+                stack.append((p + 1, chosen | 1 << v, cov, left, grown))
+                # later siblings leave v out: its supports die, and a chosen
+                # vertex that loses its last one ends the loop
+                alive ^= hit
+                rest = pending
+                while rest:
+                    low = rest & -rest
+                    if not alive & through[low.bit_length() - 1]:
+                        break
+                    rest ^= low
+                if rest or not alive:
+                    break
 
     def _component_homology(self, comp: int, inside: list[int]) -> dict[int, int]:
         # faces level by level: a face grows only by vertices above its top
@@ -168,30 +233,33 @@ class _SupportEngine:
             d += 1
         return StrandComplex(comp, faces).homology(self.field)
 
-    def vector(self, sigma: int) -> dict[int, int]:
+    def vector(self, sigma: int, inside: list[int] | None = None) -> dict[int, int]:
         """Reduced homology of the restriction to sigma, as {dimension: rank}.
 
-        The returned dict is shared between equal results and must not be
-        mutated.
+        ``inside``, when given, lists the supports inside sigma and says that
+        they cover it (the walk's sets). The returned dict is shared between
+        equal results and must not be mutated.
         """
-        active = sigma & ~self.singletons
-        known = self._memo[active]
-        if known is not None:
-            return known
-        out = self._reduce(active)
-        known = self._shared.setdefault(tuple(sorted(out.items())), out)
-        self._memo[active] = known
+        if self.singletons:
+            sigma &= ~self.singletons
+        # otherwise the caller's own int object is the key; a copy per key
+        # would add about a tenth to a sparse table's peak memory
+        known = self._memo.get(sigma)
+        if known is None:
+            out = self._reduce(sigma, inside)
+            known = self._memo[sigma] = self._shared.setdefault(tuple(sorted(out.items())), out)
         return known
 
-    def _reduce(self, active: int) -> dict[int, int]:
+    def _reduce(self, active: int, inside: list[int] | None) -> dict[int, int]:
         if active == 0:
             return {-1: 1}
-        inside = [s for s in self.supports if s & ~active == 0]
-        covered = 0
-        for s in inside:
-            covered |= s
-        if active & ~covered:
-            return {}
+        if inside is None:
+            inside = [s for s in self.supports if s & ~active == 0]
+            covered = 0
+            for s in inside:
+                covered |= s
+            if active & ~covered:
+                return {}
         # strong collapse: drop v when every facet containing v contains w
         for w in iter_bits(active):
             cand = active & ~(1 << w)
@@ -341,13 +409,16 @@ def betti_table(
             "raise max_vars explicitly to override"
         )
     engine = _SupportEngine(ideal, field)
+    carriers = [active for active, inside in engine.walk() if engine.vector(active, inside)]
+    if engine.singletons:
+        # a singleton generator's variable is no vertex of the complex:
+        # adding any of them to sigma keeps its homology
+        carriers = [a | t for a in carriers for t in iter_subsets(engine.singletons)]
+    carriers.sort()
     entries: dict[tuple[int, int], int] = {}
-    for sigma in range(1 << ideal.nvars):
-        vec = engine.vector(sigma)
-        if not vec:
-            continue
+    for sigma in carriers:
         size = sigma.bit_count()
-        for d, rank in vec.items():
+        for d, rank in engine.vector(sigma).items():
             i = size - d - 1
             if 0 <= i:
                 entries[(i, sigma)] = rank

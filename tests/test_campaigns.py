@@ -435,6 +435,21 @@ def test_over_cap_catalogs_are_rejected_before_generation(monkeypatch):
     assert run_campaign(Campaign("ok", {"class": "cochordal", "max_n": 3}, ["gf2"], ["T2.2"])).ok
 
 
+def test_over_cap_blowups_are_rejected_before_posets_are_built(monkeypatch):
+    def refuse(k):
+        raise AssertionError(f"built the posets on {k} elements")
+
+    monkeypatch.setattr(catalog, "posets_on", refuse)
+    for spec, caps in (
+        ({"class": "unmixed_blowups", "max_elements": 6, "max_vertices": 12}, {}),
+        ({"class": "unmixed_blowups", "max_elements": 2, "max_zeta": 2, "max_vertices": 12}, {"max_n": 6}),
+        ({"class": "unmixed_blowups"}, {}),
+    ):
+        c = Campaign("big", spec, ["gf2"], ["T2.2"], caps=caps)
+        with pytest.raises(ValueError, match="vertex cap"):
+            run_campaign(c, workers=1)
+
+
 def test_readme_smoke_campaign_is_the_checked_in_file():
     root = Path(__file__).resolve().parent.parent
     readme = (root / "README.md").read_text(encoding="utf-8")

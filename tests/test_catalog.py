@@ -163,6 +163,16 @@ def test_unmixed_blowups_skip_what_max_vertices_leaves_no_room_for(monkeypatch):
     assert unmixed_blowups(2, 10**9, 8) == unmixed_blowups(2, 4, 8)
 
 
+def test_unmixed_blowup_sizes_are_the_sizes_built():
+    for e, z, v in (
+        (3, 3, 12), (1, 1, 2), (1, 3, 12), (2, 2, 8), (3, 1, 8),
+        (2, 4, 9), (4, 2, 7), (0, 3, 12), (2, 0, 12), (3, 3, 1),
+    ):
+        spec = {"class": "unmixed_blowups", "max_elements": e, "max_zeta": z, "max_vertices": v}
+        built = {g.n for _, g in generate_catalog(spec)}
+        assert catalog.catalog_sizes(spec) == sorted(built), spec
+
+
 @pytest.mark.parametrize(
     "spec",
     [

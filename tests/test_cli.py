@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from edgeideals import hochster, unmixed
 from edgeideals.cli import main
 from edgeideals.graphs import SimpleGraph
 from edgeideals.witness import max_pd_witness
@@ -151,6 +152,24 @@ def test_unmixed_analyze(capsys):
     assert "pd: formula 5, witness 5, Betti table 5  [OK]" in out
     rc, out, _ = run(capsys, "unmixed", "analyze", "path_5")
     assert rc == 1 and "not unmixed bipartite" in out
+
+
+def test_unmixed_analyze_builds_the_reduction_table_once(capsys, monkeypatch):
+    calls = {"reduction": 0, "all": 0}
+
+    def counting(original, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(unmixed, "betti_table", counting(unmixed.betti_table, "reduction"))
+    monkeypatch.setattr(hochster, "betti_table", counting(hochster.betti_table, "all"))
+    rc, out, _ = run(capsys, "unmixed", "analyze", "complete_bipartite_3_3")
+    assert rc == 0 and "[OK]" in out
+    # one dual table of the reduction, one table of the graph for the cross-check
+    assert calls == {"reduction": 1, "all": 1}
 
 
 def test_verify_roundtrip(capsys, tmp_path):

@@ -16,6 +16,7 @@ from edgeideals.graphs import (
     path_graph,
 )
 from edgeideals.hochster import (
+    _SupportEngine,
     betti_table,
     build_strand,
     graph_betti_table,
@@ -357,3 +358,98 @@ def test_kozlov_spheres_beyond_the_table_cap():
             strand = build_strand(independence_complex(mk(n)), full)
             for field, _ in FIELDS:
                 assert strand.homology(field) == expect, (mk.__name__, n, field)
+
+
+def walk_corpus():
+    """Seeded squarefree ideals for the walk: edge ideals, cover ideals, and
+    antichains with two or more singleton generators and variables that lie
+    in no generator."""
+    rng = random.Random(41)
+    out = []
+    while len(out) < 15:
+        n = rng.randint(3, 7)
+        g = random_graph(rng, n, rng.uniform(0.25, 0.7))
+        if g.edge_count():
+            out.append(edge_ideal(g) if len(out) % 2 else cover_ideal(g))
+    while len(out) < 24:
+        n = rng.randint(5, 8)
+        free = rng.randrange(n)
+        singles = rng.sample([v for v in range(n) if v != free], 2)
+        others = [v for v in range(n) if v != free and v not in singles]
+        masks = {1 << v for v in singles}
+        for _ in range(rng.randint(1, 2 * n)):
+            masks.add(sum(1 << v for v in rng.sample(others, min(rng.randint(2, 3), len(others)))))
+        minimal = [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
+        out.append(MonomialIdeal([f"x{i}" for i in range(n)], [Monomial.from_support(m, n) for m in minimal]))
+    return out
+
+
+def test_walk_visits_every_union_of_supports_once_submasks_first():
+    for ideal in walk_corpus():
+        engine = _SupportEngine(ideal, GF2)
+        supports = engine.supports
+        unions = set()
+        for mask in range(1 << ideal.nvars):
+            covered = 0
+            for s in supports:
+                if s & ~mask == 0:
+                    covered |= s
+            if covered == mask:
+                unions.add(mask)
+        visited = []
+        for active, inside in engine.walk():
+            assert sorted(inside) == sorted(s for s in supports if s & ~active == 0), active
+            visited.append(active)
+        assert len(visited) == len(set(visited)) and set(visited) == unions, ideal.supports()
+        seen = set()
+        for active in visited:
+            assert not any(s != active and s & ~active == 0 for s in unions - seen), active
+            seen.add(active)
+
+
+def test_walk_tables_match_reference_route():
+    corpus = walk_corpus()
+    assert sum(sum(s.bit_count() == 1 for s in ideal.supports()) >= 2 for ideal in corpus) >= 9
+    for ideal in corpus:
+        for field, char in FIELDS:
+            assert table_entries(betti_table(ideal, field)) == reference_ideal_entries(
+                ideal, char
+            ), f"supports={ideal.supports()} field={field!r}"
+
+
+def complement_components(adj, sigma):
+    """Number of connected components of the complement of G[sigma]."""
+    count = 0
+    left = sigma
+    while left:
+        comp = frontier = left & -left
+        while frontier and comp != left:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = left & ~adj[v] & ~comp
+            comp |= new
+            frontier |= new
+        left &= ~comp
+        count += 1
+    return count
+
+
+def test_full_tables_past_the_cap_obey_euler_and_the_top_strand():
+    # on every sigma: sum_i (-1)^i beta_{i,sigma} = (-1)^|sigma| I(G[sigma]; -1),
+    # I the independence polynomial, since the reduced Euler characteristic of
+    # Ind G[sigma] is -I(G[sigma]; -1); and beta_{|sigma|-1,sigma} = dim H~_0,
+    # one less than the number of components of the 1-skeleton, which is the
+    # complement of G[sigma]
+    for g in (cycle_graph(18), path_graph(18), cycle_graph(20)):
+        table = graph_betti_table(g, RATIONALS, max_vars=g.n)
+        euler = {}
+        for (i, s), v in table.entries.items():
+            euler[s] = euler.get(s, 0) + (v if i % 2 == 0 else -v)
+        closed = [g.adj[v] | 1 << v for v in range(g.n)]
+        indep = [1] * (1 << g.n)
+        for s in range(1, 1 << g.n):
+            low = s & -s
+            indep[s] = indep[s ^ low] - indep[s & ~closed[low.bit_length() - 1]]
+            size = s.bit_count()
+            assert euler.get(s, 0) == (-indep[s] if size & 1 else indep[s]), (g.n, s)
+            assert table.entry(size - 1, s) == complement_components(g.adj, s) - 1, (g.n, s)
