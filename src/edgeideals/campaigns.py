@@ -79,10 +79,11 @@ class _Ctx:
     reads its field's table, and emits its rows in the order of a fresh walk.
 
     ``certificates`` is the memo that ``main_theorem_certificate`` keys by
-    ordered generator supports over sigma's positions and block shapes.  The
-    key does not mention the graph, so ``run_campaign`` hands one memo to
-    every graph of a call.  A context lives for one graph of one
-    ``run_campaign`` call.
+    the blocks' shapes (m, n) and G[sigma]'s adjacency rows with sigma's
+    vertices numbered in block order.  The key mentions neither the graph
+    nor its labels, so ``run_campaign`` hands one memo to every graph of a
+    call, and relabelled copies of a configuration share an entry.  A
+    context lives for one graph of one ``run_campaign`` call.
     """
 
     def __init__(self, g: SimpleGraph, certificates: dict | None = None):
@@ -181,10 +182,12 @@ def _valid_families(g: SimpleGraph, blocks, max_r: int) -> list[tuple[int, int, 
     """
     verts = [b.vertices for b in blocks]
     out: list[tuple[int, int, DisjointFamily]] = []
-
-    def grow(start: int, used: int, chosen: list, assignments):
-        last = len(chosen) + 1 == max_r
-        for idx in range(start, len(blocks)):
+    # one frame per family being extended: (block indices still to try,
+    # union, blocks, assignments); a frame resumes where its child was pushed
+    stack = [(iter(range(len(blocks))), 0, [], [(0, ())])]
+    while stack:
+        indices, used, chosen, assignments = stack[-1]
+        for idx in indices:
             if verts[idx] & used:
                 continue
             extended = _extend(g, assignments, blocks[idx])
@@ -194,10 +197,11 @@ def _valid_families(g: SimpleGraph, blocks, max_r: int) -> list[tuple[int, int, 
             family = chosen + [blocks[idx]]
             sigma = used | verts[idx]
             out.append((sigma.bit_count() - len(family), sigma, DisjointFamily(family, first[1])))
-            if not last:
-                grow(idx + 1, sigma, family, [first, *extended])
-
-    grow(0, 0, [], [(0, ())])
+            if len(family) != max_r:
+                stack.append((iter(range(idx + 1, len(blocks))), sigma, family, [first, *extended]))
+                break
+        else:
+            stack.pop()
     return out
 
 

@@ -56,6 +56,8 @@ def _field(args) -> FieldSpec:
 
 
 def _enforce_cap(n: int, max_n, default_cap: int, what: str):
+    if max_n is not None and max_n < 1:
+        _fail(f"--max-n must be at least 1, got {max_n}")
     cap = default_cap if max_n is None else int(max_n)
     if n > cap:
         _fail(
@@ -135,6 +137,8 @@ def _sigma_mask(g: SimpleGraph, tokens) -> int:
                 v = g.index_of(tok)
             except (KeyError, ValueError):
                 _fail(f"unknown vertex label {tok!r}")
+        if mask >> v & 1:
+            _fail(f"vertex {tok!r} is listed twice")
         mask |= 1 << v
     return mask
 
@@ -235,6 +239,8 @@ def cmd_lyubeznik(args) -> int:
             )
     acted = False
     if args.symbols is not None:
+        if args.symbols < 0:
+            _fail(f"--symbols takes a symbol size of at least 0, got {args.symbols}")
         syms = admissible_symbols(ideal, order, s=args.symbols)
         print(json.dumps([{"indices": list(t)} for t in syms]))
         acted = True

@@ -447,7 +447,7 @@ def canonical_form(g: SimpleGraph) -> tuple:
     Permutations are restricted to those preserving the 1-WL color classes,
     which is sound since isomorphisms preserve them.
     """
-    from itertools import permutations
+    from itertools import permutations, product
 
     n = g.n
     if n == 0:
@@ -460,9 +460,13 @@ def canonical_form(g: SimpleGraph) -> tuple:
 
     best = None
     edges = g.edges()
-
-    def consider(perm_map):
-        nonlocal best
+    perm_map = [0] * n
+    for cell_perms in product(*(permutations(cell) for cell in cell_list)):
+        pos = 0
+        for cell_perm in cell_perms:
+            for v in cell_perm:
+                perm_map[v] = pos
+                pos += 1
         code = 0
         for u, v in edges:
             a, b = perm_map[u], perm_map[v]
@@ -471,21 +475,6 @@ def canonical_form(g: SimpleGraph) -> tuple:
             code |= 1 << (a * n + b)
         if best is None or code < best:
             best = code
-
-    def assemble(idx, acc):
-        if idx == len(cell_list):
-            perm_map = [0] * n
-            pos = 0
-            for cell_perm in acc:
-                for v in cell_perm:
-                    perm_map[v] = pos
-                    pos += 1
-            consider(perm_map)
-            return
-        for p in permutations(cell_list[idx]):
-            assemble(idx + 1, acc + [p])
-
-    assemble(0, [])
     return (n, best)
 
 

@@ -22,8 +22,10 @@ certificates stay ``Monomial``s.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from .errors import ResourceLimitError
-from .graphs import SimpleGraph, bit_list, iter_bits
+from .graphs import SimpleGraph, iter_bits
 from .hochster import BettiTable
 from .ideals import Monomial, MonomialIdeal, edge_ideal, lcm_of
 from .linalg import GF2, FieldSpec, rank_over
@@ -275,15 +277,8 @@ def _threshold_cycle(m: int, n: int) -> Cycle:
                 idx.append((beta - 1) * m + alpha - 1)
         return tuple(idx)
 
-    def thresholds(depth: int, lo: int, acc: tuple[int, ...], sink: list):
-        if depth == 0:
-            sink.append(acc)
-            return
-        for t in range(lo, m + 1):
-            thresholds(depth - 1, t, acc + (t,), sink)
-
-    all_ts: list[tuple[int, ...]] = []
-    thresholds(n - 1, 1, (), all_ts)
+    # thresholds 1 <= t_1 <= ... <= t_{n-1} <= m, in lexicographic order
+    all_ts = combinations_with_replacement(range(1, m + 1), n - 1)
     norm = (-1) ** (m * (n - 1))
     terms = {tau(ts): norm * (-1) ** sum(ts) for ts in all_ts}
     leading = tau((m,) * (n - 1))
@@ -314,77 +309,97 @@ def product_cycle(parts) -> Cycle:
     return Cycle(terms, leading)
 
 
-def _block_run(g: SimpleGraph, block, rep, bit: dict[int, int]):
-    """Generator supports for one block, with bit[w] the bit of vertex w: cross
-    edges row-major with the representative endpoints last in their parts,
-    then the block's other induced edges.  Also returns the part sizes."""
-    u, v = rep
-    if 1 << u & block.left and 1 << v & block.right:
-        left, right = block.left, block.right
-    elif 1 << u & block.right and 1 << v & block.left:
-        left, right = block.right, block.left
-    else:
-        raise ValueError("representative must be a cross edge of its block")
-    lefts = [w for w in iter_bits(left) if w != u] + [u]
-    rights = [w for w in iter_bits(right) if w != v] + [v]
-    run = [bit[a] | bit[b] for b in rights for a in lefts]
-    # then the edges inside a part, each as (a, b) with a < b, in increasing order
-    for a in iter_bits(block.vertices):
-        part = left if left >> a & 1 else right
-        for b in iter_bits(g.adj[a] & part & ~((2 << a) - 1)):
-            run.append(bit[a] | bit[b])
-    return run, len(lefts), len(rights)
+def _block_order_certificate(shapes, rows):
+    """The cycle check of ``main_theorem_certificate`` for the key (shapes, rows).
+
+    Positions follow block order; each block (m, n) holds m positions of the
+    representative's first end's part, then n of the other part.  The
+    generator supports are each block's cross edges row-major, then its
+    edges inside a part, then every edge between blocks, each run in
+    increasing position pairs.
+    """
+    supports: list[int] = []
+    parts = []
+    start = 0
+    for m, n in shapes:
+        mid, end = start + m, start + m + n
+        run = [1 << a | 1 << b for b in range(mid, end) for a in range(start, mid)]
+        for a in range(start, end):
+            top = mid if a < mid else end
+            for b in iter_bits(rows[a] & (1 << top) - (2 << a)):
+                run.append(1 << a | 1 << b)
+        supports.extend(run)
+        parts.append((len(run), _threshold_cycle(m, n)))
+        start = end
+    start = 0
+    for m, n in shapes:
+        end = start + m + n
+        for a in range(start, end):
+            for b in iter_bits(rows[a] >> end << end):
+                supports.append(1 << a | 1 << b)
+        start = end
+    nvars = len(rows)
+    ideal = MonomialIdeal(
+        [f"x{i}" for i in range(nvars)],
+        [Monomial.from_support(s, nvars) for s in supports],
+    )
+    return check_cycle_certificate(ideal, product_cycle(parts))
 
 
 def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | None = None):
     """Certify beta_{|sigma|-r, sigma}(S/I(G)) != 0 for a valid disjoint family.
 
     Works inside the induced subgraph on sigma (Betti numbers in degree sigma
-    only depend on it), lists each block's generators first (cross edges
-    row-major with the representative last, then the block's other induced
-    edges), forms the product of the blocks' threshold cycles, and runs the
-    cycle certificate.  Returns (|sigma| - r, sigma) on success.
+    only depend on it) and numbers sigma's vertices in block order: blocks
+    in family order, each listing first the part that holds the
+    representative's end u, with u last, then the other part, with the
+    other end v last, other vertices in increasing label order.  Each
+    block's generators come first (cross edges row-major, then the edges
+    inside its parts), then the edges between blocks; the product of the
+    blocks' threshold cycles then goes through the cycle certificate.
+    Returns (|sigma| - r, sigma) on success.
 
-    The cycle check reads only the ordered generator supports (bitmasks over
-    sigma's positions) and each block's shape (m, n, run length), so memo, a
-    dict the caller owns, keeps its result under exactly that key.  The key
-    names neither the graph nor the field, so one memo serves every graph and
-    field; campaigns keep one per ``run_campaign`` call and other callers pass
-    none.  Validating the family and checking the strand run on every call.
+    That check reads only the block shapes (m, n) and the block-ordered
+    adjacency of G[sigma], so memo, a dict the caller owns, keeps its result
+    under the key (shapes, rows), rows[i] being the mask, over these
+    positions, of the i-th vertex's neighbours inside sigma.  The key names
+    neither the graph, its labels nor the field, so one memo serves every
+    graph and field; campaigns keep one per ``run_campaign`` call and other
+    callers pass none.  Validating the family and checking the strand run on
+    every call.
     """
     reps = valid_representatives(g, fam)
     if reps is None:
         raise ValueError("family is not valid for this graph")
-    sigma = fam.sigma
-    verts = bit_list(sigma)
-    bit = {w: 1 << i for i, w in enumerate(verts)}
-    supports: list[int] = []
+    order: list[int] = []
     shapes = []
-    for block, rep in zip(fam.blocks, reps):
-        run, msize, nsize = _block_run(g, block, rep, bit)
-        supports.extend(run)
-        shapes.append((msize, nsize, len(run)))
-    seen = set(supports)
-    for a in iter_bits(sigma):
-        for b in iter_bits(g.adj[a] & sigma & ~((2 << a) - 1)):
-            if bit[a] | bit[b] not in seen:
-                supports.append(bit[a] | bit[b])
-    key = (tuple(supports), tuple(shapes))
+    for block, (u, v) in zip(fam.blocks, reps):
+        # a valid family's representatives are cross edges of their blocks
+        upart, vpart = (block.left, block.right) if 1 << u & block.left else (block.right, block.left)
+        order.extend(iter_bits(upart & ~(1 << u)))
+        order.append(u)
+        order.extend(iter_bits(vpart & ~(1 << v)))
+        order.append(v)
+        shapes.append((upart.bit_count(), vpart.bit_count()))
+    sigma = fam.sigma
+    bit = {w: 1 << i for i, w in enumerate(order)}
+    adj = g.adj
+    rows = []
+    for w in order:
+        row = 0
+        for x in iter_bits(adj[w] & sigma):
+            row |= bit[x]
+        rows.append(row)
+    key = (tuple(shapes), tuple(rows))
     if memo is None:
         memo = {}
     if key not in memo:
-        nvars = len(verts)
-        ideal = MonomialIdeal(
-            [g.labels[w] for w in verts],
-            [Monomial.from_support(s, nvars) for s in supports],
-        )
-        cycle = product_cycle([(k, _threshold_cycle(m, n)) for m, n, k in shapes])
-        memo[key] = check_cycle_certificate(ideal, cycle)
+        memo[key] = _block_order_certificate(*key)
     res = memo[key]
     if res is None:
         raise RuntimeError("certificate construction failed; theorem hypothesis violated")
     s, degree = res
-    if s != fam.value or degree.support() != (1 << len(verts)) - 1:
+    if s != fam.value or degree.support() != (1 << len(order)) - 1:
         raise RuntimeError("certificate landed in an unexpected strand")
     return s, sigma
 

@@ -269,8 +269,11 @@ def all_blocks(
         within = g.vertex_mask()
     cap = max_vertices if max_vertices is not None else g.n
     out: list[CompleteBipartiteSub] = []
-
-    def extend(lmask: int, common: int, next_from: int):
+    # (left part, its common neighbours inside within, next vertex to add),
+    # popped in depth-first preorder
+    stack = [(0, 0, 0)]
+    while stack:
+        lmask, common, next_from = stack.pop()
         lsize = lmask.bit_count()
         if lmask:
             low = (lmask & -lmask).bit_length() - 1
@@ -279,14 +282,13 @@ def all_blocks(
                 if rmask and lsize + rmask.bit_count() <= cap:
                     out.append(CompleteBipartiteSub(lmask, rmask))
         if lsize + 2 > cap:
-            return
-        rest = within & ~((1 << next_from) - 1)
-        for v in iter_bits(rest):
+            continue
+        children = []
+        for v in iter_bits(within >> next_from << next_from):
             new_common = (common if lmask else within) & g.adj[v] & within
             if new_common:
-                extend(lmask | 1 << v, new_common, v + 1)
-
-    extend(0, 0, 0)
+                children.append((lmask | 1 << v, new_common, v + 1))
+        stack.extend(reversed(children))
     return out
 
 
@@ -346,12 +348,44 @@ def max_pd_witness(
     return WitnessResult(best_value, family)
 
 
+def _spanning_block(g: SimpleGraph, sigma: int) -> CompleteBipartiteSub | None:
+    """The first block of ``all_blocks(g, within=sigma)`` on all of sigma, or None.
+
+    Its left part L holds sigma's lowest vertex, so only such parts are
+    walked, in the same preorder: L grows by increasing vertices while a
+    common neighbour inside sigma remains, and the first L with sigma - L
+    nonempty and inside the common neighbourhood wins.  A vertex of sigma
+    passed over stays out of every later L, so a part whose passed-over
+    vertices are not all common neighbours is not grown.
+    """
+    adj = g.adj
+    low = sigma & -sigma
+    first = low.bit_length() - 1
+    stack = [(low, adj[first] & sigma, first + 1)]
+    while stack:
+        lmask, common, next_from = stack.pop()
+        rest = sigma & ~lmask
+        if rest and rest & ~common == 0:
+            return CompleteBipartiteSub(lmask, rest)
+        children = []
+        for v in iter_bits(sigma >> next_from << next_from):
+            new_common = common & adj[v]
+            passed = sigma & ((2 << v) - 1) & ~(lmask | 1 << v)
+            if new_common and passed & ~new_common == 0:
+                children.append((lmask | 1 << v, new_common, v + 1))
+        stack.extend(reversed(children))
+    return None
+
+
 def witness_for(g: SimpleGraph, i: int, sigma: int) -> DisjointFamily | None:
     """A valid family with union exactly sigma and value exactly i, if one exists."""
     size = sigma.bit_count()
     r = size - i
     if r < 1 or size < 2 * r:
         return None
+    if r == 1:
+        block = _spanning_block(g, sigma)
+        return None if block is None else DisjointFamily([block], find_representatives(g, [block]))
     blocks = all_blocks(g, within=sigma)
     by_low: dict[int, list[CompleteBipartiteSub]] = {}
     for b in blocks:

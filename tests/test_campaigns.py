@@ -1,7 +1,10 @@
 """Campaign engine: registry, determinism, caps, statuses, report formats."""
 
+import gc
 import json
+from itertools import combinations
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -9,6 +12,7 @@ from edgeideals import campaigns, catalog
 from edgeideals.campaigns import (
     REGISTRY,
     Campaign,
+    _bouquets,
     _certified,
     _Ctx,
     _valid_families,
@@ -16,7 +20,7 @@ from edgeideals.campaigns import (
     run_campaign,
 )
 from edgeideals.catalog import generate_catalog, graphs_on
-from edgeideals.graphs import path_graph
+from edgeideals.graphs import SimpleGraph, path_graph
 from edgeideals.hochster import compare_bcp, compare_eagon_reiner, verify_bcp, verify_eagon_reiner
 from edgeideals.ideals import Monomial, MonomialIdeal
 from edgeideals.linalg import FieldSpec
@@ -214,6 +218,72 @@ def campaign_families(g):
         sigma = (sigma - 1) & full
 
 
+def block_order_supports(shapes, rows):
+    """The ordered generator supports a certificate key (shapes, rows) names,
+    with each block's generator count: a block (m, n) holds the next m
+    positions, then the next n; its cross edges come row-major, then its
+    edges inside a part, then after all blocks every edge between blocks,
+    each run in increasing position pairs."""
+
+    def edge(a, b):
+        return rows[a] >> b & 1 and rows[b] >> a & 1
+
+    spans, supports, counts = [], [], []
+    start = 0
+    for m, n in shapes:
+        us, vs = range(start, start + m), range(start + m, start + m + n)
+        assert all(edge(a, b) for a in us for b in vs)
+        run = [(a, b) for b in vs for a in us]
+        run += [(a, b) for part in (us, vs) for a, b in combinations(part, 2) if edge(a, b)]
+        supports += run
+        counts.append(len(run))
+        spans.append(range(start, start + m + n))
+        start += m + n
+    assert start == len(rows)
+    home = {a: k for k, span in enumerate(spans) for a in span}
+    supports += [(a, b) for a, b in combinations(range(start), 2) if home[a] != home[b] and edge(a, b)]
+    return [1 << a | 1 << b for a, b in supports], counts
+
+
+def sigma_order_certificate(g, fam, memo):
+    """The certificate built on sigma's vertices in increasing label order: per
+    block the cross edges row-major, the representative's ends last in their
+    parts, then the block's other induced edges in increasing label pairs,
+    then every remaining edge of G[sigma].  memo is keyed by the ordered
+    supports and the (m, n, run length) shapes; returns the verdict and key."""
+    reps = valid_representatives(g, fam)
+    verts = [v for v in range(g.n) if fam.sigma >> v & 1]
+    bit = {w: 1 << i for i, w in enumerate(verts)}
+    supports, shapes = [], []
+    for block, (u, v) in zip(fam.blocks, reps):
+        left, right = (block.left, block.right) if block.left >> u & 1 else (block.right, block.left)
+        lefts = [w for w in verts if left >> w & 1 and w != u] + [u]
+        rights = [w for w in verts if right >> w & 1 and w != v] + [v]
+        run = [bit[a] | bit[b] for b in rights for a in lefts]
+        run += [
+            bit[a] | bit[b]
+            for a, b in combinations(verts, 2)
+            if g.adj[a] >> b & 1 and any(part >> a & part >> b & 1 for part in (left, right))
+        ]
+        supports += run
+        shapes.append((len(lefts), len(rights), len(run)))
+    supports += [
+        bit[a] | bit[b]
+        for a, b in combinations(verts, 2)
+        if g.adj[a] >> b & 1 and bit[a] | bit[b] not in supports
+    ]
+    key = (tuple(supports), tuple(shapes))
+    if key not in memo:
+        ideal = MonomialIdeal(
+            [g.labels[w] for w in verts], [Monomial.from_support(s, len(verts)) for s in supports]
+        )
+        cycle = product_cycle([(k, bipartite_cycle(m, n)[1]) for m, n, k in shapes])
+        memo[key] = check_cycle_certificate(ideal, cycle)
+    res = memo[key]
+    ok = res is not None and res[0] == fam.value and res[1].support() == (1 << len(verts)) - 1
+    return ok, key
+
+
 def test_certificate_memo_never_changes_a_verdict():
     calls = keys = rejected = 0
     for _, g in generate_catalog({"class": "all", "max_n": 5}):
@@ -226,16 +296,51 @@ def test_certificate_memo_never_changes_a_verdict():
             rejected += not verdict[0]
         keys += len(memo)
         # each entry is the cycle check on exactly what its key names: the
-        # ordered generator supports and the (m, n, run length) block shapes
-        for (supports, shapes), result in memo.items():
-            nvars = max(supports).bit_length()
+        # (m, n) block shapes and the block-ordered adjacency rows of G[sigma]
+        for (shapes, rows), result in memo.items():
+            supports, counts = block_order_supports(shapes, rows)
+            nvars = len(rows)
             ideal = MonomialIdeal(
                 [f"x{i}" for i in range(nvars)],
                 [Monomial.from_support(s, nvars) for s in supports],
             )
-            cycle = product_cycle([(k, bipartite_cycle(m, n)[1]) for m, n, k in shapes])
+            cycle = product_cycle([(k, bipartite_cycle(m, n)[1]) for (m, n), k in zip(shapes, counts)])
             assert check_cycle_certificate(ideal, cycle) == result
     assert calls - rejected > 2 * keys > 0 and rejected > 0
+
+
+def test_block_order_certificate_matches_the_sigma_order_construction():
+    checked = 0
+    reference: dict = {}
+    for _, g in generate_catalog({"class": "all", "max_n": 6}):
+        ctx = _Ctx(g)
+        families = [fam for _, _, fam, _, _ in ctx.families(5, 2)]
+        families += [fam for _, fam in _bouquets(g)]
+        for fam in families:
+            assert _certified(g, fam, ctx.certificates)[0] == sigma_order_certificate(g, fam, reference)[0]
+            checked += 1
+    assert checked > 10000 and len(reference) > 0
+
+
+def test_relabelled_copies_share_certificate_memo_entries():
+    # two stars K_{1,2}; the copy interleaves their vertices in label order
+    edges = [(0, 1), (0, 2), (3, 4), (3, 5)]
+    image = {0: 0, 1: 2, 2: 4, 3: 1, 4: 3, 5: 5}
+    g = SimpleGraph(6, edges)
+    h = SimpleGraph(6, [(image[a], image[b]) for a, b in edges])
+    memo, reference = {}, {}
+
+    def certify_families(graph):
+        for _, _, fam in _valid_families(graph, all_blocks(graph, max_vertices=5), 2):
+            assert _certified(graph, fam, memo) == (True, "")
+            assert sigma_order_certificate(graph, fam, reference)[0]
+
+    certify_families(g)
+    entries, sigma_order_entries = len(memo), len(reference)
+    certify_families(h)
+    assert len(memo) == entries > 0
+    # keyed in sigma's label order, the interleaved copy would miss
+    assert len(reference) > sigma_order_entries
 
 
 def test_certificate_memo_keeps_rejecting_invalid_families():
@@ -369,6 +474,38 @@ def test_one_certificate_memo_per_run(monkeypatch):
     second = run_campaign(c, workers=1)
     assert seen[0] is not memo and all(m is seen[0] for m in seen)
     assert first.to_json() == second.to_json()
+
+
+def test_campaign_searches_leave_no_reference_cycles():
+    # a recursive nested closure refers to itself, so each call of a search
+    # written with one leaves a reference cycle for the collector
+    closures = {
+        "all_blocks.<locals>.extend",
+        "_valid_families.<locals>.grow",
+        "_threshold_cycle.<locals>.thresholds",
+        "canonical_form.<locals>.assemble",
+        "canonical_form.<locals>.consider",
+    }
+    c = Campaign.from_json({
+        "name": "cycles",
+        "graphs": {"class": "all", "max_n": 4},
+        "fields": ["gf2"],
+        "assertions": sorted(EXPECTED_TAGS),
+    })
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        # regenerate the catalog so that canonical forms are computed
+        catalog.graphs_on.cache_clear()
+        report = run_campaign(c, workers=1)
+        gc.collect()
+        leaked = {obj.__qualname__ for obj in gc.garbage if isinstance(obj, FunctionType)}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert report.ok
+    assert not leaked & closures
 
 
 @pytest.mark.parametrize(

@@ -284,3 +284,20 @@ def test_over_cap_catalog_fails_before_generating(capsys, tmp_path):
         run(capsys, "verify", str(campaign))
     with pytest.raises(SystemExit, match="edgeideals: error: --max-n must be at least 1"):
         run(capsys, "verify", str(campaign), "--max-n", "0")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("betti", "cycle_5", "--max-n", "-3"), "--max-n must be at least 1, got -3"),
+        (("pd", "cycle_5", "--max-n", "0"), "--max-n must be at least 1, got 0"),
+        (("lyubeznik", "cycle_5", "--max-n", "0"), "--max-n must be at least 1, got 0"),
+        (("lyubeznik", "cycle_4", "--symbols", "-1"), "--symbols takes a symbol size of at least 0, got -1"),
+        (("witness", "cycle_4", "--target", "1,x1,x1"), "vertex 'x1' is listed twice"),
+        (("witness", "cycle_4", "--target", "1,0,x1"), "vertex 'x1' is listed twice"),
+    ],
+)
+def test_bad_numbers_and_repeated_vertices_fail_in_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert str(exc.value) == f"edgeideals: error: {message}"

@@ -273,6 +273,35 @@ def test_witness_for_matches_requests():
                     assert fam.value == i and fam.sigma == s
 
 
+def spanning_family_by_all_blocks(g, sigma):
+    """witness_for's route for r = 1 through every block of G[sigma]: the
+    first block of all_blocks(g, within=sigma) on all of sigma, in the
+    order of the blocks holding sigma's lowest vertex."""
+    low = (sigma & -sigma).bit_length() - 1
+    for b in all_blocks(g, within=sigma):
+        if (b.vertices & -b.vertices).bit_length() - 1 == low and b.vertices == sigma:
+            return DisjointFamily([b], find_representatives(g, [b]))
+    return None
+
+
+def test_witness_for_one_block_matches_the_all_blocks_route():
+    queries = found = 0
+    for n in range(1, 7):
+        for g in graphs_on(n):
+            for sigma in range(1, 1 << n):
+                if sigma.bit_count() < 2:
+                    continue
+                fam = witness_for(g, sigma.bit_count() - 1, sigma)
+                ref = spanning_family_by_all_blocks(g, sigma)
+                assert (fam is None) == (ref is None)
+                if fam is not None:
+                    assert fam.blocks == ref.blocks
+                    assert fam.representatives == ref.representatives
+                    found += 1
+                queries += 1
+    assert queries == 9915 and 0 < found < queries
+
+
 def test_bouquet_family_on_star_unions():
     g = disjoint_union(complete_bipartite_graph(1, 3), path_graph(3))
     sigma = (1 << g.n) - 1
