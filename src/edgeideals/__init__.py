@@ -29,7 +29,6 @@ from .hochster import (
     graph_betti_table,
     projective_dimension,
     regularity,
-    strand_homology,
     verify_bcp,
     verify_eagon_reiner,
 )
@@ -39,10 +38,8 @@ from .ideals import (
     alexander_dual,
     cover_ideal,
     edge_ideal,
-    independence_complex,
     is_unmixed,
     minimal_vertex_covers,
-    stanley_reisner_complex,
 )
 from .linalg import GF2, RATIONALS, FieldSpec
 from .lyubeznik import (

@@ -33,7 +33,8 @@ from .cm_bipartite import (
     poset_of_graph,
 )
 from .graphs import SimpleGraph, bit_list, iter_bits
-from .hochster import graph_betti_table, projective_dimension
+from .errors import ResourceLimitError
+from .hochster import MAX_TABLE_VARS, graph_betti_table
 from .ideals import MonomialIdeal, cover_ideal, edge_ideal
 from .linalg import FieldSpec
 from .lyubeznik import admissible_symbols, lyubeznik_betti_table, main_theorem_certificate
@@ -143,6 +144,12 @@ def _sigma_mask(g: SimpleGraph, tokens) -> int:
     return mask
 
 
+def _table(g: SimpleGraph, field: FieldSpec):
+    """The Betti table of S/I(G); a graph that passed the --max-n cap may
+    exceed the library's table cap."""
+    return graph_betti_table(g, field=field, max_vars=max(MAX_TABLE_VARS, g.n))
+
+
 def _print_table(table, title: str):
     print(title)
     print(table.diagram_text())
@@ -156,7 +163,7 @@ def _print_table(table, title: str):
 def cmd_betti(args) -> int:
     g = _load_graph(args.graph, args.max_n)
     field = _field(args)
-    table = graph_betti_table(g, field=field, max_vars=max(16, g.n))
+    table = _table(g, field)
     _print_table(table, f"Betti table of S/I(G) over {field!r}")
     if args.multigraded:
         print("multigraded entries:")
@@ -170,15 +177,13 @@ def cmd_betti(args) -> int:
 
 def cmd_pd(args) -> int:
     g = _load_graph(args.graph, args.max_n)
-    print(projective_dimension(g, _field(args)))
+    print(_table(g, _field(args)).pd())
     return 0
 
 
 def cmd_reg(args) -> int:
-    from .hochster import regularity
-
     g = _load_graph(args.graph, args.max_n)
-    print(regularity(g, _field(args)))
+    print(_table(g, _field(args)).reg())
     return 0
 
 
@@ -241,7 +246,10 @@ def cmd_lyubeznik(args) -> int:
     if args.symbols is not None:
         if args.symbols < 0:
             _fail(f"--symbols takes a symbol size of at least 0, got {args.symbols}")
-        syms = admissible_symbols(ideal, order, s=args.symbols)
+        try:
+            syms = admissible_symbols(ideal, order, s=args.symbols)
+        except ResourceLimitError as exc:
+            _fail(str(exc))
         print(json.dumps([{"indices": list(t)} for t in syms]))
         acted = True
     if args.certify:
@@ -261,8 +269,12 @@ def cmd_lyubeznik(args) -> int:
         print(f"certified: beta_{s},{{{sig}}}(S/I(G)) >= 1 over every field")
         acted = True
     if not acted:
-        table = lyubeznik_betti_table(ideal, order, field=_field(args))
-        _print_table(table, f"Betti table from the ordered-subset resolution over {_field(args)!r}")
+        field = _field(args)
+        try:
+            table = lyubeznik_betti_table(ideal, order, field=field)
+        except (ValueError, ResourceLimitError) as exc:
+            _fail(str(exc))
+        _print_table(table, f"Betti table from the ordered-subset resolution over {field!r}")
     return 0
 
 
@@ -316,7 +328,7 @@ def cmd_cm(args) -> int:
             f"{json.dumps(fam.to_json(g))}"
         )
     formula = cm_pd(g)
-    oracle = projective_dimension(g, _field(args))
+    oracle = _table(g, _field(args)).pd()
     verdict = "OK" if formula == oracle else "MISMATCH"
     print(f"pd: formula {formula}, Betti table {oracle}  [{verdict}]")
     return 0 if formula == oracle else 1
@@ -353,7 +365,7 @@ def cmd_unmixed(args) -> int:
     print(f"chosen entry: r={r}, sigma-hat={{{','.join(red.ghat.label_set(s))}}}")
     print(f"lifted family: {json.dumps(wit.family.to_json(g))}")
     formula = max(v for v, _, _ in scored)
-    oracle = projective_dimension(g, field)
+    oracle = _table(g, field).pd()
     verdict = "OK" if formula == oracle == wit.value else "MISMATCH"
     print(f"pd: formula {formula}, witness {wit.value}, Betti table {oracle}  [{verdict}]")
     return 0 if verdict == "OK" else 1

@@ -73,21 +73,20 @@ class Poset:
         return out
 
     def ideals(self) -> list[int]:
-        """All poset ideals (down-sets), by peeling maximal elements."""
-        memo: dict[int, list[int]] = {0: [0]}
-
-        def of(mask: int) -> list[int]:
-            got = memo.get(mask)
-            if got is not None:
-                return got
-            m = (self.maximal_of(mask)).bit_length() - 1
-            rest = of(mask & ~(1 << m))
+        """All poset ideals (down-sets), by peeling maximal elements: the
+        ideals of a set are those of the set without its top maximal element
+        m, plus m added to each of them that holds everything below m."""
+        peeled = []
+        mask = (1 << self.n) - 1
+        while mask:
+            m = self.maximal_of(mask).bit_length() - 1
+            peeled.append(m)
+            mask &= ~(1 << m)
+        out = [0]
+        for m in reversed(peeled):
             need = self.down_mask(m) & ~(1 << m)
-            out = sorted(set(rest) | {d | 1 << m for d in rest if need & ~d == 0})
-            memo[mask] = out
-            return out
-
-        return of((1 << self.n) - 1)
+            out = sorted(out + [d | 1 << m for d in out if need & ~d == 0])
+        return out
 
     def canonical_key(self) -> tuple:
         best = None
@@ -134,20 +133,31 @@ def _component_labelings(g: SimpleGraph, xcand, ycand):
     if len(xcand) != len(ycand):
         return
     xs = list(xcand)
-
-    def match(pos: int, used: int, acc: list[int]):
-        if pos == len(xs):
+    if not xs:
+        yield []
+        return
+    # depth-first over the positions of xs: stack[k] iterates the candidates
+    # for xs[k], and acc holds the partners chosen for xs[:k]
+    acc: list[int] = []
+    used = 0
+    stack = [iter(ycand)]
+    while stack:
+        x = xs[len(acc)]
+        for y in stack[-1]:
+            if not used >> y & 1 and g.has_edge(x, y):
+                break
+        else:
+            stack.pop()
+            if acc:
+                used ^= 1 << acc.pop()
+            continue
+        acc.append(y)
+        used |= 1 << y
+        if len(acc) == len(xs):
             yield list(acc)
-            return
-        x = xs[pos]
-        for y in ycand:
-            if used >> y & 1 or not g.has_edge(x, y):
-                continue
-            acc.append(y)
-            yield from match(pos + 1, used | 1 << y, acc)
-            acc.pop()
-
-    yield from match(0, 0, [])
+            used ^= 1 << acc.pop()
+        else:
+            stack.append(iter(ycand))
 
 
 def _relation_arcs(g: SimpleGraph, xs, ys):
@@ -183,26 +193,25 @@ def _antisymmetric(arcs) -> bool:
 def _matching_search(g: SimpleGraph, need_antisymmetric: bool):
     """Per-component matchings whose x->y relation is transitive (and acyclic
     when requested); yields (xs, ys) for the whole graph or None."""
-    if bipartition(g) is None:
+    parts = bipartition(g)
+    if parts is None:
         raise ValueError("graph is not bipartite")
     if any(g.degree(v) == 0 for v in range(g.n)):
         raise ValueError("isolated vertices are not allowed here")
     all_xs: list[int] = []
     all_ys: list[int] = []
     for comp in g.components():
-        sub_parts = bipartition(g.induced_subgraph(comp))
-        verts = bit_list(comp)
         found = None
         for flip in (False, True):
-            left_mask, right_mask = sub_parts if not flip else sub_parts[::-1]
-            xcand = [verts[i] for i in iter_bits(left_mask)]
-            ycand = [verts[i] for i in iter_bits(right_mask)]
+            left_mask, right_mask = parts[::-1] if flip else parts
+            xcand = bit_list(left_mask & comp)
+            ycand = bit_list(right_mask & comp)
             if len(xcand) != len(ycand):
                 continue
             for ys in _component_labelings(g, xcand, ycand):
                 arcs = _relation_arcs(g, xcand, ys)
                 if _transitive(arcs) and (not need_antisymmetric or _antisymmetric(arcs)):
-                    found = (xcand, ys, arcs)
+                    found = (xcand, ys)
                     break
             if found:
                 break
@@ -221,22 +230,29 @@ def cm_labeling(g: SimpleGraph) -> CMGraphLabeling | None:
     if got is None:
         return None
     xs, ys = got
-    arcs = _relation_arcs(g, xs, ys)
-    n = len(xs)
-    order = []
-    remaining = set(range(n))
-    indeg = {i: sum(1 for j in remaining if j != i and arcs[j] >> i & 1) for i in remaining}
-    while remaining:
-        free = sorted(i for i in remaining if indeg[i] == 0)
-        if not free:
-            raise RuntimeError("acyclic relation expected")
-        i = free[0]
-        order.append(i)
-        remaining.discard(i)
-        for j in remaining:
-            if arcs[i] >> j & 1:
-                indeg[j] -= 1
+    order = _linear_extension(_relation_arcs(g, xs, ys))
     return CMGraphLabeling([xs[i] for i in order], [ys[i] for i in order])
+
+
+def _linear_extension(arcs) -> list[int]:
+    """Indices 0..n-1 in the order that repeatedly takes the smallest index
+    with no arc into it from an index not yet taken; arcs[i] is the mask of
+    the heads of the arcs out of i, and self-arcs are ignored."""
+    into = [0] * len(arcs)
+    for i, mask in enumerate(arcs):
+        for j in iter_bits(mask & ~(1 << i)):
+            into[j] |= 1 << i
+    order = []
+    left = (1 << len(arcs)) - 1
+    while left:
+        for j in iter_bits(left):
+            if not into[j] & left:
+                break
+        else:
+            raise RuntimeError("relation must be acyclic")
+        order.append(j)
+        left &= ~(1 << j)
+    return order
 
 
 def poset_of_graph(g: SimpleGraph, lab: CMGraphLabeling) -> Poset:

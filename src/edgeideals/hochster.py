@@ -16,12 +16,18 @@ restriction it tries, in order:
 - join: a disconnected generator-support graph splits the complex as a join
   of its components;
 - only a connected restriction with no cone and no fold builds a chain
-  complex and reaches the linear algebra. Its faces are enumerated level by
-  level: a face grows only by vertices above its top one, testing only the
-  supports through the new vertex. Its boundary matrices are sparse rows
-  ({(d-1)-face index: +-1}), and each goes once to ``linalg.rank_over``,
-  which eliminates unit pivots over Z (exact over every field) and leaves
-  only a residual, usually empty, to field arithmetic.
+  complex (``StrandComplex``) and reaches the linear algebra. Its boundary
+  matrices are sparse rows ({(d-1)-face index: +-1}), and each goes once to
+  ``linalg.rank_over``, which eliminates unit pivots over Z (exact over
+  every field) and leaves only a residual, usually empty, to field
+  arithmetic.
+
+A complex is described only by sigma and the generator supports inside it,
+its minimal non-faces; no facet list is ever stored. One function,
+``_grow_faces``, enumerates faces: level by level, a face grows only by
+vertices above its top one, testing only the supports through the new
+vertex. ``build_strand(ideal, sigma)`` hands the same complex to callers,
+e.g. the independence complex of G as ``build_strand(edge_ideal(G), full)``.
 
 betti_table never visits a cone. A depth-first walk (``_SupportEngine.walk``)
 yields only the active sets (sigma without the singleton-generator
@@ -39,27 +45,24 @@ inside supports; a fold or join looks up a smaller mask, which the walk has
 already visited unless it is a cone.
 
 Conventions for the reduced complex: the empty face is a basis element in
-dimension -1 (so the complex {<empty>} has one-dimensional homology there and
-nothing else), and the void complex has zero homology everywhere.
+dimension -1, so the complex {<empty>} has one-dimensional homology there and
+nothing else. A proper ideal has no unit generator, so the empty face is
+always present and no complex here is void.
 """
 
 from __future__ import annotations
 
 from .errors import ResourceLimitError
 from .graphs import SimpleGraph, bit_list, iter_bits, iter_subsets
-from .ideals import (
-    MonomialIdeal,
-    SimplicialComplex,
-    cover_ideal,
-    edge_ideal,
-)
+from .ideals import MonomialIdeal, cover_ideal, edge_ideal
 from .linalg import GF2, FieldSpec, rank_over
 
 MAX_TABLE_VARS = 16
 
 
 class StrandComplex:
-    """Reduced chain complex of a simplicial complex restriction.
+    """Reduced chain complex of the Stanley-Reisner complex restricted to sigma,
+    given by the generator supports inside sigma (its minimal non-faces).
 
     faces[d] lists the dimension-d faces (bitmasks), with faces[-1] == [0];
     boundary[d] holds one sparse row per d-face, a dict from the index of
@@ -67,15 +70,14 @@ class StrandComplex:
     on these rows at construction.
     """
 
-    __slots__ = ("sigma", "faces", "boundary")
+    __slots__ = ("faces", "boundary")
 
-    def __init__(self, sigma: int, faces_by_dim: dict[int, list[int]]):
-        self.sigma = sigma
-        self.faces = {d: list(fs) for d, fs in sorted(faces_by_dim.items())}
+    def __init__(self, sigma: int, inside: list[int]):
+        self.faces = _grow_faces(sigma, inside)
         self.boundary: dict[int, list[dict[int, int]]] = {}
         lower: dict[int, int] = {}
         for d, fs in self.faces.items():
-            if d - 1 in self.faces:
+            if d >= 0:
                 rows = []
                 for f in fs:
                     row = {}
@@ -99,13 +101,8 @@ class StrandComplex:
                 if any(acc.values()):
                     raise RuntimeError("boundary composition is nonzero")
 
-    def is_void(self) -> bool:
-        return not self.faces
-
     def homology(self, field: FieldSpec) -> dict[int, int]:
         """Reduced homology dimensions over the field, omitting zeros."""
-        if self.is_void():
-            return {}
         ranks = {d: rank_over(field, rows) for d, rows in self.boundary.items()}
         out = {}
         for d, fs in self.faces.items():
@@ -115,13 +112,44 @@ class StrandComplex:
         return out
 
 
-def build_strand(delta: SimplicialComplex, sigma: int) -> StrandComplex:
-    return StrandComplex(sigma, delta.faces_by_dim(sigma))
+def _grow_faces(sigma: int, inside: list[int]) -> dict[int, list[int]]:
+    """Faces of the restriction to sigma keyed by dimension, -1 included.
+
+    Faces grow level by level: a face grows only by vertices above its top
+    one, and f + v is a face when no support s through v has s - v in f.
+    """
+    grow = []
+    for v in iter_bits(sigma):
+        bit = 1 << v
+        grow.append((bit, [s & ~bit for s in inside if s & bit]))
+    faces: dict[int, list[int]] = {}
+    level = [(0, 0)]
+    d = -1
+    while level:
+        faces[d] = [f for f, _ in level]
+        nxt = []
+        for f, first in level:
+            outside = ~f
+            for i in range(first, len(grow)):
+                bit, rests = grow[i]
+                for t in rests:
+                    if not t & outside:
+                        break
+                else:
+                    nxt.append((f | bit, i + 1))
+        level = nxt
+        d += 1
+    return faces
 
 
-def strand_homology(delta: SimplicialComplex, sigma: int, d: int, field: FieldSpec = GF2) -> int:
-    """dim of the reduced homology of delta restricted to sigma, in dimension d."""
-    return build_strand(delta, sigma).homology(field).get(d, 0)
+def build_strand(ideal: MonomialIdeal, sigma: int) -> StrandComplex:
+    """The Stanley-Reisner complex of a squarefree ideal restricted to sigma;
+    beta_{i,sigma}(S/I) is the rank of its homology in dimension |sigma|-i-1."""
+    if not ideal.is_squarefree():
+        raise ValueError("Hochster's formula needs a squarefree ideal")
+    if sigma < 0 or sigma >> ideal.nvars:
+        raise ValueError(f"sigma {sigma:#b} is not a subset of the {ideal.nvars} variables")
+    return StrandComplex(sigma, [s for s in ideal.supports() if s & ~sigma == 0])
 
 
 class _SupportEngine:
@@ -207,32 +235,6 @@ class _SupportEngine:
                 if rest or not alive:
                     break
 
-    def _component_homology(self, comp: int, inside: list[int]) -> dict[int, int]:
-        # faces level by level: a face grows only by vertices above its top
-        # one, and f + v is a face when no support s through v has s - v in f
-        grow = []
-        for v in iter_bits(comp):
-            bit = 1 << v
-            grow.append((bit, [s & ~bit for s in inside if s & bit]))
-        faces: dict[int, list[int]] = {}
-        level = [(0, 0)]
-        d = -1
-        while level:
-            faces[d] = [f for f, _ in level]
-            nxt = []
-            for f, first in level:
-                outside = ~f
-                for i in range(first, len(grow)):
-                    bit, rests = grow[i]
-                    for t in rests:
-                        if not t & outside:
-                            break
-                    else:
-                        nxt.append((f | bit, i + 1))
-            level = nxt
-            d += 1
-        return StrandComplex(comp, faces).homology(self.field)
-
     def vector(self, sigma: int, inside: list[int] | None = None) -> dict[int, int]:
         """Reduced homology of the restriction to sigma, as {dimension: rank}.
 
@@ -285,7 +287,7 @@ class _SupportEngine:
             comps.append(comp)
             left &= ~comp
         if len(comps) == 1:
-            return self._component_homology(active, inside)
+            return StrandComplex(active, inside).homology(self.field)
         out = {-1: 1}
         for comp in comps:
             part = self.vector(comp)

@@ -1,4 +1,4 @@
-"""Monomials, monomial ideals, and the simplicial complexes attached to them.
+"""Monomials, monomial ideals, covers and Alexander duals.
 
 Everything this package stores is squarefree (edge ideals and their duals),
 but monomials carry full exponent vectors so that Taylor-complex cofactors
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 
-from .graphs import SimpleGraph, bit_list, bits_of, iter_bits
+from .graphs import SimpleGraph, bit_list, iter_bits
 
 
 class Monomial:
@@ -233,128 +233,28 @@ def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
     return MonomialIdeal(g.labels, gens)
 
 
-class SimplicialComplex:
-    """Abstract simplicial complex on named vertices, stored by facets.
-
-    facets == () encodes the void complex (no faces at all); facets == (0,)
-    encodes the complex whose only face is the empty set.  Vertices in no
-    facet are the excluded vertices.
-    """
-
-    __slots__ = ("vertices", "facets")
-
-    def __init__(self, vertices, facets):
-        self.vertices = tuple(vertices)
-        uniq = set(facets)
-        maximal = tuple(
-            sorted(f for f in uniq if not any(f != h and f & ~h == 0 for h in uniq))
-        )
-        self.facets = maximal
-
-    @property
-    def nverts(self) -> int:
-        return len(self.vertices)
-
-    def is_void(self) -> bool:
-        return not self.facets
-
-    def excluded_vertices(self) -> int:
-        present = 0
-        for f in self.facets:
-            present |= f
-        return ((1 << self.nverts) - 1) & ~present
-
-    def is_face(self, mask: int) -> bool:
-        return any(mask & ~f == 0 for f in self.facets)
-
-    def restriction_facets(self, sigma: int) -> tuple[int, ...]:
-        cand = {f & sigma for f in self.facets}
-        return tuple(
-            sorted(f for f in cand if not any(f != h and f & ~h == 0 for h in cand))
-        )
-
-    def faces_by_dim(self, sigma: int | None = None) -> dict[int, list[int]]:
-        """Faces of the restriction to sigma, keyed by dimension (incl. -1)."""
-        if sigma is None:
-            sigma = (1 << self.nverts) - 1
-        seen = set()
-        for f in self.facets:
-            r = f & sigma
-            if r in seen:
-                continue
-            stack = [r]
-            while stack:
-                cur = stack.pop()
-                if cur in seen:
-                    continue
-                seen.add(cur)
-                rem = cur
-                while rem:
-                    low = rem & -rem
-                    rem ^= low
-                    sub = cur ^ low
-                    if sub not in seen:
-                        stack.append(sub)
-        out: dict[int, list[int]] = {}
-        for f in seen:
-            out.setdefault(f.bit_count() - 1, []).append(f)
-        for d in out:
-            out[d].sort()
-        return out
-
-    def __repr__(self):
-        shown = [bit_list(f) for f in self.facets]
-        return f"SimplicialComplex(vertices={len(self.vertices)}, facets={shown})"
-
-
 def maximal_independent_sets(g: SimpleGraph) -> list[int]:
     """Bron-Kerbosch with pivoting, run on the graph itself (independent sets)."""
+    if g.n == 0:
+        return [0]
     non_adj = [
         ((1 << g.n) - 1) & ~g.adj[v] & ~(1 << v) for v in range(g.n)
     ]
     out = []
-
-    def expand(r: int, p: int, x: int):
+    # pending calls (r, p, x); a call pushes one call per vertex of p outside
+    # the pivot's non-neighbours, moving each from p to x for the later ones
+    stack = [(0, (1 << g.n) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
-            return
-        pivot_pool = p | x
-        pivot = max(iter_bits(pivot_pool), key=lambda u: (non_adj[u] & p).bit_count())
+            continue
+        pivot = max(iter_bits(p | x), key=lambda u: (non_adj[u] & p).bit_count())
         for v in bit_list(p & ~non_adj[pivot]):
-            expand(r | 1 << v, p & non_adj[v], x & non_adj[v])
+            stack.append((r | 1 << v, p & non_adj[v], x & non_adj[v]))
             p &= ~(1 << v)
             x |= 1 << v
-
-    if g.n == 0:
-        return [0]
-    expand(0, (1 << g.n) - 1, 0)
     return sorted(out)
-
-
-def independence_complex(g: SimpleGraph) -> SimplicialComplex:
-    return SimplicialComplex(g.labels, maximal_independent_sets(g))
-
-
-def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
-    """Complex whose minimal non-faces are the generator supports."""
-    if not ideal.is_squarefree():
-        raise ValueError("Stanley-Reisner complex needs a squarefree ideal")
-    supports = ideal.supports()
-    full = (1 << ideal.nvars) - 1
-    found = set()
-
-    def descend(avail: int):
-        if avail in found:
-            return
-        for s in supports:
-            if s & ~avail == 0:
-                for v in iter_bits(s):
-                    descend(avail & ~(1 << v))
-                return
-        found.add(avail)
-
-    descend(full)
-    return SimplicialComplex(ideal.variables, found)
 
 
 def minimal_vertex_covers(g: SimpleGraph) -> list[int]:
@@ -383,10 +283,28 @@ def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("Alexander dual needs a squarefree ideal")
     if ideal.ngens == 0:
         raise ValueError("zero ideal: the dual would be the unit ideal")
-    delta = stanley_reisner_complex(ideal)
+    # facets of the Stanley-Reisner complex: the maximal sets that contain
+    # no support, reached by deleting one vertex of a contained support at
+    # a time; their complements are the minimal transversals
+    supports = ideal.supports()
     full = (1 << ideal.nvars) - 1
+    free = set()
+    seen = set()
+    stack = [full]
+    while stack:
+        avail = stack.pop()
+        if avail in seen:
+            continue
+        seen.add(avail)
+        for s in supports:
+            if s & ~avail == 0:
+                stack.extend(avail & ~(1 << v) for v in iter_bits(s))
+                break
+        else:
+            free.add(avail)
     transversals = sorted(
-        (full & ~f for f in delta.facets), key=lambda c: (c.bit_count(), c)
+        (full & ~f for f in free if not any(f != h and f & ~h == 0 for h in free)),
+        key=lambda c: (c.bit_count(), c),
     )
     return MonomialIdeal(
         ideal.variables, [Monomial.from_support(t, ideal.nvars) for t in transversals]

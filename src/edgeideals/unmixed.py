@@ -16,6 +16,7 @@ from __future__ import annotations
 from .cm_bipartite import (
     CMGraphLabeling,
     Poset,
+    _linear_extension,
     _matching_search,
     _relation_arcs,
     _transitive,
@@ -49,60 +50,6 @@ def directed_relation(g: SimpleGraph, lab: CMGraphLabeling) -> list[int]:
     if not _transitive(arcs):
         raise ValueError("labeling relation is not transitive")
     return arcs
-
-
-def _strong_components(arcs) -> list[int]:
-    """Tarjan; returns class masks.  In a transitive relation two vertices
-    share a class exactly when they carry arcs both ways."""
-    n = len(arcs)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[int] = []
-    counter = 0
-
-    def strong(v0):
-        nonlocal counter
-        work = [(v0, iter(bit_list(arcs[v0])))]
-        index[v0] = low[v0] = counter
-        counter += 1
-        stack.append(v0)
-        on_stack[v0] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(bit_list(arcs[w]))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                mask = 0
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    mask |= 1 << w
-                    if w == v:
-                        break
-                comps.append(mask)
-
-    for v in range(n):
-        if index[v] == -1:
-            strong(v)
-    return comps
 
 
 class AcyclicReduction:
@@ -142,36 +89,32 @@ def acyclic_reduction(g: SimpleGraph) -> AcyclicReduction:
     if lab is None:
         raise ValueError("graph admits no unmixed labeling")
     arcs = directed_relation(g, lab)
-    comps = _strong_components(arcs)
-
+    # the relation is transitive, so two columns share a strongly connected
+    # class exactly when they carry arcs both ways
+    classes = []
+    seen = 0
+    for i, out in enumerate(arcs):
+        if not seen >> i & 1:
+            cls = 1 << i
+            for j in iter_bits(out):
+                if arcs[j] >> i & 1:
+                    cls |= 1 << j
+            classes.append(cls)
+            seen |= cls
+    # class a relates to class b != a when some column of a has an arc into b
+    t = len(classes)
+    rel = []
+    for a, cls in enumerate(classes):
+        reach = 0
+        for i in iter_bits(cls):
+            reach |= arcs[i]
+        rel.append(bits_of(b for b in range(t) if b != a and reach & classes[b]))
     # topological order of classes, smallest member breaking ties
-    comps = sorted(comps, key=lambda m: (m & -m).bit_length())
-    t = len(comps)
-    arc_between = [[False] * t for _ in range(t)]
-    for a in range(t):
-        for b in range(t):
-            if a != b and any(
-                arcs[i] & comps[b] for i in iter_bits(comps[a])
-            ):
-                arc_between[a][b] = True
-    order: list[int] = []
-    left = set(range(t))
-    while left:
-        ready = sorted(
-            a for a in left if not any(arc_between[b][a] for b in left if b != a)
-        )
-        if not ready:
-            raise RuntimeError("class relation must be acyclic")
-        order.append(ready[0])
-        left.discard(ready[0])
-    comps = [comps[a] for a in order]
+    order = _linear_extension(rel)
+    comps = [classes[a] for a in order]
     zeta = [m.bit_count() for m in comps]
-    up = [0] * t
-    for a in range(t):
-        up[a] = 1 << a
-        for b in range(t):
-            if a != b and any(arcs[i] & comps[b] for i in iter_bits(comps[a])):
-                up[a] |= 1 << b
+    pos = {a: k for k, a in enumerate(order)}
+    up = [1 << k | bits_of(pos[b] for b in iter_bits(rel[a])) for k, a in enumerate(order)]
     poset = Poset(t, up)
     ghat = graph_from_poset(
         poset,

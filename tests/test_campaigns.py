@@ -485,6 +485,9 @@ def test_campaign_searches_leave_no_reference_cycles():
         "_threshold_cycle.<locals>.thresholds",
         "canonical_form.<locals>.assemble",
         "canonical_form.<locals>.consider",
+        "maximal_independent_sets.<locals>.expand",
+        "Poset.ideals.<locals>.of",
+        "_component_labelings.<locals>.match",
     }
     c = Campaign.from_json({
         "name": "cycles",

@@ -301,3 +301,29 @@ def test_bad_numbers_and_repeated_vertices_fail_in_one_line(capsys, argv, messag
     with pytest.raises(SystemExit) as exc:
         run(capsys, *argv)
     assert str(exc.value) == f"edgeideals: error: {message}"
+
+
+@pytest.mark.parametrize("extra", [(), ("--symbols", "2")])
+def test_lyubeznik_over_the_generator_cap_fails_in_one_line(capsys, extra):
+    # K_8 has 28 edges, over the admissible-symbol cap of 24 generators
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "lyubeznik", "complete_8", *extra)
+    assert str(exc.value) == (
+        "edgeideals: error: 28 generators exceeds the admissible-symbol cap of 24"
+    )
+
+
+def test_lyubeznik_table_of_a_non_squarefree_ideal_fails_in_one_line(capsys, tmp_path):
+    ideal = tmp_path / "i.json"
+    ideal.write_text(json.dumps({"variables": ["a", "b"], "generators": [[2, 0], [0, 1]]}))
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "lyubeznik", str(ideal))
+    assert str(exc.value) == "edgeideals: error: Betti tables here are for squarefree ideals"
+
+
+def test_pd_and_reg_honour_max_n_above_the_table_cap(capsys):
+    # P_17 is past the library's 16-variable table cap; --max-n lifts both caps
+    rc, out, err = run(capsys, "pd", "path_17", "--max-n", "17")
+    assert rc == 0 and out.strip() == "11" and "cost estimate" in err
+    rc, out, _ = run(capsys, "reg", "path_17", "--max-n", "17")
+    assert rc == 0 and out.strip() == "6"

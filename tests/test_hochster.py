@@ -22,18 +22,10 @@ from edgeideals.hochster import (
     graph_betti_table,
     projective_dimension,
     regularity,
-    strand_homology,
     verify_bcp,
     verify_eagon_reiner,
 )
-from edgeideals.ideals import (
-    Monomial,
-    MonomialIdeal,
-    SimplicialComplex,
-    cover_ideal,
-    edge_ideal,
-    independence_complex,
-)
+from edgeideals.ideals import Monomial, MonomialIdeal, cover_ideal, edge_ideal
 from edgeideals.linalg import GF2, RATIONALS, FieldSpec
 from conftest import reference_entries, reference_homology
 
@@ -126,16 +118,25 @@ def test_characteristic_independence_at_desk_scale():
             )
 
 
+def rp2_ideal():
+    """Stanley-Reisner ideal of RP^2_6: its ten non-face triangles."""
+    facets = {sum(1 << (v - 1) for v in f) for f in RP2_FACETS}
+    triangles = [m for m in range(1 << 6) if m.bit_count() == 3 and m not in facets]
+    return MonomialIdeal(
+        [f"v{i}" for i in range(1, 7)], [Monomial.from_support(m, 6) for m in triangles]
+    )
+
+
 def test_strand_homology_sees_torsion():
     # minimal 6-vertex projective plane: its middle homology is 2-torsion,
     # so GF(2) and the rationals genuinely disagree
-    masks = [sum(1 << (v - 1) for v in f) for f in RP2_FACETS]
-    delta = SimplicialComplex(tuple(f"v{i}" for i in range(1, 7)), masks)
     full = (1 << 6) - 1
-    for d, gf2_dim, rat_dim in ((0, 0, 0), (1, 1, 0), (2, 1, 0)):
-        assert strand_homology(delta, full, d, GF2) == gf2_dim
-        assert strand_homology(delta, full, d, RATIONALS) == rat_dim
-    faces = [m for by in delta.faces_by_dim().values() for m in by]
+    strand = build_strand(rp2_ideal(), full)
+    faces = [m for by in strand.faces.values() for m in by]
+    facets = [m for m in faces if not any(m != h and m & ~h == 0 for h in faces)]
+    assert sorted(facets) == sorted(sum(1 << (v - 1) for v in f) for f in RP2_FACETS)
+    assert strand.homology(GF2) == {1: 1, 2: 1}
+    assert strand.homology(RATIONALS) == {}
     assert reference_homology(faces, 1, 2) == 1
     assert reference_homology(faces, 1, 0) == 0
 
@@ -301,12 +302,7 @@ def test_cover_ideal_tables_match_reference_route():
 
 
 def test_projective_plane_ideal_keeps_torsion():
-    # the Stanley-Reisner ideal of RP^2_6 is generated by its ten non-face triangles
-    facets = {sum(1 << (v - 1) for v in f) for f in RP2_FACETS}
-    triangles = [m for m in range(1 << 6) if m.bit_count() == 3 and m not in facets]
-    ideal = MonomialIdeal(
-        [f"v{i}" for i in range(1, 7)], [Monomial.from_support(m, 6) for m in triangles]
-    )
+    ideal = rp2_ideal()
     tables = {}
     for field, char in FIELDS:
         tables[char] = table_entries(betti_table(ideal, field))
@@ -355,9 +351,63 @@ def test_kozlov_spheres_beyond_the_table_cap():
         cycle = {k - 1: 2 if n % 3 == 0 else 1}
         path = {} if n % 3 == 1 else {(n + 1) // 3 - 1: 1}
         for mk, expect in ((cycle_graph, cycle), (path_graph, path)):
-            strand = build_strand(independence_complex(mk(n)), full)
+            strand = build_strand(edge_ideal(mk(n)), full)
             for field, _ in FIELDS:
                 assert strand.homology(field) == expect, (mk.__name__, n, field)
+
+
+def strand_corpus():
+    """Thirty seeded squarefree ideals on at most 8 variables, among them
+    singleton generators and variables that lie in no generator."""
+    rng = random.Random(53)
+    out = []
+    while len(out) < 30:
+        n = rng.randint(1, 8)
+        masks = set()
+        for _ in range(rng.randint(1, 2 * n)):
+            size = min(rng.choice((1, 2, 2, 3, 3, 4)), n)
+            masks.add(sum(1 << v for v in rng.sample(range(n), size)))
+        minimal = sorted(m for m in masks if not any(o != m and o & ~m == 0 for o in masks))
+        out.append(MonomialIdeal([f"x{i}" for i in range(n)], [Monomial.from_support(m, n) for m in minimal]))
+    return out
+
+
+def test_build_strand_matches_brute_force_faces_and_reference_homology():
+    corpus = strand_corpus()
+    singles = sum(any(s.bit_count() == 1 for s in ideal.supports()) for ideal in corpus)
+    free = 0
+    for ideal in corpus:
+        used = 0
+        for s in ideal.supports():
+            used |= s
+        free += used != (1 << ideal.nvars) - 1
+    assert singles >= 5 and free >= 5, (singles, free)
+    rng = random.Random(59)
+    for ideal in corpus:
+        supports = ideal.supports()
+        full = (1 << ideal.nvars) - 1
+        for sigma in (full, rng.randrange(1 << ideal.nvars)):
+            strand = build_strand(ideal, sigma)
+            brute = [
+                f for f in range(1 << ideal.nvars)
+                if f & ~sigma == 0 and all(s & ~f for s in supports)
+            ]
+            assert all(f.bit_count() - 1 == d for d, by in strand.faces.items() for f in by)
+            assert sorted(f for by in strand.faces.values() for f in by) == brute, supports
+            for field, char in FIELDS:
+                expect = {}
+                for d in range(-1, sigma.bit_count()):
+                    h = reference_homology(brute, d, char)
+                    if h:
+                        expect[d] = h
+                assert strand.homology(field) == expect, (supports, sigma, field)
+
+
+def test_build_strand_input_validation():
+    with pytest.raises(ValueError, match="squarefree"):
+        build_strand(MonomialIdeal(["x", "y"], [Monomial((2, 0)), Monomial((0, 1))]), 0b11)
+    with pytest.raises(ValueError, match="not a subset"):
+        build_strand(edge_ideal(path_graph(3)), 0b1000)
 
 
 def walk_corpus():

@@ -13,13 +13,12 @@ from edgeideals.ideals import (
     alexander_dual,
     cover_ideal,
     edge_ideal,
-    independence_complex,
     is_unmixed,
     maximal_independent_sets,
     minimal_vertex_covers,
     lcm_of,
-    stanley_reisner_complex,
 )
+from edgeideals.hochster import build_strand
 from conftest import brute_independent_sets
 
 
@@ -169,19 +168,22 @@ def test_maximal_independent_sets_brute_force():
 
 
 def test_independence_complex_faces():
+    # the independence complex of G is the Stanley-Reisner complex of I(G)
     g = cycle_graph(4)
-    delta = independence_complex(g)
-    faces = [f for by in delta.faces_by_dim().values() for f in by]
-    assert sorted(faces) == brute_independent_sets(g)
-    assert delta.is_face(0b0101) and not delta.is_face(0b0011)
-    assert delta.faces_by_dim()[-1] == [0]
+    faces = build_strand(edge_ideal(g), 0b1111).faces
+    flat = [f for by in faces.values() for f in by]
+    assert sorted(flat) == brute_independent_sets(g)
+    assert 0b0101 in flat and 0b0011 not in flat
+    assert faces[-1] == [0]
 
 
 def test_stanley_reisner_round_trip():
+    # the facets of the Stanley-Reisner complex of I(G) are the maximal
+    # independent sets of G, i.e. the facets of its independence complex
     for g in (cycle_graph(5), path_graph(4), complete_graph(4)):
-        direct = independence_complex(g)
-        via_ideal = stanley_reisner_complex(edge_ideal(g))
-        assert sorted(direct.facets) == sorted(via_ideal.facets)
+        faces = [f for by in build_strand(edge_ideal(g), (1 << g.n) - 1).faces.values() for f in by]
+        facets = [f for f in faces if not any(f != h and f & ~h == 0 for h in faces)]
+        assert sorted(facets) == sorted(maximal_independent_sets(g))
 
 
 def test_minimal_covers_are_complements_of_maximal_independents():
@@ -199,8 +201,10 @@ def test_is_unmixed():
 
 
 def test_cover_ideal_and_dual():
-    g = cycle_graph(4)
-    assert cover_ideal(g) == alexander_dual(edge_ideal(g))
+    # the cover ideal comes from maximal independent sets, the dual from the
+    # facets of the Stanley-Reisner complex of I(G)
+    for g in (cycle_graph(4), cycle_graph(5), path_graph(4), complete_graph(4)):
+        assert cover_ideal(g) == alexander_dual(edge_ideal(g))
     with pytest.raises(ValueError):
         cover_ideal(SimpleGraph(3))
 
