@@ -65,9 +65,10 @@ class _Ctx:
     """Per-graph cache shared by the assertions of one run.
 
     Per field it holds the quotient table of S/I(G), the table of the
-    cover ideal I(G)* (shared by T6.1 and T6.2) and the dual table of the
-    acyclic reduction (shared by P7.2 and T7.1).  Graph Betti numbers can
-    depend on the characteristic, so only these tables are kept per field.
+    cover ideal I(G)* read off it (shared by T6.1 and T6.2) and the dual
+    table of the acyclic reduction (shared by P7.2 and T7.1).  Graph Betti
+    numbers can depend on the characteristic, so only these tables are kept
+    per field.
 
     Everything else an assertion needs is combinatorial and field-free, so it
     is built once, on first use, and read by every field: T1.1's valid
@@ -100,7 +101,7 @@ class _Ctx:
         return self._once(("quotient", repr(field)), lambda: graph_betti_table(self.g, field))
 
     def cover_table(self, field: FieldSpec):
-        return self._once(("cover", repr(field)), lambda: cover_betti_table(self.g, field))
+        return self._once(("cover", repr(field)), lambda: cover_betti_table(self.g, self.table(field)))
 
     def reduced_scores(self, field: FieldSpec):
         return self._once(("reduced", repr(field)), lambda: _dual_scores(self.of(acyclic_reduction), field))

@@ -65,12 +65,6 @@ def _enforce_cap(n: int, max_n, default_cap: int, what: str):
             f"{what} has {n} vertices, over the cap of {cap}; "
             f"rerun with --max-n {n} to accept the cost"
         )
-    if max_n is not None and n > default_cap:
-        # the table walks up to every vertex subset, so be upfront about the bill
-        print(
-            f"cost estimate: at most 2^{n} = {1 << n} subset strands per table",
-            file=sys.stderr,
-        )
 
 
 def _load_graph(arg: str, max_n=None) -> SimpleGraph:
@@ -147,6 +141,12 @@ def _sigma_mask(g: SimpleGraph, tokens) -> int:
 def _table(g: SimpleGraph, field: FieldSpec):
     """The Betti table of S/I(G); a graph that passed the --max-n cap may
     exceed the library's table cap."""
+    if g.n > SINGLE_GRAPH_CAP:
+        # the table walks up to every vertex subset, so be upfront about the bill
+        print(
+            f"cost estimate: at most 2^{g.n} = {1 << g.n} subset strands per table",
+            file=sys.stderr,
+        )
     return graph_betti_table(g, field=field, max_vars=max(MAX_TABLE_VARS, g.n))
 
 

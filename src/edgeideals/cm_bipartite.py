@@ -62,9 +62,6 @@ class Poset:
     def down_mask(self, i) -> int:
         return bits_of(j for j in range(self.n) if self.leq(j, i))
 
-    def is_ideal(self, mask: int) -> bool:
-        return all(self.down_mask(i) & ~mask == 0 for i in iter_bits(mask))
-
     def maximal_of(self, mask: int) -> int:
         out = 0
         for i in iter_bits(mask):

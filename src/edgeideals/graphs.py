@@ -86,9 +86,6 @@ class SimpleGraph:
     def degree(self, v) -> int:
         return self.adj[v].bit_count()
 
-    def label_of(self, v) -> str:
-        return self.labels[v]
-
     def index_of(self, label) -> int:
         try:
             return self.labels.index(label)

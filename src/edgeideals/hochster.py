@@ -44,6 +44,14 @@ homology vectors shared as one object. The walk hands each set its list of
 inside supports; a fold or join looks up a smaller mask, which the walk has
 already visited unless it is a cone.
 
+A cover-ideal table needs no second ideal and no second walk. Hochster's
+dual formula (Eagon-Reiner 1998; Miller-Sturmfels 2005) gives, for the
+cover ideal I(G)* = I_Delta^vee of Delta = Ind G on the vertex set V,
+beta_{i,sigma}(I(G)*) = dim H_{i-1}(lk_Delta(V - sigma)). The link of
+tau = V - sigma is Ind G[V - N[tau]] when tau is independent, and void
+otherwise; its homology is a restriction the quotient table of S/I(G) has
+already read, so ``cover_betti_table`` re-indexes that table entry by entry.
+
 Conventions for the reduced complex: the empty face is a basis element in
 dimension -1, so the complex {<empty>} has one-dimensional homology there and
 nothing else. A proper ideal has no unit generator, so the empty face is
@@ -54,7 +62,7 @@ from __future__ import annotations
 
 from .errors import ResourceLimitError
 from .graphs import SimpleGraph, bit_list, iter_bits, iter_subsets
-from .ideals import MonomialIdeal, cover_ideal, edge_ideal
+from .ideals import MonomialIdeal, edge_ideal
 from .linalg import GF2, FieldSpec, rank_over
 
 MAX_TABLE_VARS = 16
@@ -449,9 +457,44 @@ class DualityReport:
         return f"DualityReport({status}, {len(self.comparisons)} comparisons{', ' + self.note if self.note else ''})"
 
 
-def cover_betti_table(g: SimpleGraph, field: FieldSpec = GF2) -> BettiTable:
-    """Betti table of the cover ideal I(G)* itself (subject "ideal")."""
-    return betti_table(cover_ideal(g), field=field, subject="ideal")
+def cover_betti_table(g: SimpleGraph, quotient: BettiTable) -> BettiTable:
+    """Betti table of the cover ideal I(G)* itself (subject "ideal"), read off
+    ``quotient``, the table of S/I(G), over the field of that table.
+
+    By Hochster's dual formula, beta_{i,sigma}(I(G)*) is the dimension of
+    H_{i-1} of the link of tau = V - sigma in Ind G. That link is
+    Ind G[sigma'] with sigma' = V - N[tau] when tau is independent, and the
+    entry is 0 otherwise. By Hochster's formula for S/I(G), the same
+    homology is beta_{|sigma'|-i, sigma'}(S/I(G)). So every quotient entry
+    (j, sigma') with value v becomes the cover entry (|sigma'| - j, V - tau)
+    for each independent tau with V - N[tau] = sigma'. The independent sets
+    are walked on an explicit stack that carries N[tau]; no cover ideal,
+    engine or rank is needed. Entries come in increasing sigma and, within
+    one sigma, decreasing i: the order of
+    ``betti_table(cover_ideal(g), field, subject="ideal")``.
+    """
+    if g.edge_count() == 0:
+        raise ValueError("edgeless graph: the dual of the zero ideal is the unit ideal")
+    if quotient.subject != "quotient":
+        raise ValueError(f"cover tables are read off a quotient table, not an {quotient.subject!r} table")
+    if quotient.variables != tuple(g.labels):
+        raise ValueError("the quotient table is not over the graph's variables")
+    at: dict[int, list[tuple[int, int]]] = {}
+    for (j, s), v in quotient.entries.items():
+        at.setdefault(s, []).append((j, v))
+    full = (1 << g.n) - 1
+    found = []
+    # (tau, N[tau], first vertex that may join tau)
+    stack = [(0, 0, 0)]
+    while stack:
+        tau, closed, start = stack.pop()
+        link = full & ~closed  # lk(tau) is Ind G[link]
+        for j, v in at.get(link, ()):
+            found.append((full & ~tau, link.bit_count() - j, v))
+        for u in iter_bits(link >> start << start):
+            stack.append((tau | 1 << u, closed | g.adj[u] | 1 << u, u + 1))
+    found.sort(key=lambda e: (e[0], -e[1]))
+    return BettiTable("ideal", quotient.field, quotient.variables, {(i, s): v for s, i, v in found})
 
 
 def compare_bcp(dual_table: BettiTable, quot_table: BettiTable) -> DualityReport:
@@ -484,14 +527,16 @@ def verify_bcp(g: SimpleGraph, field: FieldSpec = GF2) -> DualityReport:
     (``compare_bcp`` on freshly built tables)."""
     if g.edge_count() == 0:
         return DualityReport(True, [], note="skipped: no edges")
-    return compare_bcp(cover_betti_table(g, field), graph_betti_table(g, field))
+    quotient = graph_betti_table(g, field)
+    return compare_bcp(cover_betti_table(g, quotient), quotient)
 
 
 def verify_eagon_reiner(g: SimpleGraph, field: FieldSpec = GF2) -> DualityReport:
     """``compare_eagon_reiner`` on freshly built tables."""
     if g.edge_count() == 0:
         return DualityReport(True, [], note="skipped: no edges")
-    return compare_eagon_reiner(cover_betti_table(g, field), graph_betti_table(g, field))
+    quotient = graph_betti_table(g, field)
+    return compare_eagon_reiner(cover_betti_table(g, quotient), quotient)
 
 
 def projective_dimension(g: SimpleGraph, field: FieldSpec = GF2) -> int:

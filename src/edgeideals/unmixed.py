@@ -25,8 +25,7 @@ from .cm_bipartite import (
     maximal_boolean_bases,
 )
 from .graphs import SimpleGraph, bipartition, bit_list, bits_of, iter_bits
-from .hochster import betti_table
-from .ideals import cover_ideal
+from .hochster import cover_betti_table, graph_betti_table
 from .linalg import GF2, FieldSpec
 from .witness import CompleteBipartiteSub, DisjointFamily, is_valid_family
 
@@ -152,7 +151,7 @@ def blow_up(p: Poset, zeta) -> SimpleGraph:
 def _dual_scores(red: AcyclicReduction, field: FieldSpec):
     """The Betti table of the dual ideal of ghat over field, and (zeta-weighted
     size - homological degree, degree, sigma-hat) for each nonzero entry."""
-    table = betti_table(cover_ideal(red.ghat), field, subject="ideal")
+    table = cover_betti_table(red.ghat, graph_betti_table(red.ghat, field))
     return table, [(red.sigma_zeta(s) - r, r, s) for r, s, _ in table.nonzero()]
 
 

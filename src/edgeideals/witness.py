@@ -162,19 +162,19 @@ def a_number(g: SimpleGraph) -> int:
     ends = [1 << u | 1 << v for u, v in edges]
     compat = [bits_of(j for j, e in enumerate(ends) if not mask & e) for mask in near]
     best = 0
-
-    def grow(cand: int, size: int):
-        nonlocal best
+    # (edges that may still join, size of the set so far); a set that takes
+    # its lowest candidate i pushes itself without i beneath the grown set,
+    # so it resumes, with the best size found meanwhile, once that is done
+    stack = [((1 << len(edges)) - 1, 0)]
+    while stack:
+        cand, size = stack.pop()
         if size > best:
             best = size
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
+        if cand and size + cand.bit_count() > best:
             i = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            grow(cand & compat[i], size + 1)
-
-    grow((1 << len(edges)) - 1, 0)
+            stack.append((cand, size))
+            stack.append((cand & compat[i], size + 1))
     return best
 
 
@@ -391,24 +391,28 @@ def witness_for(g: SimpleGraph, i: int, sigma: int) -> DisjointFamily | None:
     for b in blocks:
         by_low.setdefault((b.vertices & -b.vertices).bit_length() - 1, []).append(b)
 
-    def cover(remaining: int, chosen: list[CompleteBipartiteSub], assignments) -> list | None:
-        """Blocks covering remaining with the r - len(chosen) blocks left."""
-        left = r - len(chosen) - 1  # blocks left after this one
-        v = (remaining & -remaining).bit_length() - 1
-        for b in by_low.get(v, ()):
+    # one frame per partial cover: (blocks at the lowest uncovered vertex
+    # still to try, vertices left to cover, blocks chosen, assignments); a
+    # frame resumes where its child was pushed
+    stack = [(iter(by_low.get((sigma & -sigma).bit_length() - 1, ())), sigma, [], [(0, ())])]
+    while stack:
+        candidates, remaining, chosen, assignments = stack[-1]
+        left = r - len(chosen) - 1  # blocks left after the next one
+        for b in candidates:
             rest = remaining & ~b.vertices
             if b.vertices & ~remaining or (rest == 0) != (left == 0) or rest.bit_count() < 2 * left:
                 continue
             extended = list(_extend(g, assignments, b))
             if not extended:
                 continue
-            found = chosen + [b] if rest == 0 else cover(rest, chosen + [b], extended)
-            if found is not None:
-                return found
-        return None
-
-    found = cover(sigma, [], [(0, ())])
-    return None if found is None else DisjointFamily(found, find_representatives(g, found))
+            if rest == 0:
+                found = chosen + [b]
+                return DisjointFamily(found, find_representatives(g, found))
+            stack.append((iter(by_low.get((rest & -rest).bit_length() - 1, ())), rest, chosen + [b], extended))
+            break
+        else:
+            stack.pop()
+    return None
 
 
 def linear_strand_betti(g: SimpleGraph, sigma: int) -> int:

@@ -32,6 +32,7 @@ from edgeideals.witness import (
     bouquet_family,
     is_valid_family,
     valid_representatives,
+    witness_for,
 )
 
 EXPECTED_TAGS = {
@@ -488,6 +489,8 @@ def test_campaign_searches_leave_no_reference_cycles():
         "maximal_independent_sets.<locals>.expand",
         "Poset.ideals.<locals>.of",
         "_component_labelings.<locals>.match",
+        "a_number.<locals>.grow",
+        "witness_for.<locals>.cover",
     }
     c = Campaign.from_json({
         "name": "cycles",
@@ -502,6 +505,10 @@ def test_campaign_searches_leave_no_reference_cycles():
         # regenerate the catalog so that canonical forms are computed
         catalog.graphs_on.cache_clear()
         report = run_campaign(c, workers=1)
+        # campaigns ask witness_for for one block only; two disjoint edges
+        # take its search over several blocks
+        two_edges = SimpleGraph(4, [(0, 1), (2, 3)])
+        assert witness_for(two_edges, 2, 0b1111) is not None
         gc.collect()
         leaked = {obj.__qualname__ for obj in gc.garbage if isinstance(obj, FunctionType)}
     finally:

@@ -7,6 +7,7 @@ import pytest
 from edgeideals import hochster, unmixed
 from edgeideals.cli import main
 from edgeideals.graphs import SimpleGraph
+from edgeideals.ideals import edge_ideal
 from edgeideals.witness import max_pd_witness
 from edgeideals.catalog import named_graph
 
@@ -155,21 +156,22 @@ def test_unmixed_analyze(capsys):
 
 
 def test_unmixed_analyze_builds_the_reduction_table_once(capsys, monkeypatch):
-    calls = {"reduction": 0, "all": 0}
+    g = named_graph("complete_bipartite_3_3")
+    ghat = unmixed.acyclic_reduction(g).ghat
+    seen = []
+    original = hochster.betti_table
 
-    def counting(original, key):
-        def wrapped(*args, **kwargs):
-            calls[key] += 1
-            return original(*args, **kwargs)
+    def counting(ideal, *args, **kwargs):
+        seen.append(ideal)
+        return original(ideal, *args, **kwargs)
 
-        return wrapped
-
-    monkeypatch.setattr(unmixed, "betti_table", counting(unmixed.betti_table, "reduction"))
-    monkeypatch.setattr(hochster, "betti_table", counting(hochster.betti_table, "all"))
+    monkeypatch.setattr(hochster, "betti_table", counting)
     rc, out, _ = run(capsys, "unmixed", "analyze", "complete_bipartite_3_3")
     assert rc == 0 and "[OK]" in out
-    # one dual table of the reduction, one table of the graph for the cross-check
-    assert calls == {"reduction": 1, "all": 1}
+    # one quotient table of the reduction, which its dual table is read off,
+    # and one table of the graph for the cross-check
+    assert len(seen) == 2
+    assert seen.count(edge_ideal(ghat)) == 1 and seen.count(edge_ideal(g)) == 1
 
 
 def test_verify_roundtrip(capsys, tmp_path):
@@ -327,3 +329,10 @@ def test_pd_and_reg_honour_max_n_above_the_table_cap(capsys):
     assert rc == 0 and out.strip() == "11" and "cost estimate" in err
     rc, out, _ = run(capsys, "reg", "path_17", "--max-n", "17")
     assert rc == 0 and out.strip() == "6"
+
+
+@pytest.mark.parametrize("command", ["dual", "witness"])
+def test_commands_without_a_betti_table_print_no_cost_estimate(capsys, command):
+    # neither builds a Hochster table, so the subset-strand bill does not apply
+    rc, out, err = run(capsys, command, "path_15", "--max-n", "15")
+    assert rc == 0 and out and "cost estimate" not in err

@@ -19,6 +19,7 @@ from edgeideals.hochster import (
     _SupportEngine,
     betti_table,
     build_strand,
+    cover_betti_table,
     graph_betti_table,
     projective_dimension,
     regularity,
@@ -299,6 +300,42 @@ def test_cover_ideal_tables_match_reference_route():
                 ideal, char
             ), f"edges={g.edges()} field={field!r}"
         checked += 1
+
+
+def test_cover_tables_read_off_the_quotient_match_the_direct_route():
+    # the direct route builds the cover ideal from the minimal vertex covers
+    # and walks it on its own, so it is an independent cross-check of the
+    # dual-formula re-indexing, insertion order included
+    rng = random.Random(41)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(3, 10)
+        g = random_graph(rng, n, rng.uniform(0.15, 0.75))
+        if g.edge_count() == 0:
+            continue
+        if checked % 4 == 0:
+            g = SimpleGraph(n + 1, g.edges())
+        for field, _ in FIELDS:
+            got = cover_betti_table(g, graph_betti_table(g, field))
+            want = betti_table(cover_ideal(g), field, subject="ideal")
+            assert (got.subject, got.field, got.variables) == ("ideal", field, want.variables)
+            assert list(got.entries.items()) == list(want.entries.items()), (
+                f"edges={g.edges()} n={g.n} field={field!r}"
+            )
+        checked += 1
+
+
+def test_cover_table_needs_edges_and_the_graphs_quotient_table():
+    with pytest.raises(ValueError, match="edgeless graph"):
+        cover_betti_table(SimpleGraph(3), graph_betti_table(SimpleGraph(3)))
+    c4 = cycle_graph(4)
+    with pytest.raises(ValueError, match="quotient table"):
+        cover_betti_table(c4, graph_betti_table(c4, subject="ideal"))
+    with pytest.raises(ValueError, match="variables"):
+        cover_betti_table(c4, graph_betti_table(path_graph(5)))
+    relabelled = SimpleGraph(4, c4.edges(), labels=["a", "b", "c", "d"])
+    with pytest.raises(ValueError, match="variables"):
+        cover_betti_table(c4, graph_betti_table(relabelled))
 
 
 def test_projective_plane_ideal_keeps_torsion():
