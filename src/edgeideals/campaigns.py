@@ -25,6 +25,7 @@ from .cm_bipartite import (
 from .graphs import (
     SimpleGraph,
     bipartition,
+    check_keys,
     complement_components,
     is_chordal,
     is_cochordal,
@@ -599,6 +600,7 @@ class Campaign:
             caps = {}
         if not isinstance(caps, dict):
             raise ValueError(f"campaign 'caps' must be an object, got {caps!r}")
+        check_keys(caps, _CAP_MINIMUM, "campaign caps")
         for key, least in _CAP_MINIMUM.items():
             if key in caps and not (_is_int(caps[key]) and caps[key] >= least):
                 raise ValueError(f"caps.{key} must be an integer >= {least}, got {caps[key]!r}")
@@ -622,6 +624,7 @@ class Campaign:
             obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise ValueError("campaign JSON must be an object")
+        check_keys(obj, ("name", "graphs", "fields", "assertions", "caps", "seed"), "campaign")
         missing = [key for key in ("graphs", "assertions") if key not in obj]
         if missing:
             raise ValueError(f"campaign needs {' and '.join(map(repr, missing))}")

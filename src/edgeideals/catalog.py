@@ -14,6 +14,7 @@ from .graphs import (
     SimpleGraph,
     are_isomorphic,
     canonical_form,
+    check_keys,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -172,6 +173,23 @@ def named_graph(name: str) -> SimpleGraph:
 
 
 _SIZED_CLASSES = ("all", "connected", "chordal", "cochordal")
+# the keys each catalog class reads, "class" included
+_SPEC_KEYS = {cls: ("class", "n", "max_n") for cls in _SIZED_CLASSES}
+_SPEC_KEYS.update(
+    cm_posets=("class", "max_elements"),
+    unmixed_blowups=("class", "max_elements", "max_zeta", "max_vertices"),
+    ferrers=("class", "max_rows", "max_cols"),
+    named=("class", "names"),
+    files=("class", "files"),
+)
+
+
+def _spec_class(spec: dict):
+    """spec["class"], once every other key of the spec is one its class reads."""
+    cls = spec.get("class")
+    if isinstance(cls, str) and cls in _SPEC_KEYS:
+        check_keys(spec, _SPEC_KEYS[cls], f"catalog class {cls!r}")
+    return cls
 
 
 def _spec_int(spec: dict, key: str, default=None) -> int:
@@ -194,7 +212,7 @@ def catalog_sizes(spec: dict) -> list[int] | None:
     of a sized class, 2k per poset size k of cm_posets, twice each total
     weight of unmixed_blowups, up to max_rows + max_cols for ferrers; None
     where only the built graphs tell."""
-    cls = spec.get("class")
+    cls = _spec_class(spec)
     if cls == "cm_posets":
         return [2 * k for k in range(1, _spec_int(spec, "max_elements", 4) + 1)]
     if cls == "unmixed_blowups":
@@ -224,7 +242,7 @@ def generate_catalog(spec: dict) -> list[tuple[str, SimpleGraph]]:
     cm_posets, unmixed_blowups, ferrers, named, files.  A malformed spec
     raises ``ValueError``, an unreadable file ``OSError``.
     """
-    cls = spec.get("class")
+    cls = _spec_class(spec)
     if cls is None:
         raise ValueError("catalog spec needs a 'class' key")
 

@@ -40,6 +40,14 @@ def iter_subsets(mask: int):
         sub = (sub - mask) & mask
 
 
+def check_keys(obj: dict, allowed, what: str) -> None:
+    """Raise ValueError naming the first key of a JSON object outside ``allowed``."""
+    for key in obj:
+        if key not in allowed:
+            expected = ", ".join(repr(k) for k in sorted(allowed))
+            raise ValueError(f"unknown key {key!r} in {what}; expected {expected}")
+
+
 class SimpleGraph:
     """Undirected simple graph; adjacency stored as one bitmask per vertex."""
 
@@ -194,6 +202,7 @@ class SimpleGraph:
             obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise ValueError("graph JSON must be an object")
+        check_keys(obj, ("labels", "edges"), "graph JSON")
         labels = obj.get("labels")
         edges = obj.get("edges", [])
         if labels is not None and not (

@@ -15,8 +15,18 @@ restriction it tries, in order:
   N(w) inside N(v) with v, w non-adjacent;
 - join: a disconnected generator-support graph splits the complex as a join
   of its components;
-- only a connected restriction with no cone and no fold builds a chain
-  complex (``StrandComplex``) and reaches the linear algebra. Its boundary
+- split: a vertex v is pair-only when every support through it is a pair
+  (in an edge ideal, every vertex). Its faces are v plus the faces missing
+  N[v], so Delta = B u v*A with B = Delta|(sigma - v), A = Delta|(sigma - N[v])
+  and B n v*A = A (link/deletion; Adamaszek 2012, Engstrom 2009). The cone
+  v*A is acyclic, so the reduced Mayer-Vietoris sequence reads
+  ... -> H_d(A) -> H_d(B) -> H_d(Delta) -> H_{d-1}(A) -> H_{d-1}(B) -> ...
+  When A and B share no nonzero degree every map H_d(A) -> H_d(B) is zero,
+  and over the field h_d(Delta) = h_d(B) + h_{d-1}(A): two smaller lookups.
+  The pair-only vertices of largest degree are tried, at most two;
+- only a connected restriction with no cone, no fold and no split (every
+  try overlapped, or no vertex is pair-only) builds a chain complex
+  (``StrandComplex``) and reaches the linear algebra. Its boundary
   matrices are sparse rows ({(d-1)-face index: +-1}), and each goes once to
   ``linalg.rank_over``, which eliminates unit pivots over Z (exact over
   every field) and leaves only a residual, usually empty, to field
@@ -41,8 +51,9 @@ restrictions, and on sparse graphs far fewer: 2,627 of 16,384 for C_14.
 
 Results are memoized per table in a dict keyed by the active mask, with equal
 homology vectors shared as one object. The walk hands each set its list of
-inside supports; a fold or join looks up a smaller mask, which the walk has
-already visited unless it is a cone.
+inside supports; a fold, join or split looks up a smaller mask, which the
+walk has already visited unless it is a cone. A single query past the table
+cap, such as the whole of Ind(C_60), recurses through the same memo.
 
 A cover-ideal table needs no second ideal and no second walk. Hochster's
 dual formula (Eagon-Reiner 1998; Miller-Sturmfels 2005) gives, for the
@@ -161,7 +172,8 @@ def build_strand(ideal: MonomialIdeal, sigma: int) -> StrandComplex:
 
 
 class _SupportEngine:
-    """Homology vectors of ideal-restriction complexes, by folding and join decomposition."""
+    """Homology vectors of ideal-restriction complexes, by folding, join decomposition
+    and link/deletion splitting."""
 
     def __init__(self, ideal: MonomialIdeal, field: FieldSpec):
         self.field = field
@@ -295,7 +307,7 @@ class _SupportEngine:
             comps.append(comp)
             left &= ~comp
         if len(comps) == 1:
-            return StrandComplex(active, inside).homology(self.field)
+            return self._split(active, inside)
         out = {-1: 1}
         for comp in comps:
             part = self.vector(comp)
@@ -308,6 +320,35 @@ class _SupportEngine:
                     nxt[d] = nxt.get(d, 0) + ra * rb
             out = nxt
         return out
+
+    def _split(self, active: int, inside: list[int]) -> dict[int, int]:
+        """Link/deletion split of a connected restriction at a pair-only vertex,
+        falling back to the chain complex when two tries overlap.
+
+        v is pair-only when every support through v is a pair, so the faces
+        through v are v plus a face missing N[v]: Delta = B u v*A with
+        B = Delta|(active - v), A = Delta|(active - N[v]) and B n v*A = A.
+        The cone is acyclic, so when A and B share no nonzero degree every map
+        H_d(A) -> H_d(B) is zero and Mayer-Vietoris gives h_d = B[d] + A[d-1].
+        """
+        big = 0
+        closed: dict[int, int] = {}  # bit of v -> N[v] inside active
+        for s in inside:
+            if s.bit_count() == 2:
+                for bit in (s & -s, s & (s - 1)):
+                    closed[bit] = closed.get(bit, 0) | s
+            else:
+                big |= s
+        tries = sorted((-c.bit_count(), bit) for bit, c in closed.items() if not bit & big)
+        for _, bit in tries[:2]:
+            b = self.vector(active & ~bit)
+            a = self.vector(active & ~closed[bit])
+            if not any(d in b for d in a):
+                out = dict(b)
+                for d, rank in a.items():
+                    out[d + 1] = out.get(d + 1, 0) + rank
+                return dict(sorted(out.items()))
+        return StrandComplex(active, inside).homology(self.field)
 
 
 class BettiTable:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 
-from .graphs import SimpleGraph, bit_list, iter_bits
+from .graphs import SimpleGraph, bit_list, check_keys, iter_bits
 
 
 class Monomial:
@@ -202,6 +202,7 @@ class MonomialIdeal:
             obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise ValueError("ideal JSON must be an object")
+        check_keys(obj, ("variables", "generators"), "ideal JSON")
         variables, gens = obj["variables"], obj["generators"]
         if not (isinstance(variables, list) and all(isinstance(x, str) for x in variables)):
             raise ValueError("'variables' must be a list of strings")

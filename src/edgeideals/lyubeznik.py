@@ -112,19 +112,22 @@ def admissible_symbols(ideal: MonomialIdeal, order=None, s: int | None = None):
             f"{u} generators exceeds the admissible-symbol cap of {MAX_ADMISSIBLE_GENS}"
         )
     out: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], start: int):
-        if s is None or len(prefix) == s:
-            if prefix:
-                out.append(prefix)
-            if s is not None:
-                return
-        for nxt in range(start, u):
+    # one frame per admissible prefix: (prefix, generators still to try after
+    # it); a frame resumes where its child was pushed, so symbols come in
+    # depth-first preorder
+    stack = [((), iter(range(u)))] if s != 0 else []
+    while stack:
+        prefix, nexts = stack[-1]
+        for nxt in nexts:
             cand = prefix + (nxt,)
             if is_admissible(ordered, cand):
-                grow(cand, nxt + 1)
-
-    grow((), 0)
+                if s is None or len(cand) == s:
+                    out.append(cand)
+                if s is None or len(cand) != s:
+                    stack.append((cand, iter(range(nxt + 1, u))))
+                    break
+        else:
+            stack.pop()
     return out
 
 
@@ -147,19 +150,14 @@ def is_maximal_admissible(ideal: MonomialIdeal, indices, order=None, paranoid=Fa
             return False
     if paranoid:
         outside = [k for k in range(ordered.ngens) if k not in members]
-
-        def any_admissible_superset(extra: tuple[int, ...], start: int) -> bool:
-            if extra:
-                cand = tuple(sorted(members.union(extra)))
-                if is_admissible(ordered, cand):
-                    return True
-            return any(
-                any_admissible_superset(extra + (outside[j],), j + 1)
-                for j in range(start, len(outside))
-            )
-
-        if any_admissible_superset((), 0):
-            return False
+        # (extra generators, first position of outside that may join them),
+        # popped in depth-first preorder
+        stack = [((), 0)]
+        while stack:
+            extra, start = stack.pop()
+            if extra and is_admissible(ordered, tuple(sorted(members.union(extra)))):
+                return False
+            stack.extend((extra + (outside[j],), j + 1) for j in reversed(range(start, len(outside))))
     return True
 
 

@@ -323,27 +323,33 @@ def max_pd_witness(
     n = g.n
     best_value = 0
     best_blocks: list[CompleteBipartiteSub] = []
-
-    def descend(start: int, used: int, value: int, chosen: list[CompleteBipartiteSub], assignments):
-        nonlocal best_value, best_blocks
-        if chosen and value > best_value:
-            best_value, best_blocks = value, chosen
+    # one frame per chosen list: (indices of blocks still to try, vertices
+    # used, value, blocks chosen, assignments); a frame resumes where its
+    # child was pushed, and a child whose bound fails is never pushed
+    # (one extra block on k of the free vertices adds k-1 <= free-1)
+    stack = [(iter(range(len(blocks))), 0, 0, [], [(0, ())])] if n > 1 else []
+    while stack:
+        todo, used, value, chosen, assignments = stack[-1]
         free = n - used.bit_count()
-        # one extra block on k of the free vertices adds k-1 <= free-1
-        if value + max(0, free - 1) <= best_value:
-            return
-        for idx in range(start, len(blocks)):
+        for idx in todo:
             b = blocks[idx]
             if b.vertices & used:
                 continue
-            gain = b.size - 1
-            if value + gain + max(0, free - b.size - 1) <= best_value:
+            grown_value = value + b.size - 1
+            bound = grown_value + max(0, free - b.size - 1)
+            if bound <= best_value:
                 continue
             extended = list(_extend(g, assignments, b))
-            if extended:
-                descend(idx + 1, used | b.vertices, value + gain, chosen + [b], extended)
-
-    descend(0, 0, 0, [], [(0, ())])
+            if not extended:
+                continue
+            grown = chosen + [b]
+            if grown_value > best_value:
+                best_value, best_blocks = grown_value, grown
+            if bound > best_value:
+                stack.append((iter(range(idx + 1, len(blocks))), used | b.vertices, grown_value, grown, extended))
+                break
+        else:
+            stack.pop()
     family = DisjointFamily(best_blocks, find_representatives(g, best_blocks)) if best_blocks else None
     return WitnessResult(best_value, family)
 

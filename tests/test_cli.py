@@ -279,6 +279,52 @@ def test_malformed_catalog_specs_fail_in_one_line(capsys, tmp_path, graphs):
     assert msg.startswith("edgeideals: error: ") and "\n" not in msg
 
 
+VALID_CATALOG_SPECS = [
+    {"class": "all", "n": 3},
+    {"class": "connected", "max_n": 3},
+    {"class": "chordal", "n": 3},
+    {"class": "cochordal", "max_n": 3},
+    {"class": "cm_posets", "max_elements": 2},
+    {"class": "unmixed_blowups", "max_elements": 1, "max_zeta": 2, "max_vertices": 6},
+    {"class": "ferrers", "max_rows": 2, "max_cols": 2},
+    {"class": "named", "names": ["path_3"]},
+]
+CAMPAIGN = {"graphs": {"class": "all", "n": 3}, "assertions": ["T2.2"]}
+
+
+@pytest.mark.parametrize(
+    "command, obj, where",
+    [
+        ("betti", {"n": 3, "edges": [[0, 1], [1, 5]]}, "'n' in graph JSON"),
+        ("lyubeznik", {"variables": ["a", "b"], "generators": [[1, 1]], "extra": 1}, "'extra' in ideal JSON"),
+        ("verify", {"graphs": CAMPAIGN["graphs"], "asertions": ["T2.2"]}, "'asertions' in campaign"),
+        ("verify", dict(CAMPAIGN, caps={"maxn": 3}), "'maxn' in campaign caps"),
+        ("verify", dict(CAMPAIGN, graphs={"class": "all", "maxn": 3}), "'maxn' in catalog class 'all'"),
+    ]
+    + [
+        ("verify", dict(CAMPAIGN, graphs=dict(spec, extra=1)), f"'extra' in catalog class {spec['class']!r}")
+        for spec in VALID_CATALOG_SPECS + [{"class": "files", "files": ["no/such/graph.txt"]}]
+    ],
+)
+def test_unknown_json_keys_fail_in_one_line(capsys, tmp_path, command, obj, where):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, command, str(path))
+    msg = str(exc.value)
+    assert msg.startswith("edgeideals: error: ") and "\n" not in msg
+    assert f"unknown key {where}" in msg
+
+
+@pytest.mark.parametrize("spec", VALID_CATALOG_SPECS)
+def test_every_key_a_catalog_class_reads_is_accepted(capsys, tmp_path, spec):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"name": "keys", "graphs": spec, "fields": ["gf2"], "assertions": ["T2.2"],
+                                "caps": {"max_n": 7, "family_size": 2, "block_vertices": 5}, "seed": 1}))
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 0 and out.rstrip().endswith("PASS")
+
+
 def test_over_cap_catalog_fails_before_generating(capsys, tmp_path):
     campaign = tmp_path / "c.json"
     campaign.write_text(json.dumps({"graphs": {"class": "all", "n": 9}, "assertions": ["T2.2"]}))

@@ -15,7 +15,9 @@ from edgeideals.graphs import (
     disjoint_union,
     path_graph,
 )
+from edgeideals import hochster
 from edgeideals.hochster import (
+    StrandComplex,
     _SupportEngine,
     betti_table,
     build_strand,
@@ -27,7 +29,7 @@ from edgeideals.hochster import (
     verify_eagon_reiner,
 )
 from edgeideals.ideals import Monomial, MonomialIdeal, cover_ideal, edge_ideal
-from edgeideals.linalg import GF2, RATIONALS, FieldSpec
+from edgeideals.linalg import GF2, RATIONALS, FieldSpec, rank_over
 from conftest import reference_entries, reference_homology
 
 GF3 = FieldSpec.parse("gf3")
@@ -379,18 +381,35 @@ def test_kozlov_path_spheres():
             assert top_vector(path_graph(n), field) == expect, (n, field)
 
 
-def test_kozlov_spheres_beyond_the_table_cap():
-    # the same spheres on the whole independence complex for n = 15..20, past
-    # MAX_TABLE_VARS; Ind(C_20) has 15,127 faces
+def kozlov_vector(mk, n):
+    """Reduced homology of Ind(C_n) or Ind(P_n), by Kozlov's spheres."""
+    if mk is cycle_graph:
+        k = round(n / 3)
+        return {k - 1: 2 if n % 3 == 0 else 1}
+    return {} if n % 3 == 1 else {(n + 1) // 3 - 1: 1}
+
+
+def test_kozlov_spheres_beyond_the_table_cap(monkeypatch):
+    # the same spheres on the whole independence complex for n = 15..64, past
+    # MAX_TABLE_VARS: the engine splits every core at a vertex and builds no
+    # chain complex
+    built = []
+    with monkeypatch.context() as m:
+        m.setattr(hochster, "StrandComplex", lambda sigma, inside: built.append(sigma))
+        for n in range(15, 65):
+            full = (1 << n) - 1
+            for mk in (cycle_graph, path_graph):
+                for field, _ in FIELDS:
+                    got = _SupportEngine(edge_ideal(mk(n)), field).vector(full)
+                    assert got == kozlov_vector(mk, n), (mk.__name__, n, field)
+    assert built == []
+    # the unreduced route for n = 15..20; Ind(C_20) has 15,127 faces
     for n in range(15, 21):
         full = (1 << n) - 1
-        k = round(n / 3)
-        cycle = {k - 1: 2 if n % 3 == 0 else 1}
-        path = {} if n % 3 == 1 else {(n + 1) // 3 - 1: 1}
-        for mk, expect in ((cycle_graph, cycle), (path_graph, path)):
+        for mk in (cycle_graph, path_graph):
             strand = build_strand(edge_ideal(mk(n)), full)
             for field, _ in FIELDS:
-                assert strand.homology(field) == expect, (mk.__name__, n, field)
+                assert strand.homology(field) == kozlov_vector(mk, n), (mk.__name__, n, field)
 
 
 def strand_corpus():
@@ -540,3 +559,77 @@ def test_full_tables_past_the_cap_obey_euler_and_the_top_strand():
             size = s.bit_count()
             assert euler.get(s, 0) == (-indep[s] if size & 1 else indep[s]), (g.n, s)
             assert table.entry(size - 1, s) == complement_components(g.adj, s) - 1, (g.n, s)
+
+
+# Ind of this graph is acyclic, yet at both vertices the split tries (1 and
+# 2, degree 3) the deletion and the link share a nonzero degree, so the
+# engine falls back to the chain complex on the whole vertex set
+OVERLAP_GRAPH = SimpleGraph(
+    8, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 7), (2, 4), (2, 5), (3, 4), (5, 6), (6, 7)]
+)
+
+
+def split_corpus():
+    """Seeded squarefree ideals for the link/deletion split: edge ideals of
+    G(n, p), the overlap graph above, the strand corpus (cubic supports,
+    singleton generators, free variables) and the RP^2 ideal."""
+    rng = random.Random(67)
+    out = [edge_ideal(random_graph(rng, rng.randint(4, 9), rng.uniform(0.2, 0.7))) for _ in range(40)]
+    return out + [edge_ideal(OVERLAP_GRAPH), rp2_ideal()] + strand_corpus()
+
+
+def test_split_engine_matches_the_chain_complex_and_reference_homology():
+    # the engine answers edge-ideal cores by the split, so the unreduced
+    # chain complex on every walk set and the dense reference on a few sigma
+    # are what still cross-check it
+    rng = random.Random(71)
+    for ideal in split_corpus():
+        supports = ideal.supports()
+        full = (1 << ideal.nvars) - 1
+        faces = [f for f in range(full + 1) if all(s & ~f for s in supports)]
+        queries = {full, rng.randrange(full + 1), rng.randrange(full + 1)}
+        for field, char in FIELDS:
+            for sigma in queries:
+                expect = {}
+                for d in range(-1, sigma.bit_count()):
+                    h = reference_homology([f for f in faces if f & ~sigma == 0], d, char)
+                    if h:
+                        expect[d] = h
+                got = _SupportEngine(ideal, field).vector(sigma)
+                assert got == expect, (supports, sigma, field)
+                # in increasing degree, as the chain complex lists it
+                assert list(got) == sorted(got), (supports, sigma, field)
+            engine = _SupportEngine(ideal, field)
+            for sigma, inside in engine.walk():
+                got = engine.vector(sigma, inside)
+                assert got == StrandComplex(sigma, inside).homology(field), (supports, sigma, field)
+            # a table lists each sigma's entries in decreasing i, the order of
+            # the chain complex's increasing degrees
+            keys = list(betti_table(ideal, field).entries)
+            assert keys == sorted(keys, key=lambda k: (k[1], -k[0])), (supports, field)
+
+
+def test_split_falls_back_to_the_chain_complex_when_two_tries_overlap(monkeypatch):
+    built = []
+    passed = []
+
+    class Recording(StrandComplex):
+        __slots__ = ()
+
+        def __init__(self, sigma, inside):
+            super().__init__(sigma, inside)
+            built.append(self)
+
+    def recording_rank(field, rows):
+        passed.append(rows)
+        return rank_over(field, rows)
+
+    monkeypatch.setattr(hochster, "StrandComplex", Recording)
+    monkeypatch.setattr(hochster, "rank_over", recording_rank)
+    full = (1 << OVERLAP_GRAPH.n) - 1
+    for field, _ in FIELDS:
+        built.clear()
+        passed.clear()
+        assert _SupportEngine(edge_ideal(OVERLAP_GRAPH), field).vector(full) == {}
+        assert [strand.faces[-1] for strand in built] == [[0]] and len(built[0].faces[0]) == 8
+        assert [id(rows) for rows in passed] == [id(rows) for rows in built[0].boundary.values()]

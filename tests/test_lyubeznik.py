@@ -1,9 +1,11 @@
 """Ordered Taylor complexes: boundaries, admissibility, strands, certificates."""
 
+import gc
 import itertools
 import math
 import random
 import re
+from types import FunctionType
 
 import pytest
 
@@ -27,7 +29,7 @@ from edgeideals.lyubeznik import (
     symbol_degree,
     taylor_boundary,
 )
-from edgeideals.witness import CompleteBipartiteSub, DisjointFamily, find_representatives
+from edgeideals.witness import CompleteBipartiteSub, DisjointFamily, find_representatives, max_pd_witness
 
 
 def random_ideal(rng, nvars, ngens, max_exp=2):
@@ -356,3 +358,29 @@ def test_certificate_rejects_invalid_family():
     bogus = DisjointFamily([CompleteBipartiteSub(1 << 0, 1 << 2)], [(0, 2)])
     with pytest.raises(ValueError):
         main_theorem_certificate(g, bogus)
+
+
+def test_lyubeznik_and_witness_searches_leave_no_reference_cycles():
+    # a recursive nested closure refers to itself, so each call of a search
+    # written with one leaves a reference cycle for the collector
+    closures = {
+        "admissible_symbols.<locals>.grow",
+        "is_maximal_admissible.<locals>.any_admissible_superset",
+        "max_pd_witness.<locals>.descend",
+    }
+    g = cycle_graph(6)
+    ideal = edge_ideal(g)
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        symbols = admissible_symbols(ideal)
+        maximal = [sym for sym in symbols if is_maximal_admissible(ideal, sym, paranoid=True)]
+        witness = max_pd_witness(g)
+        gc.collect()
+        leaked = {obj.__qualname__ for obj in gc.garbage if isinstance(obj, FunctionType)}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert maximal and witness.family is not None and witness.value <= graph_betti_table(g).pd()
+    assert not leaked & closures, sorted(leaked & closures)
