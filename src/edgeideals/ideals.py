@@ -121,9 +121,13 @@ class MonomialIdeal:
     """Monomial ideal given by a minimal generating set; generator order is significant.
 
     ``masks[k]`` is the polarized bitmask of ``generators[k]``.
+    ``first_divisors`` is the first-divisor memo of ``first_divisor``: it maps
+    a mask to the least generator position whose mask lies inside it.  It
+    starts empty, fills as masks are asked about, and belongs to this object
+    alone: ``reordered`` gives the copy an empty one, since positions move.
     """
 
-    __slots__ = ("variables", "generators", "masks")
+    __slots__ = ("variables", "generators", "masks", "first_divisors")
 
     def __init__(self, variables, generators):
         self.variables = tuple(variables)
@@ -147,6 +151,7 @@ class MonomialIdeal:
                     )
         self.generators = tuple(gens)
         self.masks = masks
+        self.first_divisors: dict[int, int] = {}
 
     @property
     def nvars(self) -> int:
@@ -158,6 +163,15 @@ class MonomialIdeal:
 
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree() for g in self.generators)
+
+    def first_divisor(self, mask: int) -> int:
+        """Least position k with ``masks[k]`` inside mask (``ngens`` when there is
+        none), memoized in ``first_divisors``."""
+        k = self.first_divisors.get(mask)
+        if k is None:
+            k = next((q for q, m in enumerate(self.masks) if m & ~mask == 0), len(self.masks))
+            self.first_divisors[mask] = k
+        return k
 
     def supports(self) -> list[int]:
         full = (1 << self.nvars) - 1
@@ -174,6 +188,7 @@ class MonomialIdeal:
         out.variables = self.variables
         out.generators = tuple(self.generators[i] for i in order)
         out.masks = tuple(self.masks[i] for i in order)
+        out.first_divisors = {}
         return out
 
     def __eq__(self, other):

@@ -18,6 +18,24 @@ inside the OR of the members' masks, and a boundary term has a unit cofactor
 exactly when dropping that member leaves the OR unchanged.  The public
 degrees and cofactors of ``symbol_degree``, ``taylor_boundary`` and the
 certificates stay ``Monomial``s.
+
+Each symbol costs time linear in its length:
+
+- *First-divisor memo.*  The suffix lcm at member l_t contains m_{l_t}, so
+  the least generator position whose mask lies inside it is at most l_t,
+  and the member passes exactly when that position is l_t.
+  ``MonomialIdeal.first_divisor`` finds the position once per distinct lcm
+  mask and keeps it in the ideal's own ``first_divisors`` memo, so
+  ``is_admissible`` makes one lookup per member instead of scanning every
+  earlier generator.  The memo lives and dies with one ideal object;
+  nothing is shared across ideals or orders.
+- *Twice-covered facets.*  While a strand table ORs a symbol's masks into
+  its degree, it also collects ``twice``, the bits that two or more members
+  cover.  Dropping member t leaves the degree unchanged, that is the facet
+  has a unit cofactor, exactly when ``masks[t] & ~twice == 0``; only those
+  facets are built.
+- ``taylor_boundary`` takes each facet's lcm as the lcm of a prefix and a
+  suffix lcm of the members, O(s) lcms per symbol instead of O(s^2).
 """
 
 from __future__ import annotations
@@ -27,7 +45,7 @@ from itertools import combinations_with_replacement
 from .errors import ResourceLimitError
 from .graphs import SimpleGraph, iter_bits
 from .hochster import BettiTable
-from .ideals import Monomial, MonomialIdeal, edge_ideal, lcm_of
+from .ideals import Monomial, MonomialIdeal, lcm_of
 from .linalg import GF2, FieldSpec, rank_over
 from .witness import DisjointFamily, valid_representatives
 
@@ -54,17 +72,34 @@ def _check_symbol(ideal: MonomialIdeal, indices) -> tuple[int, ...]:
     return indices
 
 
+def _running_lcms(monomials, one: Monomial) -> list[Monomial]:
+    """[lcm of the first t monomials for t = 0, 1, ...], starting from one."""
+    out = [one]
+    for m in monomials:
+        out.append(m if len(out) == 1 else out[-1].lcm(m))
+    return out
+
+
 def taylor_boundary(ideal: MonomialIdeal, indices, order=None):
     """Boundary of a Taylor symbol: list of (subsymbol, sign, cofactor monomial)."""
     ordered = _ordered(ideal, order)
     indices = _check_symbol(ordered, indices)
-    gens = ordered.generators
-    full = lcm_of([gens[i] for i in indices], ordered.nvars)
+    members = [ordered.generators[i] for i in indices]
+    one = Monomial.one(ordered.nvars)
+    # before[t] is the lcm of members[:t], after[t] that of members[t + 1:]
+    before = _running_lcms(members, one)
+    after = _running_lcms(members[:0:-1], one)[::-1]
+    full = before[-1]
+    last = len(members) - 1
     out = []
-    for t in range(len(indices)):
-        sub = indices[:t] + indices[t + 1 :]
-        rest = lcm_of([gens[i] for i in sub], ordered.nvars)
-        out.append((sub, -1 if t & 1 else 1, full.quotient(rest)))
+    for t in range(len(members)):
+        if t == 0:
+            rest = after[0]
+        elif t == last:
+            rest = before[t]
+        else:
+            rest = before[t].lcm(after[t])
+        out.append((indices[:t] + indices[t + 1 :], -1 if t & 1 else 1, full.quotient(rest)))
     return out
 
 
@@ -80,6 +115,7 @@ def is_admissible(ideal: MonomialIdeal, indices, order=None) -> bool:
     if not indices:
         return True
     masks = ordered.masks
+    first = ordered.first_divisors
     nxt = indices[-1]
     if not 0 <= nxt < len(masks):
         _check_symbol(ordered, indices)
@@ -92,10 +128,11 @@ def is_admissible(ideal: MonomialIdeal, indices, order=None) -> bool:
         nxt = i
         if admissible:
             lcm |= masks[i]
-            for q in range(i):
-                if masks[q] & ~lcm == 0:
-                    admissible = False
-                    break
+            q = first.get(lcm)
+            if q is None:
+                q = ordered.first_divisor(lcm)
+            # masks[i] lies inside lcm, so q <= i
+            admissible = q == i
     return admissible
 
 
@@ -417,41 +454,35 @@ def lyubeznik_betti_table(
     if not ordered.is_squarefree():
         raise ValueError("Betti tables here are for squarefree ideals")
     masks = ordered.masks
-    by_degree: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+    # degree -> s -> [(symbol, bits that two or more of its members cover)]
+    by_degree: dict[int, dict[int, list[tuple[tuple[int, ...], int]]]] = {}
     for sym in admissible_symbols(ordered):
-        deg = 0
+        deg = twice = 0
         for i in sym:
-            deg |= masks[i]
-        by_degree.setdefault(deg, {}).setdefault(len(sym), []).append(sym)
+            m = masks[i]
+            twice |= deg & m
+            deg |= m
+        by_degree.setdefault(deg, {}).setdefault(len(sym), []).append((sym, twice))
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     for deg, strata in by_degree.items():
-        index = {
-            s: {sym: k for k, sym in enumerate(syms)} for s, syms in strata.items()
-        }
         ranks: dict[int, int] = {}
-        for s, syms in strata.items():
-            lower = index.get(s - 1)
-            if not lower:
+        for s, terms in strata.items():
+            below = strata.get(s - 1)
+            if not below:
                 ranks[s] = 0
                 continue
+            lower = {sym: k for k, (sym, _) in enumerate(below)}
             rows = []
-            for sym in syms:
+            for sym, twice in terms:
                 row = {}
-                for t in range(s):
-                    sub = sym[:t] + sym[t + 1 :]
-                    rest = 0
-                    for i in sub:
-                        rest |= masks[i]
-                    if rest == deg:
-                        row[lower[sub]] = -1 if t & 1 else 1
+                for t, i in enumerate(sym):
+                    # the facet without member t has a unit cofactor
+                    if masks[i] & ~twice == 0:
+                        row[lower[sym[:t] + sym[t + 1 :]]] = -1 if t & 1 else 1
                 rows.append(row)
             ranks[s] = rank_over(field, rows)
-        for s, syms in strata.items():
-            dim = len(syms) - ranks.get(s, 0) - ranks.get(s + 1, 0)
+        for s, terms in strata.items():
+            dim = len(terms) - ranks.get(s, 0) - ranks.get(s + 1, 0)
             if dim:
                 entries[(s, deg)] = dim
     return BettiTable("quotient", field, ordered.variables, entries)
-
-
-def graph_lyubeznik_table(g: SimpleGraph, order=None, field: FieldSpec = GF2) -> BettiTable:
-    return lyubeznik_betti_table(edge_ideal(g), order=order, field=field)

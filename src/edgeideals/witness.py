@@ -20,6 +20,7 @@ from .graphs import (
     SimpleGraph,
     bit_list,
     bits_of,
+    check_keys,
     complement_components,
     iter_bits,
     iter_subsets,
@@ -116,17 +117,24 @@ class DisjointFamily:
     def from_json(cls, g: SimpleGraph, obj) -> "DisjointFamily":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError("family JSON must be an object")
+        check_keys(obj, ("blocks", "representatives"), "family JSON")
 
         def vert(x):
             return g.index_of(x) if isinstance(x, str) else int(x)
 
-        blocks = [
-            CompleteBipartiteSub(
-                bits_of(vert(v) for v in blk["left"]),
-                bits_of(vert(v) for v in blk["right"]),
+        blocks = []
+        for blk in obj["blocks"]:
+            if not isinstance(blk, dict):
+                raise ValueError("each family block must be an object")
+            check_keys(blk, ("left", "right"), "family block")
+            blocks.append(
+                CompleteBipartiteSub(
+                    bits_of(vert(v) for v in blk["left"]),
+                    bits_of(vert(v) for v in blk["right"]),
+                )
             )
-            for blk in obj["blocks"]
-        ]
         reps = obj.get("representatives")
         if reps is not None:
             reps = [(vert(u), vert(v)) for u, v in reps]

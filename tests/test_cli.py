@@ -290,6 +290,8 @@ VALID_CATALOG_SPECS = [
     {"class": "named", "names": ["path_3"]},
 ]
 CAMPAIGN = {"graphs": {"class": "all", "n": 3}, "assertions": ["T2.2"]}
+# certified before family JSON rejected unknown keys: both misspellings were ignored
+FAMILY_P3 = {"blocks": [{"left": [0], "right": [1], "extra": 1}], "reps": [[0, 1]]}
 
 
 @pytest.mark.parametrize(
@@ -304,13 +306,23 @@ CAMPAIGN = {"graphs": {"class": "all", "n": 3}, "assertions": ["T2.2"]}
     + [
         ("verify", dict(CAMPAIGN, graphs=dict(spec, extra=1)), f"'extra' in catalog class {spec['class']!r}")
         for spec in VALID_CATALOG_SPECS + [{"class": "files", "files": ["no/such/graph.txt"]}]
+    ]
+    + [
+        # a family file's keys; the command's words come before the file
+        ("lyubeznik path_3 --certify", FAMILY_P3, "'reps' in family JSON"),
+        ("lyubeznik path_3 --certify", dict(FAMILY_P3, blocks=[{"left": [0], "right": [1]}]), "'reps' in family JSON"),
+        (
+            "lyubeznik path_3 --certify",
+            {"blocks": FAMILY_P3["blocks"], "representatives": [[0, 1]]},
+            "'extra' in family block",
+        ),
     ],
 )
 def test_unknown_json_keys_fail_in_one_line(capsys, tmp_path, command, obj, where):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(SystemExit) as exc:
-        run(capsys, command, str(path))
+        run(capsys, *command.split(), str(path))
     msg = str(exc.value)
     assert msg.startswith("edgeideals: error: ") and "\n" not in msg
     assert f"unknown key {where}" in msg

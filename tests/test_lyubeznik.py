@@ -11,7 +11,7 @@ import pytest
 
 from edgeideals.catalog import generate_catalog, graphs_on
 from edgeideals.errors import ResourceLimitError
-from edgeideals.graphs import SimpleGraph, complete_bipartite_graph, cycle_graph
+from edgeideals.graphs import SimpleGraph, complete_bipartite_graph, cycle_graph, path_graph
 from edgeideals.hochster import graph_betti_table, betti_table
 from edgeideals.ideals import Monomial, MonomialIdeal, cover_ideal, edge_ideal, lcm_of
 from edgeideals.linalg import GF2, RATIONALS, FieldSpec
@@ -21,7 +21,6 @@ from edgeideals.lyubeznik import (
     barile_certificate,
     bipartite_cycle,
     check_cycle_certificate,
-    graph_lyubeznik_table,
     is_admissible,
     is_maximal_admissible,
     lyubeznik_betti_table,
@@ -234,7 +233,7 @@ def test_strand_table_matches_hochster_on_graphs():
             if g.edge_count() == 0:
                 continue
             want = {(i, s): v for i, s, v in graph_betti_table(g, GF2).nonzero()}
-            got = {(i, s): v for i, s, v in graph_lyubeznik_table(g, field=GF2).nonzero()}
+            got = {(i, s): v for i, s, v in lyubeznik_betti_table(edge_ideal(g), field=GF2).nonzero()}
             assert got == want, f"edges={g.edges()}"
             # any generator order resolves, so any order gives the same table
             order = list(range(g.edge_count()))
@@ -278,6 +277,110 @@ def test_strand_table_matches_hochster_on_cover_ideals():
             got = lyubeznik_betti_table(ideal, tuple(order), field=field)
             assert {(i, s): v for i, s, v in got.nonzero()} == want, f"edges={g.edges()}"
             checked += 1
+
+
+def test_strand_table_matches_hochster_on_random_graphs_in_every_field():
+    # the unshuffled table fills the base ideal's first-divisor memo before
+    # each shuffled table reorders it, so a memo that followed the copy
+    # would hand the shuffled walk positions of the other order
+    rng = random.Random(43)
+    fields = (GF2, FieldSpec.parse("gf3"), RATIONALS)
+    for n in range(4, 10):
+        for _ in range(3):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+            g = SimpleGraph(n, edges)
+            ideal = edge_ideal(g)
+            for field in fields:
+                want = {(i, s): v for i, s, v in graph_betti_table(g, field).nonzero()}
+                tables = [lyubeznik_betti_table(ideal, field=field)]
+                for _ in range(2):
+                    order = list(range(ideal.ngens))
+                    rng.shuffle(order)
+                    tables.append(lyubeznik_betti_table(ideal, tuple(order), field=field))
+                for table in tables:
+                    assert {(i, s): v for i, s, v in table.nonzero()} == want, f"n={n} edges={edges}"
+
+
+def reference_boundary(ideal, sym):
+    """The Taylor boundary from the definition: one lcm_of per facet."""
+    gens = ideal.generators
+    full = lcm_of([gens[i] for i in sym], ideal.nvars)
+    out = []
+    for t in range(len(sym)):
+        sub = sym[:t] + sym[t + 1 :]
+        rest = lcm_of([gens[i] for i in sub], ideal.nvars)
+        out.append((sub, (-1) ** t, full.quotient(rest)))
+    return out
+
+
+def test_taylor_boundary_matches_the_quadratic_definition():
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(40):
+        ideal = random_ideal(rng, rng.randint(1, 5), rng.randint(1, 7), max_exp=3)
+        u = ideal.ngens
+        order = list(range(u))
+        rng.shuffle(order)
+        shuffled = ideal.reordered(order)
+        for size in range(u + 1):
+            for sym in itertools.combinations(range(u), size):
+                want = reference_boundary(ideal, sym)
+                got = taylor_boundary(ideal, sym)
+                assert got == want and [type(c) for _, _, c in got] == [Monomial] * size
+                assert taylor_boundary(ideal, sym, tuple(order)) == reference_boundary(shuffled, sym)
+                checked += size
+    assert checked > 1000
+
+
+def test_is_admissible_matches_the_definition_with_live_memos():
+    # the base ideal and its reordered copy are asked in turn, so each
+    # memo is filled while the other is in use
+    rng = random.Random(53)
+    for _ in range(30):
+        ideal = random_ideal(rng, rng.randint(1, 5), rng.randint(1, 8), max_exp=2)
+        u = ideal.ngens
+        order = list(range(u))
+        rng.shuffle(order)
+        shuffled = ideal.reordered(order)
+        assert shuffled.first_divisors == {} and shuffled.first_divisors is not ideal.first_divisors
+        for size in range(u + 1):
+            for sym in itertools.combinations(range(u), size):
+                assert is_admissible(ideal, sym) == reference_admissible(ideal, sym)
+                assert is_admissible(shuffled, sym) == reference_admissible(shuffled, sym)
+                assert is_admissible(ideal, sym, tuple(order)) == reference_admissible(shuffled, sym)
+        for copy in (ideal, shuffled):
+            assert copy.first_divisors or u < 2
+            for mask, k in copy.first_divisors.items():
+                inside = [q for q, m in enumerate(copy.masks) if m & ~mask == 0]
+                assert k == (inside[0] if inside else u)
+
+
+# module-level is_admissible calls that admissible_symbols makes, one per
+# candidate, and the symbols they yield; the tracer's admissible_checks and
+# admissible_yield count these calls, so a faster check must not move them
+PINNED_CHECKS = {
+    "C5": (cycle_graph(5), 25, 23),
+    "P6": (path_graph(6), 31, 31),
+    "K33": (complete_bipartite_graph(3, 3), 161, 103),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHECKS))
+def test_admissible_symbols_check_count_is_pinned(monkeypatch, name):
+    import edgeideals.lyubeznik as lyu
+
+    g, checks, symbols = PINNED_CHECKS[name]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return is_admissible(*args, **kwargs)
+
+    monkeypatch.setattr(lyu, "is_admissible", counted)
+    got = lyu.admissible_symbols(edge_ideal(g))
+    assert (len(calls), len(got)) == (checks, symbols)
+    # one call per candidate, and every symbol is a candidate that passed
+    assert len(set(calls)) == len(calls) and set(got) <= set(calls)
 
 
 def test_lyubeznik_rejects_non_squarefree():
