@@ -80,6 +80,12 @@ class _Ctx:
     the acyclic reduction and the maximal witness.  Each assertion then only
     reads its field's table, and emits its rows in the order of a fresh walk.
 
+    Certificate verdicts are kept per graph too: ``certified`` checks each
+    distinct family (its blocks in order, each with its representative) once,
+    so a star family that T1.1 already certified costs T2.5 and T7.1 one
+    lookup.  Families that differ in block order or representatives, or only
+    share sigma, are checked apart.
+
     ``certificates`` is the memo that ``main_theorem_certificate`` keys by
     the blocks' shapes (m, n) and G[sigma]'s adjacency rows with sigma's
     vertices numbered in block order.  The key mentions neither the graph
@@ -114,6 +120,22 @@ class _Ctx:
     def witness(self, i: int, sigma: int):
         return self._once(("witness", i, sigma), lambda: witness_for(self.g, i, sigma))
 
+    def certified(self, fam: DisjointFamily):
+        """``_certified(G, fam, certificates)``, run once per ordered family.
+
+        A family is its blocks in order, each with its representative; the
+        verdict reads nothing else, so a repeat would be the same call on the
+        same input.  A family without representatives is checked every time.
+        """
+        if fam.representatives is None:
+            return _certified(self.g, fam, self.certificates)
+        # one flat tuple, (left, right, u, v) per block: a graph's contexts
+        # keep one key per family, and nested tuples would tax the collector
+        key = ["certified"]
+        for b, (u, v) in zip(fam.blocks, fam.representatives):
+            key += (b.left, b.right, u, v)
+        return self._once(tuple(key), lambda: _certified(self.g, fam, self.certificates))
+
     def families(self, max_vertices: int, max_r: int):
         """T1.1's valid families as (|sigma| - r, sigma, family, ok, error),
         in search order."""
@@ -121,7 +143,7 @@ class _Ctx:
         def build():
             blocks = all_blocks(self.g, max_vertices=max_vertices)
             return [
-                (i, sigma, fam, *_certified(self.g, fam, self.certificates))
+                (i, sigma, fam, *self.certified(fam))
                 for i, sigma, fam in _valid_families(self.g, blocks, max_r)
             ]
 
@@ -132,7 +154,7 @@ class _Ctx:
         return self._once(
             "bouquet_certificates",
             lambda: [
-                (sigma, fam, *_certified(self.g, fam, self.certificates))
+                (sigma, fam, *self.certified(fam))
                 for sigma, fam in self.of(_bouquets)
             ],
         )
@@ -531,7 +553,7 @@ def _assert_t71(g, field, caps, ctx):
                 "sigma": _labels(g, w.family.sigma),
             }
         )
-    ok, err = _certified(g, w.family, ctx.certificates)
+    ok, err = ctx.certified(w.family)
     if not ok:
         out.append({"check": "certificate", "family": w.family.to_json(g), "error": err})
     search = ctx.of(max_pd_witness)

@@ -256,14 +256,21 @@ def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle, order=None):
     leading symbol is maximal admissible; None otherwise.
 
     Raises ValueError if the terms are not same-degree admissible symbols.
+    Terms are compared by the OR of their generator masks, which is equal
+    exactly when their lcms are; only the leading symbol's degree is built
+    as a ``Monomial``.
     """
     ordered = _ordered(ideal, order)
+    masks = ordered.masks
     degrees = set()
     for sym in cycle.terms:
         _check_symbol(ordered, sym)
         if not is_admissible(ordered, sym):
             raise ValueError(f"cycle term {sym} is not admissible")
-        degrees.add(symbol_degree(ordered, sym))
+        deg = 0
+        for i in sym:
+            deg |= masks[i]
+        degrees.add(deg)
     if len(degrees) != 1:
         raise ValueError("cycle terms have mixed multidegrees")
     image: dict[tuple[int, ...], int] = {}
@@ -275,7 +282,7 @@ def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle, order=None):
         return None
     if not is_maximal_admissible(ordered, cycle.leading):
         return None
-    return cycle.s, next(iter(degrees))
+    return cycle.s, symbol_degree(ordered, cycle.leading)
 
 
 def bipartite_cycle(m: int, n: int, left_labels=None, right_labels=None):
@@ -408,22 +415,32 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | N
         raise ValueError("family is not valid for this graph")
     order: list[int] = []
     shapes = []
+    sigma = 0
     for block, (u, v) in zip(fam.blocks, reps):
         # a valid family's representatives are cross edges of their blocks
         upart, vpart = (block.left, block.right) if 1 << u & block.left else (block.right, block.left)
-        order.extend(iter_bits(upart & ~(1 << u)))
-        order.append(u)
-        order.extend(iter_bits(vpart & ~(1 << v)))
-        order.append(v)
+        for part, end in ((upart, u), (vpart, v)):
+            rest = part & ~(1 << end)
+            while rest:
+                low = rest & -rest
+                order.append(low.bit_length() - 1)
+                rest ^= low
+            order.append(end)
         shapes.append((upart.bit_count(), vpart.bit_count()))
-    sigma = fam.sigma
-    bit = {w: 1 << i for i, w in enumerate(order)}
+        sigma |= upart | vpart
+    # bit[w] is the position mask of sigma's vertex w
+    bit = [0] * g.n
+    for i, w in enumerate(order):
+        bit[w] = 1 << i
     adj = g.adj
     rows = []
     for w in order:
         row = 0
-        for x in iter_bits(adj[w] & sigma):
-            row |= bit[x]
+        nbrs = adj[w] & sigma
+        while nbrs:
+            low = nbrs & -nbrs
+            row |= bit[low.bit_length() - 1]
+            nbrs ^= low
         rows.append(row)
     key = (tuple(shapes), tuple(rows))
     if memo is None:
@@ -434,7 +451,7 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | N
     if res is None:
         raise RuntimeError("certificate construction failed; theorem hypothesis violated")
     s, degree = res
-    if s != fam.value or degree.support() != (1 << len(order)) - 1:
+    if s != len(order) - len(shapes) or degree.support() != (1 << len(order)) - 1:
         raise RuntimeError("certificate landed in an unexpected strand")
     return s, sigma
 

@@ -122,21 +122,29 @@ class DisjointFamily:
         check_keys(obj, ("blocks", "representatives"), "family JSON")
 
         def vert(x):
-            return g.index_of(x) if isinstance(x, str) else int(x)
+            if isinstance(x, str):
+                return g.index_of(x)
+            if isinstance(x, int) and not isinstance(x, bool) and 0 <= x < g.n:
+                return x
+            raise ValueError(f"family vertex {x!r} is neither a label nor an index in 0..{g.n - 1}")
 
+        def part(blk, side):
+            if not isinstance(blk.get(side), list):
+                raise ValueError(f"family block {side!r} must be a list of vertices")
+            return bits_of(vert(v) for v in blk[side])
+
+        if not isinstance(obj.get("blocks"), list):
+            raise ValueError("family JSON needs 'blocks', a list of {left, right} objects")
         blocks = []
         for blk in obj["blocks"]:
             if not isinstance(blk, dict):
                 raise ValueError("each family block must be an object")
             check_keys(blk, ("left", "right"), "family block")
-            blocks.append(
-                CompleteBipartiteSub(
-                    bits_of(vert(v) for v in blk["left"]),
-                    bits_of(vert(v) for v in blk["right"]),
-                )
-            )
+            blocks.append(CompleteBipartiteSub(part(blk, "left"), part(blk, "right")))
         reps = obj.get("representatives")
         if reps is not None:
+            if not isinstance(reps, list) or not all(isinstance(e, list) and len(e) == 2 for e in reps):
+                raise ValueError("family 'representatives' must be a list of [u, v] pairs")
             reps = [(vert(u), vert(v)) for u, v in reps]
         return cls(blocks, reps)
 
@@ -449,23 +457,41 @@ def cochordal_pd(g: SimpleGraph) -> int:
 
 
 def bouquet_family(g: SimpleGraph, sigma: int) -> DisjointFamily | None:
-    """The family of stars, when G_sigma is a disjoint union of bouquets."""
+    """The family of stars, when G_sigma is a disjoint union of bouquets.
+
+    G_sigma is a union of stars exactly when it has no isolated vertex and no
+    two of its non-leaves (sigma-degree at least 2) are adjacent: then every
+    non-leaf is a center whose neighbours are all leaves, and a component
+    without one is a single edge.  The blocks come in component order, by
+    lowest vertex, centred on a single edge's lower end.
+    """
     if sigma == 0:
         return None
+    adj = g.adj
+    leaves = 0
+    rest = sigma
+    while rest:
+        low = rest & -rest
+        nbrs = adj[low.bit_length() - 1] & sigma
+        if not nbrs:
+            return None
+        if nbrs & (nbrs - 1) == 0:
+            leaves |= low
+        rest ^= low
     blocks = []
-    for comp in g.components(within=sigma):
-        k = comp.bit_count()
-        if k < 2:
+    rest = sigma
+    while rest:
+        low = rest & -rest
+        center = low.bit_length() - 1
+        nbrs = adj[center] & sigma
+        if low & leaves and nbrs & ~leaves:
+            # the lowest vertex is a leaf of the star centred on its neighbour
+            center = nbrs.bit_length() - 1
+            nbrs = adj[center] & sigma
+        if nbrs & ~leaves:
             return None
-        inner_deg = sum((g.adj[v] & comp).bit_count() for v in iter_bits(comp))
-        if inner_deg != 2 * (k - 1):
-            return None
-        center = next(
-            (v for v in iter_bits(comp) if g.adj[v] & comp == comp ^ (1 << v)), None
-        )
-        if center is None:
-            return None
-        blocks.append(CompleteBipartiteSub(1 << center, comp ^ (1 << center)))
+        blocks.append(CompleteBipartiteSub(1 << center, nbrs))
+        rest &= ~(nbrs | 1 << center)
     reps = find_representatives(g, blocks)
     if reps is None:
         return None

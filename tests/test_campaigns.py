@@ -8,7 +8,7 @@ from types import FunctionType
 
 import pytest
 
-from edgeideals import campaigns, catalog
+from edgeideals import campaigns, catalog, lyubeznik
 from edgeideals.campaigns import (
     REGISTRY,
     Campaign,
@@ -24,7 +24,7 @@ from edgeideals.graphs import SimpleGraph, path_graph
 from edgeideals.hochster import compare_bcp, compare_eagon_reiner, verify_bcp, verify_eagon_reiner
 from edgeideals.ideals import Monomial, MonomialIdeal
 from edgeideals.linalg import FieldSpec
-from edgeideals.lyubeznik import bipartite_cycle, check_cycle_certificate, product_cycle
+from edgeideals.lyubeznik import bipartite_cycle, check_cycle_certificate, main_theorem_certificate, product_cycle
 from edgeideals.witness import (
     CompleteBipartiteSub,
     DisjointFamily,
@@ -34,6 +34,7 @@ from edgeideals.witness import (
     valid_representatives,
     witness_for,
 )
+from test_lyubeznik import check_cycle_certificate_by_monomials
 
 EXPECTED_TAGS = {
     "T1.1", "T2.2", "T2.3", "T2.4", "T2.5",
@@ -307,6 +308,7 @@ def test_certificate_memo_never_changes_a_verdict():
             )
             cycle = product_cycle([(k, bipartite_cycle(m, n)[1]) for (m, n), k in zip(shapes, counts)])
             assert check_cycle_certificate(ideal, cycle) == result
+            assert check_cycle_certificate_by_monomials(ideal, cycle) == result
     assert calls - rejected > 2 * keys > 0 and rejected > 0
 
 
@@ -355,6 +357,51 @@ def test_certificate_memo_keeps_rejecting_invalid_families():
     expected = (False, "ValueError: family is not valid for this graph")
     assert _certified(g, bad, memo) == _certified(g, bad) == expected
     assert len(memo) == 1
+
+
+def certificate_key(g, fam):
+    """The certificate memo key of one family."""
+    memo = {}
+    main_theorem_certificate(g, fam, memo)
+    (key,) = memo
+    return key
+
+
+# a single edge, and K_{2,2} on a diamond (a 4-cycle 0-1-2-3 with chord 1-3),
+# whose sigma also carries the stars centred on 1 and on 3
+EDGE_KEY = certificate_key(path_graph(2), DisjointFamily([CompleteBipartiteSub(1, 2)], [(0, 1)]))
+DIAMOND_KEY = certificate_key(
+    SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]),
+    DisjointFamily([CompleteBipartiteSub(0b0101, 0b1010)], [(0, 1)]),
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"class": "all", "max_n": 5}, {"class": "unmixed_blowups", "max_elements": 2, "max_zeta": 2, "max_vertices": 6}],
+)
+@pytest.mark.parametrize("failing", [EDGE_KEY, DIAMOND_KEY])
+def test_shared_verdicts_report_a_failing_certificate_as_each_family_does(monkeypatch, spec, failing):
+    original = lyubeznik._block_order_certificate
+    monkeypatch.setattr(
+        lyubeznik, "_block_order_certificate", lambda *key: None if key == failing else original(*key)
+    )
+    tags = ["T1.1", "T2.5", "T7.1"]
+
+    def certificate_rows():
+        report = run_campaign(Campaign("verdicts", spec, ["gf2"], tags), workers=1)
+        return rows_by_key(report), {
+            tag: sum(v["check"] == "certificate" for r in report.results if r["assertion"] == tag for v in r["violations"])
+            for tag in tags
+        }
+
+    shared, failures = certificate_rows()
+    monkeypatch.setattr(_Ctx, "certified", lambda self, fam: _certified(self.g, fam, self.certificates))
+    assert certificate_rows() == (shared, failures)
+    if failing == EDGE_KEY:
+        assert all(failures.values()), failures
+    elif spec["class"] == "all":
+        assert failures["T1.1"], failures
 
 
 def test_duality_tags_on_shared_tables_match_fresh_verification():

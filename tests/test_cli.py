@@ -120,6 +120,46 @@ def test_malformed_family_file_fails_in_one_line(capsys, tmp_path):
         run(capsys, "lyubeznik", "cycle_4", "--certify", str(tmp_path / "missing.json"))
 
 
+LABELLED_P3 = {"labels": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"]]}
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        # int() once read 0.9 as 0 and true as 1, and certified beta_1,{a,b}
+        (
+            {"blocks": [{"left": [0.9], "right": [True]}], "representatives": [[0.2, 1.7]]},
+            "family vertex 0.9 is neither a label nor an index in 0..3",
+        ),
+        ({"blocks": [{"left": [0], "right": [True]}]}, "family vertex True is neither"),
+        ({"blocks": [{"left": [-1], "right": [1]}]}, "family vertex -1 is neither"),
+        ({"blocks": [{"left": [0], "right": [4]}]}, "family vertex 4 is neither"),
+        ({"blocks": [{"left": ["a"], "right": ["b"]}], "representatives": [["a", 1.0]]}, "family vertex 1.0"),
+        ({"representatives": [["a", "b"]]}, "family JSON needs 'blocks', a list"),
+        ({"blocks": {"left": ["a"], "right": ["b"]}}, "family JSON needs 'blocks', a list"),
+        ({"blocks": [{"left": ["a"]}]}, "family block 'right' must be a list of vertices"),
+        ({"blocks": [{"left": "a", "right": ["b"]}]}, "family block 'left' must be a list of vertices"),
+        (
+            {"blocks": [{"left": ["a"], "right": ["b"]}], "representatives": [["a"]]},
+            "family 'representatives' must be a list of [u, v] pairs",
+        ),
+        (
+            {"blocks": [{"left": ["a"], "right": ["b"]}], "representatives": ["ab"]},
+            "family 'representatives' must be a list of [u, v] pairs",
+        ),
+    ],
+)
+def test_malformed_family_vertices_fail_in_one_line_that_names_them(capsys, tmp_path, family, message):
+    graph, path = tmp_path / "g.json", tmp_path / "fam.json"
+    graph.write_text(json.dumps(LABELLED_P3))
+    path.write_text(json.dumps(family))
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "lyubeznik", str(graph), "--certify", str(path))
+    msg = str(exc.value)
+    assert msg.startswith(f"edgeideals: error: cannot load family {str(path)!r}: ") and "\n" not in msg
+    assert message in msg
+
+
 def test_lyubeznik_certify(capsys, tmp_path):
     g = named_graph("cycle_4")
     fam = max_pd_witness(g).family

@@ -25,6 +25,7 @@ from edgeideals.lyubeznik import (
     is_maximal_admissible,
     lyubeznik_betti_table,
     main_theorem_certificate,
+    product_cycle,
     symbol_degree,
     taylor_boundary,
 )
@@ -410,6 +411,62 @@ def test_cycle_certificate_negative_controls():
     assert check_cycle_certificate(ideal, Cycle(flipped, cycle.leading)) is None
     with pytest.raises(ValueError):
         check_cycle_certificate(ideal, Cycle({(0, 1): 1, (0,): 1}, (0, 1)))
+
+
+def check_cycle_certificate_by_monomials(ideal, cycle):
+    """Reference cycle check that compares every term's ``symbol_degree``."""
+    degrees = set()
+    for sym in cycle.terms:
+        if not is_admissible(ideal, sym):
+            raise ValueError(f"cycle term {sym} is not admissible")
+        degrees.add(symbol_degree(ideal, sym))
+    if len(degrees) != 1:
+        raise ValueError("cycle terms have mixed multidegrees")
+    image = {}
+    for sym, coeff in cycle.terms.items():
+        for sub, sign, cof in taylor_boundary(ideal, sym):
+            if cof.is_one():
+                image[sub] = image.get(sub, 0) + coeff * sign
+    if any(image.values()) or not is_maximal_admissible(ideal, cycle.leading):
+        return None
+    return cycle.s, next(iter(degrees))
+
+
+def outcome(check, ideal, cycle):
+    try:
+        return check(ideal, cycle)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_cycle_certificate_matches_the_monomial_degree_check():
+    corpus = [bipartite_cycle(m, n) for m in range(1, 5) for n in range(1, 5)]
+    ideal, cycle = bipartite_cycle(2, 3)
+    corpus.append((ideal, product_cycle([(6, cycle)])))
+    flipped = {k: -v if k != cycle.leading else v for k, v in cycle.terms.items()}
+    corpus.append((ideal, Cycle(flipped, cycle.leading)))
+    # same support, different exponents: only the polarized masks tell them apart
+    corpus.append((MonomialIdeal(["x", "y"], [Monomial((2, 1)), Monomial((1, 2))]), Cycle({(0,): 1, (1,): 1}, (0,))))
+    # random same-length terms, and same-degree terms, on non-squarefree ideals
+    rng = random.Random(61)
+    for _ in range(60):
+        ideal = random_ideal(rng, rng.randint(2, 4), rng.randint(2, 6), max_exp=2)
+        s = rng.randint(1, ideal.ngens)
+        syms = list(itertools.combinations(range(ideal.ngens), s))
+        terms = rng.sample(syms, min(len(syms), rng.randint(1, 3)))
+        corpus.append((ideal, Cycle({t: rng.choice((1, -1)) if t != terms[0] else 1 for t in terms}, terms[0])))
+        by_degree = {}
+        for sym in admissible_symbols(ideal, s=s):
+            by_degree.setdefault(symbol_degree(ideal, sym), []).append(sym)
+        for group in by_degree.values():
+            corpus.append((ideal, Cycle({t: rng.choice((1, -1)) if t != group[0] else 1 for t in group}, group[0])))
+    results = []
+    for ideal, cycle in corpus:
+        got = outcome(check_cycle_certificate, ideal, cycle)
+        assert got == outcome(check_cycle_certificate_by_monomials, ideal, cycle)
+        results.append(got if isinstance(got, str) else got is not None)
+    assert results.count(True) > 20 and results.count(False) > 5
+    assert "cycle terms have mixed multidegrees" in results
 
 
 def test_barile_certificate_soundness():

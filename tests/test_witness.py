@@ -12,6 +12,7 @@ from edgeideals.graphs import (
     cycle_graph,
     disjoint_union,
     is_cochordal,
+    iter_bits,
     path_graph,
 )
 from edgeideals.hochster import graph_betti_table
@@ -311,6 +312,51 @@ def test_bouquet_family_on_star_unions():
     assert bouquet_family(path_graph(4), 0b1111) is None
     assert bouquet_family(cycle_graph(4), 0b1111) is None
     assert bouquet_family(path_graph(2), 0b01) is None
+
+
+def bouquet_family_by_components(g, sigma):
+    """Reference star-forest test: walk G_sigma's components, require each to
+    be a tree with a vertex adjacent to all the others, and centre it on the
+    lowest such vertex."""
+    if sigma == 0:
+        return None
+    blocks = []
+    for comp in g.components(within=sigma):
+        k = comp.bit_count()
+        if k < 2:
+            return None
+        if sum((g.adj[v] & comp).bit_count() for v in iter_bits(comp)) != 2 * (k - 1):
+            return None
+        center = next((v for v in iter_bits(comp) if g.adj[v] & comp == comp ^ (1 << v)), None)
+        if center is None:
+            return None
+        blocks.append(CompleteBipartiteSub(1 << center, comp ^ (1 << center)))
+    reps = find_representatives(g, blocks)
+    return None if reps is None else DisjointFamily(blocks, reps)
+
+
+def test_bouquet_family_matches_the_component_walk():
+    pairs = found = 0
+    for n in range(1, 7):
+        for g in graphs_on(n):
+            for sigma in range(1, 1 << n):
+                fam, ref = bouquet_family(g, sigma), bouquet_family_by_components(g, sigma)
+                assert (fam is None) == (ref is None)
+                if fam is not None:
+                    assert fam.blocks == ref.blocks
+                    assert fam.representatives == ref.representatives
+                    found += 1
+                pairs += 1
+    assert pairs == 11082 and 0 < found < pairs
+
+
+def test_bouquet_family_checks_a_centre_reached_from_a_leaf():
+    # sigma's lowest vertex 0 is a leaf of centre 4, whose other neighbours 1
+    # and 3 are adjacent to each other: G_sigma is a triangle with a pendant
+    g = SimpleGraph(5, [(0, 2), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)])
+    sigma = 1 << 0 | 1 << 1 | 1 << 3 | 1 << 4
+    assert bouquet_family(g, sigma) is None
+    assert bouquet_family_by_components(g, sigma) is None
 
 
 def test_linear_strand_betti_equals_table():
