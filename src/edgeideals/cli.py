@@ -71,6 +71,8 @@ def _load_graph(arg: str, max_n=None) -> SimpleGraph:
     if os.path.exists(arg):
         try:
             g = SimpleGraph.load(arg)
+        except OSError as exc:
+            _fail(f"cannot read graph file {arg!r}: {exc.strerror or exc}")
         except (ValueError, KeyError) as exc:
             _fail(f"cannot parse graph file {arg!r}: {exc}")
     else:
@@ -85,9 +87,9 @@ def _load_graph(arg: str, max_n=None) -> SimpleGraph:
 def _load_ideal_or_graph(arg: str, max_n=None):
     """Returns (ideal, graph-or-None); graphs contribute their edge ideal."""
     if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            text = fh.read()
         try:
+            with open(arg, encoding="utf-8") as fh:
+                text = fh.read()
             if text.lstrip().startswith("{"):
                 data = json.loads(text)
                 if "generators" in data:
@@ -97,6 +99,8 @@ def _load_ideal_or_graph(arg: str, max_n=None):
                 g = SimpleGraph.from_json(data)
             else:
                 g = SimpleGraph.from_text(text)
+        except OSError as exc:
+            _fail(f"cannot read input file {arg!r}: {exc.strerror or exc}")
         except (ValueError, KeyError) as exc:
             _fail(f"cannot parse input file {arg!r}: {exc}")
     else:

@@ -236,7 +236,7 @@ class SimpleGraph:
 
     @classmethod
     def load(cls, path: str) -> "SimpleGraph":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
         stripped = text.lstrip()
         if stripped.startswith("{"):

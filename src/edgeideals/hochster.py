@@ -43,17 +43,22 @@ betti_table never visits a cone. A depth-first walk (``_SupportEngine.walk``)
 yields only the active sets (sigma without the singleton-generator
 variables) that are unions of the generator supports inside them, each once
 and every submask before its supersets; it decides the vertices in
-increasing order, carries the supports inside the chosen set, and cuts a
-branch once a chosen vertex has no support left that could still cover it.
+increasing order, carries the union of the supports inside the chosen set,
+and cuts a branch once a chosen vertex has no support left that could still
+cover it.
 Each such set then stands for every sigma that adds singleton variables to
 it, and every other sigma is a cone. So a table costs at most 2^n
 restrictions, and on sparse graphs far fewer: 2,627 of 16,384 for C_14.
 
 Results are memoized per table in a dict keyed by the active mask, with equal
-homology vectors shared as one object. The walk hands each set its list of
-inside supports; a fold, join or split looks up a smaller mask, which the
-walk has already visited unless it is a cone. A single query past the table
-cap, such as the whole of Ind(C_60), recurses through the same memo.
+homology vectors shared as one object. The walk yields bare masks, known to
+be covered, so a walk set costs one memo probe and, on a miss, one fold
+test; a fold stores the already shared vector of its target, and only the
+sets that reach a join or split list their inside supports. A fold, join or
+split looks up a smaller mask, which the walk has already visited unless it
+is a cone. ``betti_table`` reads each carrier's vector straight from the
+memo. A single query past the table cap, such as the whole of Ind(C_60),
+recurses through the same memo.
 
 A cover-ideal table needs no second ideal and no second walk. Hochster's
 dual formula (Eagon-Reiner 1998; Miller-Sturmfels 2005) gives, for the
@@ -202,13 +207,12 @@ class _SupportEngine:
         self._shared: dict[tuple, dict[int, int]] = {}
 
     def walk(self):
-        """Yield (active, inside) for every union of supports, 0 included, once
-        each and every submask before its supersets; inside lists the supports
-        inside active and must not be mutated.
+        """Yield every union of supports, 0 included, as an active mask, once
+        each and every submask before its supersets.
 
         The vertices in some support are decided in increasing order. A node
         has decided the first ``start`` of them: it carries the chosen set,
-        the supports inside it and their union, and as a mask over support
+        the union of the supports inside it, and as a mask over support
         indices the supports still alive (no decided vertex left out, top
         vertex not yet decided). It yields its chosen set when that set is
         covered, then grows it by the vertex at one position p >= start,
@@ -223,12 +227,12 @@ class _SupportEngine:
                 through[v] |= 1 << j
             tops.setdefault(s.bit_length() - 1, []).append((1 << j, s))
         verts = [v for v, thr in enumerate(through) if thr]
-        stack = [(0, 0, 0, (1 << len(sups)) - 1, [])]
+        stack = [(0, 0, 0, (1 << len(sups)) - 1)]
         while stack:
-            start, chosen, covered, alive, inside = stack.pop()
+            start, chosen, covered, alive = stack.pop()
             pending = chosen & ~covered
             if not pending:
-                yield chosen, inside
+                yield chosen
             # children are pushed in increasing p, so the largest p, whose
             # set leaves out the most vertices, is explored first
             for p in range(start, len(verts)):
@@ -236,13 +240,12 @@ class _SupportEngine:
                 hit = alive & through[v]
                 if not hit:
                     continue
-                grown, cov, left = inside, covered, alive
+                cov, left = covered, alive
                 for b, s in tops.get(v, ()):
                     if alive & b:
-                        grown = grown + [s]
                         cov |= s
                         left ^= b
-                stack.append((p + 1, chosen | 1 << v, cov, left, grown))
+                stack.append((p + 1, chosen | 1 << v, cov, left))
                 # later siblings leave v out: its supports die, and a chosen
                 # vertex that loses its last one ends the loop
                 alive ^= hit
@@ -255,43 +258,59 @@ class _SupportEngine:
                 if rest or not alive:
                     break
 
-    def vector(self, sigma: int, inside: list[int] | None = None) -> dict[int, int]:
+    def vector(self, sigma: int, covered: bool = False) -> dict[int, int]:
         """Reduced homology of the restriction to sigma, as {dimension: rank}.
 
-        ``inside``, when given, lists the supports inside sigma and says that
-        they cover it (the walk's sets). The returned dict is shared between
-        equal results and must not be mutated.
+        ``covered`` says that the supports inside sigma cover it (the walk's
+        sets), so no vertex is a cone apex and the check is skipped. On a
+        miss the restriction is folded, or else joined or split. The returned
+        dict is shared between equal results and must not be mutated.
         """
         if self.singletons:
             sigma &= ~self.singletons
         # otherwise the caller's own int object is the key; a copy per key
         # would add about a tenth to a sparse table's peak memory
-        known = self._memo.get(sigma)
-        if known is None:
-            out = self._reduce(sigma, inside)
-            known = self._memo[sigma] = self._shared.setdefault(tuple(sorted(out.items())), out)
+        memo = self._memo
+        known = memo.get(sigma)
+        if known is not None:
+            return known
+        if not covered:
+            union = 0
+            for s in self.supports:
+                if s & ~sigma == 0:
+                    union |= s
+            covered = not sigma & ~union
+        if covered:
+            # strong collapse: drop v when every facet containing v contains w;
+            # the target's value is already shared, so sigma stores it as is
+            links = self._links
+            rest = sigma
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cand = sigma ^ low
+                for t, dom in links[low.bit_length() - 1]:
+                    if t & ~sigma == 0:
+                        cand &= dom
+                        if not cand:
+                            break
+                if cand:
+                    target = sigma ^ (cand & -cand)
+                    known = memo.get(target)
+                    if known is None:
+                        known = self.vector(target)
+                    memo[sigma] = known
+                    return known
+            out = self._join(sigma)
+        else:
+            out = {}  # a vertex in no support inside sigma is a cone apex
+        known = memo[sigma] = self._shared.setdefault(tuple(sorted(out.items())), out)
         return known
 
-    def _reduce(self, active: int, inside: list[int] | None) -> dict[int, int]:
-        if active == 0:
-            return {-1: 1}
-        if inside is None:
-            inside = [s for s in self.supports if s & ~active == 0]
-            covered = 0
-            for s in inside:
-                covered |= s
-            if active & ~covered:
-                return {}
-        # strong collapse: drop v when every facet containing v contains w
-        for w in iter_bits(active):
-            cand = active & ~(1 << w)
-            for t, dom in self._links[w]:
-                if t & ~active == 0:
-                    cand &= dom
-                    if not cand:
-                        break
-            if cand:
-                return self.vector(active & ~(cand & -cand))
+    def _join(self, active: int) -> dict[int, int]:
+        """Join of the components of the support graph, or the split of a
+        connected restriction. No component (active = 0) leaves {empty face}."""
+        inside = [s for s in self.supports if s & ~active == 0]
         comps = []
         left = active
         while left:
@@ -460,16 +479,19 @@ def betti_table(
             "raise max_vars explicitly to override"
         )
     engine = _SupportEngine(ideal, field)
-    carriers = [active for active, inside in engine.walk() if engine.vector(active, inside)]
+    vector = engine.vector
+    carriers = [active for active in engine.walk() if vector(active, True)]
     if engine.singletons:
         # a singleton generator's variable is no vertex of the complex:
         # adding any of them to sigma keeps its homology
         carriers = [a | t for a in carriers for t in iter_subsets(engine.singletons)]
     carriers.sort()
+    memo = engine._memo
+    live = ~engine.singletons
     entries: dict[tuple[int, int], int] = {}
     for sigma in carriers:
         size = sigma.bit_count()
-        for d, rank in engine.vector(sigma).items():
+        for d, rank in memo[sigma & live].items():
             i = size - d - 1
             if 0 <= i:
                 entries[(i, sigma)] = rank

@@ -253,6 +253,26 @@ def test_malformed_graph_file_fails_in_one_line(capsys, tmp_path):
         run(capsys, "lyubeznik", str(graph))
 
 
+@pytest.mark.parametrize("command", ["betti", "lyubeznik", "witness"])
+def test_directory_argument_fails_in_one_line(capsys, tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, command, str(tmp_path))
+    msg = str(exc.value)
+    assert msg.startswith("edgeideals: error: cannot read ") and repr(str(tmp_path)) in msg
+    assert "\n" not in msg
+
+
+@pytest.mark.parametrize("command, kind", [("betti", "graph"), ("lyubeznik", "input")])
+def test_non_utf8_file_fails_in_one_line(capsys, tmp_path, command, kind):
+    graph = tmp_path / "g.txt"
+    graph.write_bytes(b"3\n0 1\n# \xff\xfe\n")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, command, str(graph))
+    msg = str(exc.value)
+    assert msg.startswith(f"edgeideals: error: cannot parse {kind} file {str(graph)!r}: ")
+    assert "\n" not in msg
+
+
 def test_malformed_ideal_file_fails_in_one_line(capsys, tmp_path):
     ideal = tmp_path / "i.json"
     ideal.write_text(json.dumps({"variables": ["a", "b"], "generators": [[1, -1]]}))

@@ -502,15 +502,25 @@ def test_walk_visits_every_union_of_supports_once_submasks_first():
                     covered |= s
             if covered == mask:
                 unions.add(mask)
-        visited = []
-        for active, inside in engine.walk():
-            assert sorted(inside) == sorted(s for s in supports if s & ~active == 0), active
-            visited.append(active)
+        visited = list(engine.walk())
         assert len(visited) == len(set(visited)) and set(visited) == unions, ideal.supports()
         seen = set()
         for active in visited:
             assert not any(s != active and s & ~active == 0 for s in unions - seen), active
             seen.add(active)
+
+
+def test_equal_vectors_share_one_dict_after_a_full_walk():
+    # a fold stores its target's dict under sigma, and only new results are
+    # shared by content, so the memo holds one dict per distinct vector
+    for ideal in walk_corpus():
+        for field, _ in FIELDS:
+            engine = _SupportEngine(ideal, field)
+            for sigma in engine.walk():
+                engine.vector(sigma, covered=True)
+            vectors = list(engine._memo.values())
+            distinct = {tuple(sorted(v.items())) for v in vectors}
+            assert len({id(v) for v in vectors}) == len(distinct), (ideal.supports(), field)
 
 
 def test_walk_tables_match_reference_route():
@@ -600,8 +610,9 @@ def test_split_engine_matches_the_chain_complex_and_reference_homology():
                 # in increasing degree, as the chain complex lists it
                 assert list(got) == sorted(got), (supports, sigma, field)
             engine = _SupportEngine(ideal, field)
-            for sigma, inside in engine.walk():
-                got = engine.vector(sigma, inside)
+            for sigma in engine.walk():
+                got = engine.vector(sigma, covered=True)
+                inside = [s for s in supports if s & ~sigma == 0]
                 assert got == StrandComplex(sigma, inside).homology(field), (supports, sigma, field)
             # a table lists each sigma's entries in decreasing i, the order of
             # the chain complex's increasing degrees
