@@ -240,7 +240,8 @@ def generate_catalog(spec: dict) -> list[tuple[str, SimpleGraph]]:
 
     Classes: all, connected, chordal, cochordal (sized by ``catalog_sizes``),
     cm_posets, unmixed_blowups, ferrers, named, files.  A malformed spec
-    raises ``ValueError``, an unreadable file ``OSError``.
+    raises ``ValueError``; a graph file that cannot be read raises
+    ``OSError`` and one that is malformed ``ValueError``, each naming the file.
     """
     cls = _spec_class(spec)
     if cls is None:
@@ -274,7 +275,14 @@ def generate_catalog(spec: dict) -> list[tuple[str, SimpleGraph]]:
             out.append((f"named/{name}", named_graph(name)))
     elif cls == "files":
         for path in _spec_strings(spec, "files"):
-            out.append((f"file/{path}", SimpleGraph.load(path)))
+            try:
+                g = SimpleGraph.load(path)
+            except OSError as exc:
+                raise OSError(f"cannot load graph file {path!r}: {exc.strerror or exc}") from exc
+            except ValueError as exc:
+                # non-UTF-8 input arrives here too, as UnicodeDecodeError
+                raise ValueError(f"cannot load graph file {path!r}: {exc}") from exc
+            out.append((f"file/{path}", g))
     else:
         raise ValueError(f"unknown catalog class: {cls!r}")
     return out

@@ -19,11 +19,30 @@ def bits_of(vertices) -> int:
     return m
 
 
-def iter_bits(mask: int):
+def _iter_bits(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _bit_table(width: int) -> list[tuple[int, ...]]:
+    """Entry m lists the set bits of m in increasing order, for every m < 2**width:
+    each doubling appends bit k to the entries of the new upper half."""
+    table: list[tuple[int, ...]] = [()]
+    for k in range(width):
+        table += [bits + (k,) for bits in table]
+    return table
+
+
+_BITS = _bit_table(10)
+
+
+def iter_bits(mask: int):
+    """The set bits of mask in increasing order: a table tuple below 2**10, else a generator."""
+    if 0 <= mask < 1 << 10:
+        return _BITS[mask]
+    return _iter_bits(mask)
 
 
 def bit_list(mask: int) -> list[int]:

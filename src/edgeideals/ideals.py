@@ -19,6 +19,7 @@ one bit.
 from __future__ import annotations
 
 import json
+import operator
 
 from .graphs import SimpleGraph, bit_list, check_keys, iter_bits
 
@@ -30,7 +31,7 @@ class Monomial:
 
     def __init__(self, exps):
         self.exps = tuple(exps)
-        if any(e < 0 for e in self.exps):
+        if self.exps and min(self.exps) < 0:
             raise ValueError(f"negative exponent in {self.exps}")
 
     @classmethod
@@ -58,18 +59,18 @@ class Monomial:
         return not any(self.exps)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(operator.le, self.exps, other.exps))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(map(max, self.exps, other.exps)))
 
     def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(map(operator.add, self.exps, other.exps)))
 
     def quotient(self, other: "Monomial") -> "Monomial":
         if not other.divides(self):
             raise ValueError("inexact monomial division")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(map(operator.sub, self.exps, other.exps)))
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps

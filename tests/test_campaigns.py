@@ -2,7 +2,7 @@
 
 import gc
 import json
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 from types import FunctionType
 
@@ -20,11 +20,17 @@ from edgeideals.campaigns import (
     run_campaign,
 )
 from edgeideals.catalog import generate_catalog, graphs_on
-from edgeideals.graphs import SimpleGraph, path_graph
+from edgeideals.graphs import SimpleGraph, iter_bits, path_graph
 from edgeideals.hochster import compare_bcp, compare_eagon_reiner, verify_bcp, verify_eagon_reiner
 from edgeideals.ideals import Monomial, MonomialIdeal
 from edgeideals.linalg import FieldSpec
-from edgeideals.lyubeznik import bipartite_cycle, check_cycle_certificate, main_theorem_certificate, product_cycle
+from edgeideals.lyubeznik import (
+    _block_order_certificate,
+    bipartite_cycle,
+    check_cycle_certificate,
+    main_theorem_certificate,
+    product_cycle,
+)
 from edgeideals.witness import (
     CompleteBipartiteSub,
     DisjointFamily,
@@ -359,6 +365,59 @@ def test_certificate_memo_keeps_rejecting_invalid_families():
     assert len(memo) == 1
 
 
+def block_order_key(g, blocks, reps):
+    """The certificate memo key of blocks in order with representatives (u, v),
+    built as main_theorem_certificate builds it but without checking that the
+    family is valid."""
+    order, shapes = [], []
+    for block, (u, v) in zip(blocks, reps):
+        upart, vpart = (block.left, block.right) if block.left >> u & 1 else (block.right, block.left)
+        for part, end in ((upart, u), (vpart, v)):
+            order += [w for w in iter_bits(part) if w != end] + [end]
+        shapes.append((upart.bit_count(), vpart.bit_count()))
+    bit = {w: 1 << i for i, w in enumerate(order)}
+    rows = tuple(sum(bit[x] for x in order if g.adj[w] >> x & 1) for w in order)
+    return tuple(shapes), rows
+
+
+def certifies(key, memo):
+    """Whether the cycle check of key lands in main_theorem_certificate's
+    strand: homological degree |sigma| - r, multidegree all of sigma."""
+    if key not in memo:
+        shapes, rows = key
+        res = _block_order_certificate(*key)
+        memo[key] = res is not None and res[0] == len(rows) - len(shapes) and res[1].support() == (1 << len(rows)) - 1
+    return memo[key]
+
+
+def test_only_the_full_certificate_sees_three_disjoint_representatives():
+    # every two disjoint blocks of at most 5 vertices, with every pair of
+    # cross edges as representatives, valid (3-disjoint) or not
+    full, single = {}, {}
+    counts = {True: 0, False: 0}
+    for n in range(2, 7):
+        for g in graphs_on(n):
+            for b1, b2 in combinations(all_blocks(g, max_vertices=5), 2):
+                if b1.vertices & b2.vertices:
+                    continue
+                cross = ([(u, v) for u in iter_bits(b.left) for v in iter_bits(b.right)] for b in (b1, b2))
+                for reps in product(*cross):
+                    fam = DisjointFamily([b1, b2], reps)
+                    valid = is_valid_family(g, fam)
+                    key = block_order_key(g, fam.blocks, fam.representatives)
+                    assert certifies(key, full) == valid
+                    if valid:
+                        assert key == certificate_key(g, fam)
+                    # each block alone, its rows masked to its own positions,
+                    # certifies whether or not the representatives are 3-disjoint
+                    shapes, rows = key
+                    cut = sum(shapes[0])
+                    assert certifies((shapes[:1], tuple(r & (1 << cut) - 1 for r in rows[:cut])), single)
+                    assert certifies((shapes[1:], tuple(r >> cut for r in rows[cut:])), single)
+                    counts[valid] += 1
+    assert counts == {True: 1036, False: 17706}
+
+
 def certificate_key(g, fam):
     """The certificate memo key of one family."""
     memo = {}
@@ -651,3 +710,13 @@ def test_readme_smoke_campaign_is_the_checked_in_file():
     checked_in = json.loads((root / "tests" / "data" / "smoke_campaign.json").read_text(encoding="utf-8"))
     assert json.loads(block) == checked_in
     Campaign.from_json(checked_in)
+
+
+def test_n8_slice_campaign_runs_every_tag_with_no_violation(monkeypatch):
+    # every 1,000th graph of graphs_on(8), named by paths from the repository root
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)
+    campaign = Campaign.load("tests/data/n8_slice_campaign.json")
+    assert set(campaign.assertions) == EXPECTED_TAGS and len(campaign.graphs["files"]) == 13
+    report = run_campaign(campaign, workers=1)
+    assert report.summary() == {"ok": 99, "violation": 0, "skipped": 109}

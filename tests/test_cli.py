@@ -1,6 +1,7 @@
 """End-to-end command-line checks driven through main(argv)."""
 
 import json
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from edgeideals.cli import main
 from edgeideals.graphs import SimpleGraph
 from edgeideals.ideals import edge_ideal
 from edgeideals.witness import max_pd_witness
-from edgeideals.catalog import named_graph
+from edgeideals.catalog import generate_catalog, named_graph
 
 
 def run(capsys, *argv):
@@ -337,6 +338,34 @@ def test_malformed_catalog_specs_fail_in_one_line(capsys, tmp_path, graphs):
         run(capsys, "verify", str(campaign))
     msg = str(exc.value)
     assert msg.startswith("edgeideals: error: ") and "\n" not in msg
+
+
+def bad_graph_file(tmp_path, kind):
+    """A path that SimpleGraph.load cannot read or parse, and the error class it raises."""
+    if kind == "directory":
+        return tmp_path, OSError
+    if kind == "non-utf8":
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"3\n0 1\n# \xff\xfe\n")
+    else:
+        path = tmp_path / "g.json"
+        path.write_text('{"edges": [[0, 1], ')
+    return path, ValueError
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8", "malformed json"])
+def test_bad_graph_file_in_a_files_catalog_is_named(capsys, tmp_path, kind):
+    path, error = bad_graph_file(tmp_path, kind)
+    spec = {"class": "files", "files": [str(path)]}
+    with pytest.raises(error, match=f"^cannot load graph file {re.escape(repr(str(path)))}: "):
+        generate_catalog(spec)
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"graphs": spec, "assertions": ["T2.2"]}))
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", str(campaign))
+    msg = str(exc.value)
+    assert msg.startswith(f"edgeideals: error: cannot load graph file {str(path)!r}: ") and "\n" not in msg
+    assert "Traceback" not in capsys.readouterr().err
 
 
 VALID_CATALOG_SPECS = [

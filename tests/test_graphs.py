@@ -19,10 +19,12 @@ from edgeideals.graphs import (
     disjoint_union,
     ferrers_graph,
     are_isomorphic,
+    bit_list,
     is_chordal,
     is_cochordal,
     is_complete_bipartite,
     is_ferrers,
+    iter_bits,
     path_graph,
 )
 from edgeideals.witness import a_number, is_three_disjoint
@@ -202,6 +204,26 @@ def brute_complete_bipartite(g, sigma):
         ):
             return left, right
     return None
+
+
+def reference_bits(mask):
+    """The set bits of mask in increasing order, one low bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_iter_bits_matches_the_low_bit_loop():
+    rng = random.Random(16)
+    # every mask across the table edge at 2**10, then wide masks up to 64 bits
+    masks = list(range(4096)) + [rng.getrandbits(rng.randint(1, 64)) for _ in range(200)]
+    for mask in masks:
+        expected = reference_bits(mask)
+        assert list(iter_bits(mask)) == bit_list(mask) == expected, mask
+        assert max(iter_bits(mask), default=-1) == (expected[-1] if expected else -1)
 
 
 def test_mask_helpers_match_induced_subgraphs():

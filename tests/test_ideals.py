@@ -36,6 +36,32 @@ def test_monomial_arithmetic():
     assert Monomial((1, 2)).pretty(["x", "y"]) == "x*y^2"
 
 
+def test_monomial_arithmetic_matches_reference_comprehensions():
+    rng = random.Random(16)
+    pairs = [(Monomial.one(0), Monomial.one(0))]
+    for _ in range(500):
+        nvars = rng.randint(0, 6)
+        a, b = ([rng.randint(0, 3) for _ in range(nvars)] for _ in range(2))
+        pairs.append((Monomial(a), Monomial(b)))
+    for x, y in pairs:
+        assert x.lcm(y).exps == tuple(max(a, b) for a, b in zip(x.exps, y.exps))
+        assert x.mul(y).exps == tuple(a + b for a, b in zip(x.exps, y.exps))
+        divides = all(a <= b for a, b in zip(x.exps, y.exps))
+        assert x.divides(y) == divides
+        assert x.is_one() == all(a == 0 for a in x.exps)
+        lcm = x.lcm(y)
+        assert lcm.quotient(x).exps == tuple(c - a for a, c in zip(x.exps, lcm.exps))
+        if divides:
+            assert y.quotient(x).exps == tuple(b - a for a, b in zip(x.exps, y.exps))
+        else:
+            with pytest.raises(ValueError, match="inexact"):
+                y.quotient(x)
+    assert Monomial.one(0).exps == () and Monomial.one(0).is_one()
+    for exps in ((-1,), (0, 2, -3)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Monomial(exps)
+
+
 def test_ideal_validation_and_reorder():
     with pytest.raises(ValueError):
         MonomialIdeal(["x", "y"], [Monomial((1, 0)), Monomial((1, 1))])
