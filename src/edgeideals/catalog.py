@@ -1,7 +1,10 @@
 """Duplicate-free graph and poset corpora for exhaustive verification.
 
-All generators work by extension plus canonical-form deduplication, so each
-isomorphism class appears exactly once and iteration order is deterministic.
+Each graph catalog builds its candidates in a fixed order (extensions of
+smaller graphs, blow-ups and graphs of posets, Ferrers shapes) and keeps the
+first graph of each isomorphism class, keyed by ``graphs.canonical_form``, so
+each class appears exactly once and catalog order is deterministic.  Posets
+dedupe on ``Poset.canonical_key``: two posets can give isomorphic graphs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from itertools import product
 from .cm_bipartite import Poset, graph_from_poset
 from .graphs import (
     SimpleGraph,
-    are_isomorphic,
     canonical_form,
     check_keys,
     complete_bipartite_graph,
@@ -21,30 +23,22 @@ from .graphs import (
     ferrers_graph,
     is_chordal,
     is_cochordal,
+    iter_bits,
     path_graph,
 )
 from .unmixed import blow_up
 
 
-class _IsoDedup:
-    """Keeps one representative per isomorphism class.
-
-    Cheap-invariant buckets plus pairwise isomorphism tests; unlike canonical
-    hashing this stays fast on highly symmetric graphs (complete bipartite
-    blow-ups), where minimizing over permutations explodes.
-    """
-
-    def __init__(self):
-        self.buckets: dict[tuple, list[SimpleGraph]] = {}
-
-    def add(self, g: SimpleGraph) -> bool:
-        key = (g.n, g.edge_count(), tuple(sorted(g.degree(v) for v in range(g.n))))
-        bucket = self.buckets.setdefault(key, [])
-        for kept in bucket:
-            if are_isomorphic(g, kept):
-                return False
-        bucket.append(g)
-        return True
+def _one_per_class(graphs) -> list[SimpleGraph]:
+    """The first graph of each isomorphism class, in the order given."""
+    seen = set()
+    out = []
+    for g in graphs:
+        key = canonical_form(g)
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -52,25 +46,15 @@ def graphs_on(n: int) -> tuple[SimpleGraph, ...]:
     """All simple graphs on exactly n vertices, one per isomorphism class.
 
     Extend each (n-1)-vertex graph by a new vertex attached to every subset
-    of the old ones; dedupe by canonical form.
+    of the old ones; keep the first extension of each class.
     """
     if n == 0:
         return (SimpleGraph(0),)
-    out = []
-    seen = set()
-    for base in graphs_on(n - 1):
-        for attach in range(1 << (n - 1)):
-            g = SimpleGraph(n)
-            for u, v in base.edges():
-                g.add_edge(u, v)
-            for u in range(n - 1):
-                if attach >> u & 1:
-                    g.add_edge(u, n - 1)
-            key = canonical_form(g)
-            if key not in seen:
-                seen.add(key)
-                out.append(g)
-    return tuple(out)
+    return tuple(_one_per_class(
+        SimpleGraph(n, base.edges() + [(u, n - 1) for u in iter_bits(attach)])
+        for base in graphs_on(n - 1)
+        for attach in range(1 << (n - 1))
+    ))
 
 
 def connected_graphs_on(n: int) -> list[SimpleGraph]:
@@ -103,54 +87,37 @@ def posets_on(k: int) -> tuple[Poset, ...]:
 def unmixed_blowups(max_elements=3, max_zeta=3, max_vertices=12) -> list[SimpleGraph]:
     """Blow-ups of poset graphs: every unmixed bipartite graph whose reduction
     has at most max_elements classes of size at most max_zeta each."""
-    out = []
-    seen = _IsoDedup()
     # k classes need 2k vertices, and leave one class max_vertices // 2 - k + 1
-    for k in range(1, min(max_elements, max_vertices // 2) + 1):
-        for p in posets_on(k):
-            for zeta in product(range(1, min(max_zeta, max_vertices // 2 - k + 1) + 1), repeat=k):
-                if 2 * sum(zeta) > max_vertices:
-                    continue
-                g = blow_up(p, zeta)
-                if seen.add(g):
-                    out.append(g)
-    return out
+    return _one_per_class(
+        blow_up(p, zeta)
+        for k in range(1, min(max_elements, max_vertices // 2) + 1)
+        for p in posets_on(k)
+        for zeta in product(range(1, min(max_zeta, max_vertices // 2 - k + 1) + 1), repeat=k)
+        if 2 * sum(zeta) <= max_vertices
+    )
 
 
 def cm_poset_graphs(max_elements=4) -> list[SimpleGraph]:
-    out = []
-    seen = _IsoDedup()
-    for k in range(1, max_elements + 1):
-        for p in posets_on(k):
-            g = graph_from_poset(p)
-            if seen.add(g):
-                out.append(g)
-    return out
+    return _one_per_class(
+        graph_from_poset(p) for k in range(1, max_elements + 1) for p in posets_on(k)
+    )
 
 
 def partitions_in_box(max_rows: int, max_cols: int):
     """Weakly decreasing positive tuples with at most max_rows parts, each at
-    most max_cols."""
-
-    def rec(prev, rows):
-        if rows == max_rows:
-            return
-        for part in range(prev, 0, -1):
-            yield (part,)
-            for rest in rec(part, rows + 1):
-                yield (part,) + rest
-
-    yield from rec(max_cols, 0)
+    most max_cols, depth first: a tuple comes before its extensions, and a
+    larger part before a smaller one."""
+    stack = [(p,) for p in range(1, max_cols + 1)] if max_rows > 0 else []
+    while stack:
+        lam = stack.pop()
+        yield lam
+        if len(lam) < max_rows:
+            stack.extend(lam + (p,) for p in range(1, lam[-1] + 1))
 
 
 def ferrers_graphs(max_rows=4, max_cols=4) -> list[SimpleGraph]:
-    pairs = []
-    seen = _IsoDedup()
-    for lam in sorted(partitions_in_box(max_rows, max_cols), key=lambda t: (len(t), t)):
-        g = ferrers_graph(lam)
-        if seen.add(g):
-            pairs.append((lam, g))
-    return [g for _, g in pairs]
+    shapes = sorted(partitions_in_box(max_rows, max_cols), key=lambda t: (len(t), t))
+    return _one_per_class(ferrers_graph(lam) for lam in shapes)
 
 
 _NAMED = {

@@ -452,103 +452,99 @@ def is_cochordal(g: SimpleGraph) -> bool:
 # -- isomorphism-canonical forms ----------------------------------------------
 
 
-def _refine_colors(n, adj, colors):
-    """1-WL refinement: split color classes by multiset of neighbor colors."""
-    while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[w] for w in iter_bits(adj[v]))))
-            for v in range(n)
-        ]
-        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ranks[sig[v]] for v in range(n)]
-        if new == colors:
-            return colors
-        colors = new
+def _refine_colors(adj, colors, k):
+    """Coarsest equitable refinement of an ordered colouring with colours 0..k-1.
+
+    Each round splits every class by how many neighbours a vertex has in each
+    class, and renumbers by rank of (colour, counts); it stops at the first
+    round that splits no class, or at a discrete colouring.  The ranks depend
+    on the graph only, not on its labels.  Returns the colouring and its
+    number of classes.
+    """
+    n = len(colors)
+    while k < n:
+        masks = [0] * k
+        for v, c in enumerate(colors):
+            masks[c] |= 1 << v
+        sig = [(c, *map(int.bit_count, map(a.__and__, masks))) for c, a in zip(colors, adj)]
+        ranks = sorted(set(sig))
+        if len(ranks) == k:
+            break
+        rank = {s: i for i, s in enumerate(ranks)}
+        colors = [rank[s] for s in sig]
+        k = len(ranks)
+    return colors, k
 
 
 def canonical_form(g: SimpleGraph) -> tuple:
-    """Label-independent canonical key: (n, min edge bitstring over isomorphisms).
+    """Label-independent canonical key: (n, least edge bitstring over the leaves
+    of an individualization-refinement search).
 
-    Permutations are restricted to those preserving the 1-WL color classes,
-    which is sound since isomorphisms preserve them.
+    A node of the search is an ordered equitable colouring.  Its target is
+    the first class whose members are not all twins (u, w with the same
+    neighbours apart from each other); each member of the target is
+    individualized in turn and the colouring refined again.  Swapping twins
+    is an automorphism that fixes the colouring, so a member that is a twin
+    of one already tried gives the same leaves and is skipped.  At a leaf
+    every class is a twin class, so numbering the vertices by (colour,
+    vertex) gives the same graph whatever the order inside each class.
     """
-    from itertools import permutations, product
-
-    n = g.n
+    n, adj = g.n, g.adj
     if n == 0:
         return (0, 0)
-    colors = _refine_colors(n, g.adj, [g.degree(v) for v in range(n)])
-    cells = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    cell_list = [cells[c] for c in sorted(cells)]
-
-    best = None
     edges = g.edges()
-    perm_map = [0] * n
-    for cell_perms in product(*(permutations(cell) for cell in cell_list)):
-        pos = 0
-        for cell_perm in cell_perms:
-            for v in cell_perm:
-                perm_map[v] = pos
-                pos += 1
-        code = 0
-        for u, v in edges:
-            a, b = perm_map[u], perm_map[v]
-            if a > b:
-                a, b = b, a
-            code |= 1 << (a * n + b)
-        if best is None or code < best:
-            best = code
+    best = None
+    stack = [_refine_colors(adj, [0] * n, 1)]
+    while stack:
+        colors, k = stack.pop()
+        target = _target_cell(adj, colors, k) if k < n else None
+        if target is None:
+            pos = colors
+            if k < n:
+                pos = [0] * n
+                for i, v in enumerate(sorted(range(n), key=colors.__getitem__)):
+                    pos[v] = i
+            code = 0
+            for u, v in edges:
+                a, b = pos[u], pos[v]
+                code |= 1 << (a * n + b if a < b else b * n + a)
+            if best is None or code < best:
+                best = code
+            continue
+        tried = []
+        for v in target:
+            if any(_twins(adj, u, v) for u in tried):
+                continue
+            tried.append(v)
+            c = colors[v]
+            split = [d + (d >= c) for d in colors]
+            split[v] = c
+            stack.append(_refine_colors(adj, split, k + 1))
     return (n, best)
 
 
-def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
-    """Backtracking isomorphism test with joint color refinement.
+def _twins(adj, u, w) -> bool:
+    return (adj[u] ^ adj[w]) & ~(1 << u | 1 << w) == 0
 
-    Colors are refined on the disjoint union so classes align across the two
-    graphs; unlike canonical_form this only needs to find one isomorphism,
-    which stays fast on highly symmetric graphs.
+
+def _target_cell(adj, colors, k) -> list[int] | None:
+    """The first class whose members are not all twins; None if there is none.
+
+    Twins of one vertex are all adjacent to it or all not, so twinship is an
+    equivalence and each member is compared with the first one only.
     """
-    n = g.n
-    if n != h.n or g.edge_count() != h.edge_count():
-        return False
-    union_adj = list(g.adj) + [m << n for m in h.adj]
-    colors = _refine_colors(2 * n, union_adj, [union_adj[v].bit_count() for v in range(2 * n)])
-    gcol, hcol = colors[:n], colors[n:]
-    if sorted(gcol) != sorted(hcol):
-        return False
+    cells = [[] for _ in range(k)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    for first, *rest in cells:
+        if not all(_twins(adj, first, w) for w in rest):
+            return [first, *rest]
+    return None
 
-    # map g-vertices in order of ascending candidate count
-    order = sorted(range(n), key=lambda v: (sum(1 for w in range(n) if hcol[w] == gcol[v]), v))
-    mapped_to = [-1] * n
-    used = 0
 
-    def place(k: int) -> bool:
-        nonlocal used
-        if k == n:
-            return True
-        v = order[k]
-        for w in range(n):
-            if used >> w & 1 or hcol[w] != gcol[v]:
-                continue
-            ok = True
-            for j in range(k):
-                u = order[j]
-                if bool(g.adj[v] >> u & 1) != bool(h.adj[w] >> mapped_to[u] & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapped_to[v] = w
-            used |= 1 << w
-            if place(k + 1):
-                return True
-            used &= ~(1 << w)
-            mapped_to[v] = -1
-        return False
-
-    return place(0)
+def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
+    """Equal vertex counts, edge counts and canonical forms."""
+    return g.n == h.n and g.edge_count() == h.edge_count() and canonical_form(g) == canonical_form(h)
 
 
 def is_ferrers(g: SimpleGraph) -> bool:

@@ -1,5 +1,7 @@
 """Catalog generators: pinned counts, dedup soundness, spec-driven assembly."""
 
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -18,8 +20,6 @@ from edgeideals.catalog import (
 )
 from edgeideals.cm_bipartite import is_cm_bipartite
 from edgeideals.graphs import (
-    are_isomorphic,
-    canonical_form,
     complete_bipartite_graph,
     is_chordal,
     is_cochordal,
@@ -27,6 +27,7 @@ from edgeideals.graphs import (
     path_graph,
 )
 from edgeideals.unmixed import is_unmixed_bipartite
+from test_graphs import reference_isomorphic
 
 # unlabeled simple graphs / connected ones / finite posets, by element count
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -43,10 +44,74 @@ def test_graph_counts():
         assert all(g.is_connected() for g in connected_graphs_on(n))
 
 
+def brute_canonical(g):
+    """Least edge bitstring over all n! labellings; a complete invariant for small n."""
+    n, edges = g.n, g.edges()
+    return (n, min(
+        sum(1 << (min(p[u], p[v]) * n + max(p[u], p[v])) for u, v in edges)
+        for p in itertools.permutations(range(n))
+    ))
+
+
 def test_graphs_pairwise_distinct():
-    pool = graphs_on(5)
-    keys = {canonical_form(g) for g in pool}
-    assert len(keys) == len(pool)
+    # brute force over all n! labellings, independent of canonical_form
+    for n in range(1, 7):
+        pool = graphs_on(n)
+        assert len({brute_canonical(g) for g in pool}) == len(pool)
+
+
+def digest(pool):
+    """Digest of the labels and edges of each graph, in catalog order."""
+    data = json.dumps([[g.labels, g.edges()] for g in pool], separators=(",", ":"))
+    return hashlib.sha256(data.encode()).hexdigest()[:16]
+
+
+# catalog order is part of every campaign report, so each list is pinned
+# graph by graph, as generated before every catalog deduped on canonical_form
+CATALOG_DIGESTS = {
+    "all/1": "595aa9e11884ae96",
+    "all/2": "773c65cab6392c70",
+    "all/3": "cbee9799ae951951",
+    "all/4": "304220aac52d0a4a",
+    "all/5": "697b57ad609596db",
+    "all/6": "4790238602934282",
+    "all/7": "a6da3ec279a594b9",
+    "connected/1": "595aa9e11884ae96",
+    "connected/2": "f18ce25e6ad79942",
+    "connected/3": "673d69f1d8e30d59",
+    "connected/4": "286285c3a4eaad95",
+    "connected/5": "a5d7933330b2f76b",
+    "connected/6": "7ed2f2e65dcc4951",
+    "chordal/1": "595aa9e11884ae96",
+    "chordal/2": "773c65cab6392c70",
+    "chordal/3": "cbee9799ae951951",
+    "chordal/4": "ed55249a48e69658",
+    "chordal/5": "18aaffca8c2de60e",
+    "chordal/6": "3f32d33126146459",
+    "cochordal/1": "595aa9e11884ae96",
+    "cochordal/2": "773c65cab6392c70",
+    "cochordal/3": "cbee9799ae951951",
+    "cochordal/4": "428491a456e05775",
+    "cochordal/5": "6e8bbea3c735ada4",
+    "cochordal/6": "73cae881b0226791",
+    "unmixed_blowups/3/3/12": "ff157119b8213972",
+    "ferrers/4/4": "a6766226b5ff28d7",
+    "cm_posets/4": "caa1928323039521",
+}
+
+
+def test_catalog_order_is_pinned():
+    got = {}
+    for n in range(1, 8):
+        got[f"all/{n}"] = digest(graphs_on(n))
+    for n in range(1, 7):
+        got[f"connected/{n}"] = digest(connected_graphs_on(n))
+        got[f"chordal/{n}"] = digest([g for g in graphs_on(n) if is_chordal(g)])
+        got[f"cochordal/{n}"] = digest([g for g in graphs_on(n) if is_cochordal(g)])
+    got["unmixed_blowups/3/3/12"] = digest(unmixed_blowups(3, 3, 12))
+    got["ferrers/4/4"] = digest(ferrers_graphs(4, 4))
+    got["cm_posets/4"] = digest(cm_poset_graphs(4))
+    assert got == CATALOG_DIGESTS
 
 
 def test_poset_counts():
@@ -74,7 +139,7 @@ def test_unmixed_blowup_catalog():
         assert is_unmixed_bipartite(g)
     for i, g in enumerate(pool):
         for h in pool[i + 1 :]:
-            assert not (g.n == h.n and are_isomorphic(g, h))
+            assert not reference_isomorphic(g, h)
 
 
 def test_cm_poset_graph_catalog():
@@ -100,7 +165,7 @@ def test_ferrers_catalog():
     assert all(is_ferrers(g) for g in pool)
     for i, g in enumerate(pool):
         for h in pool[i + 1 :]:
-            assert not (g.n == h.n and are_isomorphic(g, h))
+            assert not reference_isomorphic(g, h)
     # conjugate partitions give the same graph, nothing else collides
     classes = set()
     for lam in partitions_in_box(4, 4):

@@ -3,10 +3,11 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
-from edgeideals.catalog import connected_graphs_on, graphs_on
+from edgeideals.catalog import connected_graphs_on, graphs_on, unmixed_blowups
 from edgeideals.graphs import (
     SimpleGraph,
     bipartition,
@@ -258,15 +259,11 @@ def test_cochordal_is_complement_chordality():
         assert is_cochordal(g) == brute_chordal(g.complement())
 
 
-def test_canonical_form_is_permutation_invariant():
-    rng = random.Random(7)
-    for g in connected_graphs_on(5):
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        h = SimpleGraph(g.n)
-        for u, v in g.edges():
-            h.add_edge(perm[u], perm[v])
-        assert canonical_form(g) == canonical_form(h)
+def relabelled(g, rng):
+    """g with its vertices renamed by a random permutation drawn from rng."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def brute_isomorphic(g, h):
@@ -278,12 +275,159 @@ def brute_isomorphic(g, h):
     return False
 
 
+def _wl_colors(n, adj):
+    """1-WL colour classes: split by the multiset of neighbour colours until stable."""
+    colors = [a.bit_count() for a in adj]
+    while True:
+        sig = [(colors[v], tuple(sorted(colors[w] for w in iter_bits(adj[v])))) for v in range(n)]
+        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [ranks[sig[v]] for v in range(n)]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_isomorphic(g, h):
+    """Backtracking isomorphism test with joint colour refinement, independent of
+    canonical_form: colours are refined on the disjoint union so classes align
+    across the two graphs, and one colour-preserving bijection is searched for."""
+    n = g.n
+    if n != h.n or g.edge_count() != h.edge_count():
+        return False
+    colors = _wl_colors(2 * n, list(g.adj) + [m << n for m in h.adj])
+    gcol, hcol = colors[:n], colors[n:]
+    if sorted(gcol) != sorted(hcol):
+        return False
+    # map g-vertices in order of ascending candidate count
+    order = sorted(range(n), key=lambda v: (hcol.count(gcol[v]), v))
+    mapped_to = [-1] * n
+
+    def place(k, used):
+        if k == n:
+            return True
+        v = order[k]
+        for w in range(n):
+            if used >> w & 1 or hcol[w] != gcol[v]:
+                continue
+            if all(g.has_edge(v, order[j]) == h.has_edge(w, mapped_to[order[j]]) for j in range(k)):
+                mapped_to[v] = w
+                if place(k + 1, used | 1 << w):
+                    return True
+        return False
+
+    return place(0, 0)
+
+
+def test_canonical_form_is_permutation_invariant():
+    rng = random.Random(7)
+    for g in small_graphs(6):
+        assert canonical_form(g) == canonical_form(relabelled(g, rng))
+
+
 def test_are_isomorphic_against_brute_force():
     rng = random.Random(11)
     pool = list(graphs_on(5))
     for _ in range(60):
-        g, h = rng.choice(pool), rng.choice(pool)
-        assert are_isomorphic(g, h) == brute_isomorphic(g, h)
+        g, h = rng.choice(pool), relabelled(rng.choice(pool), rng)
+        want = brute_isomorphic(g, h)
+        assert are_isomorphic(g, h) == want
+        assert reference_isomorphic(g, h) == want
+
+
+@pytest.mark.parametrize("pool", ["graphs_on(6)", "unmixed_blowups(3, 3, 12)"])
+def test_are_isomorphic_against_the_reference(pool):
+    rng = random.Random(13)
+    graphs = list(graphs_on(6)) if pool == "graphs_on(6)" else unmixed_blowups(3, 3, 12)
+    same = 0
+    for _ in range(200):
+        g = rng.choice(graphs)
+        # every other pair is a relabelled copy; the rest share g's vertex count
+        other = g if rng.random() < 0.5 else rng.choice([x for x in graphs if x.n == g.n])
+        h = relabelled(other, rng)
+        want = reference_isomorphic(g, h)
+        assert are_isomorphic(g, h) == want
+        same += want
+    assert 50 < same < 150
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return SimpleGraph(10, outer + spokes + inner)
+
+
+def rook_graph(k):
+    """K_k box K_k: cells of a k-by-k board, adjacent when they share a row or column."""
+    return SimpleGraph(k * k, [
+        (a, b) for a in range(k * k) for b in range(a + 1, k * k) if a // k == b // k or a % k == b % k
+    ])
+
+
+def hypercube_graph(d):
+    return SimpleGraph(1 << d, [(a, a | 1 << i) for a in range(1 << d) for i in range(d) if not a >> i & 1])
+
+
+def matching_graph(m):
+    return SimpleGraph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+
+
+def two_triangles():
+    return disjoint_union(complete_graph(3), complete_graph(3))
+
+
+def prism_graph():
+    return SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+
+
+# (graph, per-call budget in seconds): permuting inside every 1-WL class takes
+# seconds on the first four and never ends on 6K_2 (one class of 12 vertices);
+# the last two are regular, so one 1-WL class holds vertices of two orbits
+SYMMETRIC = {
+    "C_9": (lambda: cycle_graph(9), 0.1),
+    "C_10": (lambda: cycle_graph(10), 0.1),
+    "Petersen": (petersen_graph, 0.1),
+    "rook_3x3": (lambda: rook_graph(3), 0.1),
+    "K_6,6": (lambda: complete_bipartite_graph(6, 6), 0.1),
+    "2K_3,3": (lambda: disjoint_union(complete_bipartite_graph(3, 3), complete_bipartite_graph(3, 3)), 0.1),
+    "6K_2": (lambda: matching_graph(6), 0.5),
+    "Q_4": (lambda: hypercube_graph(4), 0.5),
+    "C_6+2K_3": (lambda: disjoint_union(cycle_graph(6), two_triangles()), 0.1),
+    "K_3,3+prism": (lambda: disjoint_union(complete_bipartite_graph(3, 3), prism_graph()), 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_canonical_form_on_symmetric_and_twin_heavy_graphs(name):
+    build, budget = SYMMETRIC[name]
+    g = build()
+    rng = random.Random(17)
+    key = canonical_form(g)
+    fastest = float("inf")
+    for _ in range(5):
+        h = relabelled(g, rng)
+        start = time.perf_counter()
+        assert canonical_form(h) == key
+        fastest = min(fastest, time.perf_counter() - start)
+    assert fastest < budget, f"{name}: {fastest:.3f} s per call"
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        # both 2-regular on 6 vertices, and both 3-regular on 6 vertices:
+        # colour refinement alone leaves each in one class
+        (cycle_graph(6), two_triangles()),
+        (complete_bipartite_graph(3, 3), prism_graph()),
+    ],
+)
+def test_canonical_form_separates_what_colour_refinement_cannot(g, h):
+    assert (g.n, g.edge_count()) == (h.n, h.edge_count())
+    assert canonical_form(g) != canonical_form(h)
+    assert not are_isomorphic(g, h)
+    assert not reference_isomorphic(g, h)
+    rng = random.Random(19)
+    assert are_isomorphic(g, relabelled(g, rng)) and are_isomorphic(h, relabelled(h, rng))
 
 
 def test_are_isomorphic_on_symmetric_blowups():
