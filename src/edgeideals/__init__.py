@@ -27,10 +27,6 @@ from .hochster import (
     BettiTable,
     betti_table,
     graph_betti_table,
-    projective_dimension,
-    regularity,
-    verify_bcp,
-    verify_eagon_reiner,
 )
 from .ideals import (
     Monomial,
@@ -60,10 +56,8 @@ from .witness import (
     DisjointFamily,
     a_number,
     cochordal_pd,
-    enumerate_blocks,
     is_three_disjoint,
     is_valid_family,
-    linear_strand_betti,
     max_pd_witness,
     witness_for,
 )

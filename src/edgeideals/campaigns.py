@@ -427,21 +427,23 @@ def _assert_t58(g, field, caps, ctx):
 
 
 def _assert_t61(g, field, caps, ctx):
+    """One row per extremal cover-ideal entry that differs from its quotient entry."""
     if g.edge_count() == 0:
         return []
     report = compare_bcp(ctx.cover_table(field), ctx.table(field))
-    if report.ok:
-        return []
-    return [{"check": "extremal-duality", "note": report.note}]
+    return [
+        {"check": "extremal-duality", **c, "sigma": [g.labels[v] for v in c["sigma"]]}
+        for c in report.comparisons
+        if c["dual"] != c["quotient"]
+    ]
 
 
 def _assert_t62(g, field, caps, ctx):
+    """One row per pd/reg pair that does not swap."""
     if g.edge_count() == 0:
         return []
     report = compare_eagon_reiner(ctx.cover_table(field), ctx.table(field))
-    if report.ok:
-        return []
-    return [{"check": "dual-pd-reg-swap", "note": report.note}]
+    return [{"check": "dual-pd-reg-swap", **c} for c in report.comparisons if c["left"] != c["right"]]
 
 
 def _basis_families(g: SimpleGraph):

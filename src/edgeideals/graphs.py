@@ -184,9 +184,6 @@ class SimpleGraph:
             left &= ~comp
         return out
 
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
-
     # -- serialization ------------------------------------------------------
 
     @classmethod

@@ -508,16 +508,15 @@ def graph_betti_table(g: SimpleGraph, field: FieldSpec = GF2, **kw) -> BettiTabl
 class DualityReport:
     """Outcome of a pointwise duality verification."""
 
-    __slots__ = ("ok", "comparisons", "note")
+    __slots__ = ("ok", "comparisons")
 
-    def __init__(self, ok, comparisons, note=""):
+    def __init__(self, ok, comparisons):
         self.ok = ok
         self.comparisons = comparisons
-        self.note = note
 
     def __repr__(self):
         status = "ok" if self.ok else "FAILED"
-        return f"DualityReport({status}, {len(self.comparisons)} comparisons{', ' + self.note if self.note else ''})"
+        return f"DualityReport({status}, {len(self.comparisons)} comparisons)"
 
 
 def cover_betti_table(g: SimpleGraph, quotient: BettiTable) -> BettiTable:
@@ -583,28 +582,3 @@ def compare_eagon_reiner(dual_table: BettiTable, quot_table: BettiTable) -> Dual
     ]
     ok = all(c["left"] == c["right"] for c in comparisons)
     return DualityReport(ok, comparisons)
-
-
-def verify_bcp(g: SimpleGraph, field: FieldSpec = GF2) -> DualityReport:
-    """Check the extremal-duality equalities between I(G)* and S/I(G)
-    (``compare_bcp`` on freshly built tables)."""
-    if g.edge_count() == 0:
-        return DualityReport(True, [], note="skipped: no edges")
-    quotient = graph_betti_table(g, field)
-    return compare_bcp(cover_betti_table(g, quotient), quotient)
-
-
-def verify_eagon_reiner(g: SimpleGraph, field: FieldSpec = GF2) -> DualityReport:
-    """``compare_eagon_reiner`` on freshly built tables."""
-    if g.edge_count() == 0:
-        return DualityReport(True, [], note="skipped: no edges")
-    quotient = graph_betti_table(g, field)
-    return compare_eagon_reiner(cover_betti_table(g, quotient), quotient)
-
-
-def projective_dimension(g: SimpleGraph, field: FieldSpec = GF2) -> int:
-    return graph_betti_table(g, field=field).pd()
-
-
-def regularity(g: SimpleGraph, field: FieldSpec = GF2) -> int:
-    return graph_betti_table(g, field=field).reg()

@@ -155,13 +155,6 @@ def _dual_scores(red: AcyclicReduction, field: FieldSpec):
     return table, [(red.sigma_zeta(s) - r, r, s) for r, s, _ in table.nonzero()]
 
 
-def kummini_pd(g: SimpleGraph, field: FieldSpec = GF2) -> int:
-    """Projective dimension of S/I(G) for unmixed bipartite G, as the maximum
-    of (zeta-weighted multidegree size - homological degree) over the nonzero
-    Betti entries of the dual ideal of the reduction."""
-    return max(v for v, _, _ in _dual_scores(acyclic_reduction(g), field)[1])
-
-
 class UnmixedWitness:
     """Chosen maximizer of the weighted dual-table formula plus its lift."""
 

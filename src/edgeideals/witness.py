@@ -21,7 +21,7 @@ from .graphs import (
     bit_list,
     bits_of,
     check_keys,
-    complement_components,
+    is_cochordal,
     iter_bits,
     iter_subsets,
     normalize_edge,
@@ -54,11 +54,6 @@ class CompleteBipartiteSub:
     def type(self) -> tuple[int, int]:
         m, n = self.left.bit_count(), self.right.bit_count()
         return (m, n) if m <= n else (n, m)
-
-    def contains(self, other: "CompleteBipartiteSub") -> bool:
-        return (other.left & ~self.left == 0 and other.right & ~self.right == 0) or (
-            other.left & ~self.right == 0 and other.right & ~self.left == 0
-        )
 
     def __eq__(self, other):
         return (
@@ -308,17 +303,6 @@ def all_blocks(
     return out
 
 
-def enumerate_blocks(g: SimpleGraph, sigma_cap: int | None = None) -> list[CompleteBipartiteSub]:
-    """Inclusion-maximal blocks among those with at most sigma_cap vertices."""
-    blocks = all_blocks(g, max_vertices=sigma_cap)
-    blocks.sort(key=lambda b: -b.size)
-    maximal: list[CompleteBipartiteSub] = []
-    for b in blocks:
-        if not any(big.contains(b) for big in maximal):
-            maximal.append(b)
-    return maximal
-
-
 class WitnessResult:
     __slots__ = ("value", "family")
 
@@ -437,23 +421,11 @@ def witness_for(g: SimpleGraph, i: int, sigma: int) -> DisjointFamily | None:
     return None
 
 
-def linear_strand_betti(g: SimpleGraph, sigma: int) -> int:
-    """beta_{|sigma|-1, sigma}(S/I(G)) = (number of components of complement of G_sigma) - 1."""
-    if sigma == 0:
-        raise ValueError("sigma must be nonempty")
-    return complement_components(g, sigma) - 1
-
-
 def cochordal_pd(g: SimpleGraph) -> int:
     """pd(S/I(G)) for co-chordal G: max of m+n-1 over complete bipartite subgraphs."""
-    from .graphs import is_cochordal
-
     if not is_cochordal(g):
         raise ValueError("graph is not co-chordal")
-    best = 0
-    for b in enumerate_blocks(g):
-        best = max(best, b.size - 1)
-    return best
+    return max((b.size - 1 for b in all_blocks(g)), default=0)
 
 
 def bouquet_family(g: SimpleGraph, sigma: int) -> DisjointFamily | None:

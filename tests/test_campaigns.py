@@ -21,7 +21,7 @@ from edgeideals.campaigns import (
 )
 from edgeideals.catalog import generate_catalog, graphs_on
 from edgeideals.graphs import SimpleGraph, iter_bits, path_graph
-from edgeideals.hochster import compare_bcp, compare_eagon_reiner, verify_bcp, verify_eagon_reiner
+from edgeideals.hochster import BettiTable, compare_bcp, compare_eagon_reiner, cover_betti_table, graph_betti_table
 from edgeideals.ideals import Monomial, MonomialIdeal
 from edgeideals.linalg import FieldSpec
 from edgeideals.lyubeznik import (
@@ -473,15 +473,72 @@ def test_duality_tags_on_shared_tables_match_fresh_verification():
         ctx = _Ctx(g)
         for fname in fields:
             field = FieldSpec.parse(fname)
-            for tag, verify, compare in (
-                ("T6.1", verify_bcp, compare_bcp),
-                ("T6.2", verify_eagon_reiner, compare_eagon_reiner),
-            ):
-                fresh = verify(g, field)
+            if g.edge_count() == 0:
+                assert rows[(gid, fname, "T6.1")]["status"] == rows[(gid, fname, "T6.2")]["status"] == "ok"
+                continue
+            quotient = graph_betti_table(g, field)
+            cover = cover_betti_table(g, quotient)
+            for tag, compare in (("T6.1", compare_bcp), ("T6.2", compare_eagon_reiner)):
+                fresh = compare(cover, quotient)
                 assert rows[(gid, fname, tag)]["status"] == ("ok" if fresh.ok else "violation")
-                if g.edge_count():
-                    shared = compare(ctx.cover_table(field), ctx.table(field))
-                    assert shared.comparisons == fresh.comparisons
+                shared = compare(ctx.cover_table(field), ctx.table(field))
+                assert shared.comparisons == fresh.comparisons
+
+
+def test_duality_violation_rows_name_what_differs(monkeypatch):
+    spec = {"graphs": {"class": "named", "names": ["cycle_4"]}, "fields": ["gf2"], "assertions": ["T6.1", "T6.2"]}
+    [(_, g)] = generate_catalog(spec["graphs"])
+    quotient = graph_betti_table(g, FieldSpec.parse("gf2"))
+    cover = cover_betti_table(g, quotient)
+    shared = _Ctx.cover_table
+
+    def violations(extra):
+        """Rows by tag when every cover table has ``extra`` added to its entries."""
+
+        def patched(self, field):
+            table = shared(self, field)
+            entries = dict(table.entries)
+            for key, v in extra.items():
+                entries[key] = entries.get(key, 0) + v
+            return BettiTable(table.subject, table.field, table.variables, entries)
+
+        monkeypatch.setattr(_Ctx, "cover_table", patched)
+        rows = run_campaign(Campaign.from_json(spec), workers=1).results
+        return {row["assertion"]: row["violations"] for row in rows}
+
+    # one extremal entry bumped: pd and reg stay, one T6.1 entry differs
+    r, sigma = max(cover.extremal())
+    assert violations({(r, sigma): 1}) == {
+        "T6.1": [
+            {
+                "check": "extremal-duality",
+                "r": r,
+                "sigma": g.label_set(sigma),
+                "dual": cover.entry(r, sigma) + 1,
+                "quotient": quotient.entry(sigma.bit_count() - r, sigma),
+            }
+        ],
+        "T6.2": [],
+    }
+    # an entry past pd(dual) on the full set: a new extremal entry, and
+    # pd(dual) no longer equals reg(quotient) while reg(dual) stays
+    full = (1 << g.n) - 1
+    past = cover.pd() + 1
+    assert g.n - past < cover.reg()
+    assert violations({(past, full): 1}) == {
+        "T6.1": [
+            {
+                "check": "extremal-duality",
+                "r": past,
+                "sigma": g.label_set(full),
+                "dual": 1,
+                "quotient": quotient.entry(g.n - past, full),
+            }
+        ],
+        "T6.2": [
+            {"check": "dual-pd-reg-swap", "lhs": "pd(dual)", "left": past, "rhs": "reg(quotient)", "right": quotient.reg()}
+        ],
+    }
 
 
 def test_valid_families_are_the_valid_disjoint_families():

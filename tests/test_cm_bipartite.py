@@ -25,7 +25,7 @@ from edgeideals.graphs import (
     iter_bits,
     path_graph,
 )
-from edgeideals.hochster import betti_table, graph_betti_table, projective_dimension
+from edgeideals.hochster import betti_table, graph_betti_table
 from edgeideals.ideals import cover_ideal, is_unmixed
 from edgeideals.linalg import GF2, RATIONALS
 from edgeideals.witness import is_valid_family
@@ -63,7 +63,7 @@ def test_labeling_existence_matches_cm_characterization():
         for g in graphs_on(n):
             if bipartition(g) is None or any(g.degree(v) == 0 for v in range(g.n)):
                 continue
-            expect = is_unmixed(g) and projective_dimension(g, GF2) == n // 2
+            expect = is_unmixed(g) and graph_betti_table(g, GF2).pd() == n // 2
             assert is_cm_bipartite(g) == expect, g.edges()
 
 
@@ -186,5 +186,5 @@ def test_extract_family_rejects_non_maximal_basis():
 
 def test_cm_pd_formula_against_table():
     for g in cm_poset_graphs(4):
-        assert cm_pd(g) == projective_dimension(g, GF2)
+        assert cm_pd(g) == graph_betti_table(g, GF2).pd()
     assert cm_pd(path_graph(2)) == 1

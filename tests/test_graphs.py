@@ -76,7 +76,7 @@ def brute_chordal(g):
             mask = sum(1 << v for v in combo)
             h = g.induced_subgraph(mask)
             if h.edge_count() == size and all(h.degree(v) == 2 for v in range(size)):
-                if h.is_connected():
+                if len(h.components()) == 1:
                     return False
     return True
 
@@ -113,8 +113,7 @@ def test_induced_subgraph_and_complement():
 def test_components():
     g = disjoint_union(path_graph(3), cycle_graph(3))
     assert len(g.components()) == 2
-    assert not g.is_connected()
-    assert cycle_graph(4).is_connected()
+    assert len(cycle_graph(4).components()) == 1
 
 
 def test_text_round_trip_and_validation():
@@ -455,7 +454,7 @@ def test_is_ferrers_matches_structural_characterization():
     # connected bipartite with an edge and no induced two-edge matching
     for g in small_graphs(5):
         expect = (
-            g.is_connected()
+            len(g.components()) == 1
             and g.edge_count() >= 1
             and bipartition(g) is not None
             and a_number(g) <= 1

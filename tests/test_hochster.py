@@ -21,12 +21,10 @@ from edgeideals.hochster import (
     _SupportEngine,
     betti_table,
     build_strand,
+    compare_bcp,
+    compare_eagon_reiner,
     cover_betti_table,
     graph_betti_table,
-    projective_dimension,
-    regularity,
-    verify_bcp,
-    verify_eagon_reiner,
 )
 from edgeideals.ideals import Monomial, MonomialIdeal, cover_ideal, edge_ideal
 from edgeideals.linalg import GF2, RATIONALS, FieldSpec, rank_over
@@ -188,20 +186,15 @@ def test_extremal_matches_dominance_definition():
         assert t.extremal() == brute_extremal(table_entries(t))
 
 
-def test_pd_reg_helpers():
-    g = cycle_graph(6)
-    t = graph_betti_table(g, GF2)
-    assert projective_dimension(g, GF2) == t.pd()
-    assert regularity(g, GF2) == t.reg()
-    assert regularity(cycle_graph(5)) == 2
-    assert projective_dimension(path_graph(4)) == 2
-
-
 def test_duality_reports_hold_small():
     for n in range(2, 6):
         for g in graphs_on(n):
-            assert verify_bcp(g, GF2).ok
-            assert verify_eagon_reiner(g, GF2).ok
+            if g.edge_count() == 0:
+                continue
+            quotient = graph_betti_table(g, GF2)
+            cover = cover_betti_table(g, quotient)
+            assert compare_bcp(cover, quotient).ok
+            assert compare_eagon_reiner(cover, quotient).ok
 
 
 def test_diagram_text_layout():

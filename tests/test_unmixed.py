@@ -10,7 +10,7 @@ from edgeideals.graphs import (
     cycle_graph,
     path_graph,
 )
-from edgeideals.hochster import projective_dimension
+from edgeideals.hochster import graph_betti_table
 from edgeideals.ideals import is_unmixed
 from edgeideals.linalg import GF2
 from edgeideals.lyubeznik import main_theorem_certificate
@@ -19,7 +19,6 @@ from edgeideals.unmixed import (
     blow_up,
     directed_relation,
     is_unmixed_bipartite,
-    kummini_pd,
     lift_family,
     unmixed_labeling,
     unmixed_pd_witness,
@@ -103,16 +102,16 @@ def test_reduction_rejects_mixed_graphs():
 
 
 def test_kummini_pd_against_table():
-    assert kummini_pd(complete_bipartite_graph(3, 3)) == 5
-    assert kummini_pd(cycle_graph(4)) == 3
+    assert unmixed_pd_witness(complete_bipartite_graph(3, 3)).value == 5
+    assert unmixed_pd_witness(cycle_graph(4)).value == 3
     for g in unmixed_blowups(2, 2, 8):
-        assert kummini_pd(g, GF2) == projective_dimension(g, GF2), g.edges()
+        assert unmixed_pd_witness(g, GF2).value == graph_betti_table(g, GF2).pd(), g.edges()
 
 
 def test_pd_witness_structure():
     for g in unmixed_blowups(2, 3, 10):
         wit = unmixed_pd_witness(g, GF2)
-        assert wit.value == projective_dimension(g, GF2)
+        assert wit.value == graph_betti_table(g, GF2).pd()
         assert is_valid_family(g, wit.family)
         assert wit.family.value == wit.value
         assert main_theorem_certificate(g, wit.family) == (wit.value, wit.family.sigma)
