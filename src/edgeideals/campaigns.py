@@ -9,7 +9,6 @@ deterministic for fixed inputs regardless of the worker count.
 from __future__ import annotations
 
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -31,7 +30,6 @@ from .graphs import (
     is_cochordal,
     is_complete_bipartite,
     is_ferrers,
-    iter_bits,
 )
 from .hochster import (
     compare_bcp,
@@ -56,10 +54,6 @@ from .witness import (
 )
 
 SCHEMA = "edgeideals-report/1"
-
-
-def _labels(g: SimpleGraph, mask: int) -> list[str]:
-    return [g.labels[v] for v in iter_bits(mask)]
 
 
 class _Ctx:
@@ -241,7 +235,7 @@ def _assert_t11(g, field, caps, ctx):
                 {
                     "check": "betti-positive",
                     "i": i,
-                    "sigma": _labels(g, sigma),
+                    "sigma": g.label_set(sigma),
                     "beta": beta,
                     "family": DisjointFamily(fam.blocks).to_json(g),
                 }
@@ -300,7 +294,7 @@ def _assert_t24(g, field, caps, ctx):
                 {
                     "check": "star-components",
                     "i": i,
-                    "sigma": _labels(g, sigma),
+                    "sigma": g.label_set(sigma),
                     "beta": table.entry(i, sigma),
                 }
             )
@@ -327,7 +321,7 @@ def _assert_t25(g, field, caps, ctx):
                 {
                     "check": "betti-positive",
                     "i": fam.value,
-                    "sigma": _labels(g, sigma),
+                    "sigma": g.label_set(sigma),
                     "beta": beta,
                 }
             )
@@ -349,7 +343,7 @@ def _assert_p51(g, field, caps, ctx):
             out.append(
                 {
                     "check": "top-strand",
-                    "sigma": _labels(g, sigma),
+                    "sigma": g.label_set(sigma),
                     "expected": expected,
                     "got": got,
                 }
@@ -369,12 +363,12 @@ def _assert_c52(g, field, caps, ctx):
             continue
         if s.bit_count() != i + 1:
             out.append(
-                {"check": "linear-table", "i": i, "sigma": _labels(g, s), "beta": v}
+                {"check": "linear-table", "i": i, "sigma": g.label_set(s), "beta": v}
             )
             continue
         fam = ctx.witness(i, s)
         if fam is None or fam.r != 1:
-            out.append({"check": "spanning-block", "i": i, "sigma": _labels(g, s)})
+            out.append({"check": "spanning-block", "i": i, "sigma": g.label_set(s)})
     return out
 
 
@@ -411,7 +405,7 @@ def _assert_t58(g, field, caps, ctx):
                 {
                     "check": "entry-shape",
                     "i": i,
-                    "sigma": _labels(g, s),
+                    "sigma": g.label_set(s),
                     "beta": v,
                 }
             )
@@ -420,7 +414,7 @@ def _assert_t58(g, field, caps, ctx):
             out.append(
                 {
                     "check": "induced-block-entry",
-                    "sigma": _labels(g, sigma),
+                    "sigma": g.label_set(sigma),
                 }
             )
     return out
@@ -495,7 +489,7 @@ def _assert_p66(g, field, caps, ctx):
         out.extend(found)
         if fam is not None and table.entry(fam.value, fam.sigma) < 1:
             out.append(
-                {"check": "betti-positive", "i": fam.value, "sigma": _labels(g, fam.sigma)}
+                {"check": "betti-positive", "i": fam.value, "sigma": g.label_set(fam.sigma)}
             )
     return out
 
@@ -552,7 +546,7 @@ def _assert_t71(g, field, caps, ctx):
             {
                 "check": "betti-positive",
                 "i": w.family.value,
-                "sigma": _labels(g, w.family.sigma),
+                "sigma": g.label_set(w.family.sigma),
             }
         )
     ok, err = ctx.certified(w.family)
@@ -751,23 +745,19 @@ def _run_graph(task, certificates=None):
     return rows
 
 
-def default_workers() -> int:
-    raw = os.environ.get("EDGEIDEALS_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_campaign(campaign: Campaign, workers: int | None = None, timing: bool = False) -> Report:
     """Evaluate every assertion on every graph over every field.
 
-    Sizes a catalog names (``catalog.catalog_sizes``) are checked against
-    ``caps.max_n`` before its graphs are generated; other catalogs are
-    checked once built.  One
-    certificate memo serves every graph of a serial run and is dropped when
-    the call returns.
+    ``workers`` processes share the graphs; None means one, and fewer than
+    one is a ValueError.  Sizes a catalog names (``catalog.catalog_sizes``)
+    are checked against ``caps.max_n`` before its graphs are generated;
+    other catalogs are checked once built.  One certificate memo serves
+    every graph of a serial run and is dropped when the call returns.
     """
+    if workers is None:
+        workers = 1
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cap_n = campaign.caps.get("max_n", 7)
     named = catalog_sizes(campaign.graphs)
     if named and max(named) > cap_n:
@@ -786,8 +776,6 @@ def run_campaign(campaign: Campaign, workers: int | None = None, timing: bool = 
         (gid, g.to_json(), campaign.fields, campaign.caps, campaign.assertions, timing)
         for gid, g in catalog
     ]
-    if workers is None:
-        workers = default_workers()
     t0 = time.monotonic()
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

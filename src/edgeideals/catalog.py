@@ -1,10 +1,11 @@
 """Duplicate-free graph and poset corpora for exhaustive verification.
 
-Each graph catalog builds its candidates in a fixed order (extensions of
-smaller graphs, blow-ups and graphs of posets, Ferrers shapes) and keeps the
-first graph of each isomorphism class, keyed by ``graphs.canonical_form``, so
-each class appears exactly once and catalog order is deterministic.  Posets
-dedupe on ``Poset.canonical_key``: two posets can give isomorphic graphs.
+Each catalog builds its candidates in a fixed order (extensions of smaller
+graphs or posets, blow-ups and graphs of posets, Ferrers shapes) and keeps
+the first of each isomorphism class, so each class appears exactly once and
+catalog order is deterministic.  Graphs are keyed by
+``graphs.canonical_form``, posets by ``Poset.canonical_key``, which is
+``canonical_form`` of a graph that marks the poset's sides.
 """
 
 from __future__ import annotations
@@ -29,15 +30,15 @@ from .graphs import (
 from .unmixed import blow_up
 
 
-def _one_per_class(graphs) -> list[SimpleGraph]:
-    """The first graph of each isomorphism class, in the order given."""
+def _one_per_class(items, key) -> list:
+    """The first item of each class of equal keys, in the order given."""
     seen = set()
     out = []
-    for g in graphs:
-        key = canonical_form(g)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
+    for item in items:
+        k = key(item)
+        if k not in seen:
+            seen.add(k)
+            out.append(item)
     return out
 
 
@@ -50,11 +51,11 @@ def graphs_on(n: int) -> tuple[SimpleGraph, ...]:
     """
     if n == 0:
         return (SimpleGraph(0),)
-    return tuple(_one_per_class(
+    return tuple(_one_per_class((
         SimpleGraph(n, base.edges() + [(u, n - 1) for u in iter_bits(attach)])
         for base in graphs_on(n - 1)
         for attach in range(1 << (n - 1))
-    ))
+    ), canonical_form))
 
 
 def connected_graphs_on(n: int) -> list[SimpleGraph]:
@@ -67,39 +68,30 @@ def posets_on(k: int) -> tuple[Poset, ...]:
     repeatedly adjoining a new maximal element above a chosen down-set."""
     if k == 0:
         return (Poset(0, []),)
-    out = []
-    seen = set()
-    for base in posets_on(k - 1):
-        for down in base.ideals():
-            up = [
-                m | ((1 << (k - 1)) if down >> i & 1 else 0)
-                for i, m in enumerate(base.up)
-            ]
-            up.append(1 << (k - 1))
-            q = Poset(k, up)
-            key = q.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                out.append(q)
-    return tuple(out)
+    top = 1 << (k - 1)
+    return tuple(_one_per_class((
+        Poset(k, [m | (top if down >> i & 1 else 0) for i, m in enumerate(base.up)] + [top])
+        for base in posets_on(k - 1)
+        for down in base.ideals()
+    ), Poset.canonical_key))
 
 
 def unmixed_blowups(max_elements=3, max_zeta=3, max_vertices=12) -> list[SimpleGraph]:
     """Blow-ups of poset graphs: every unmixed bipartite graph whose reduction
     has at most max_elements classes of size at most max_zeta each."""
     # k classes need 2k vertices, and leave one class max_vertices // 2 - k + 1
-    return _one_per_class(
+    return _one_per_class((
         blow_up(p, zeta)
         for k in range(1, min(max_elements, max_vertices // 2) + 1)
         for p in posets_on(k)
         for zeta in product(range(1, min(max_zeta, max_vertices // 2 - k + 1) + 1), repeat=k)
         if 2 * sum(zeta) <= max_vertices
-    )
+    ), canonical_form)
 
 
 def cm_poset_graphs(max_elements=4) -> list[SimpleGraph]:
     return _one_per_class(
-        graph_from_poset(p) for k in range(1, max_elements + 1) for p in posets_on(k)
+        (graph_from_poset(p) for k in range(1, max_elements + 1) for p in posets_on(k)), canonical_form
     )
 
 
@@ -117,7 +109,7 @@ def partitions_in_box(max_rows: int, max_cols: int):
 
 def ferrers_graphs(max_rows=4, max_cols=4) -> list[SimpleGraph]:
     shapes = sorted(partitions_in_box(max_rows, max_cols), key=lambda t: (len(t), t))
-    return _one_per_class(ferrers_graph(lam) for lam in shapes)
+    return _one_per_class((ferrers_graph(lam) for lam in shapes), canonical_form)
 
 
 _NAMED = {

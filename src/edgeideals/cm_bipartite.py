@@ -14,9 +14,7 @@ projective dimension.
 
 from __future__ import annotations
 
-from itertools import permutations
-
-from .graphs import SimpleGraph, bipartition, bit_list, bits_of, iter_bits
+from .graphs import SimpleGraph, bipartition, bit_list, bits_of, canonical_form, iter_bits
 from .ideals import Monomial, MonomialIdeal
 from .witness import CompleteBipartiteSub, DisjointFamily, is_valid_family
 
@@ -86,15 +84,28 @@ class Poset:
         return out
 
     def canonical_key(self) -> tuple:
-        best = None
-        for perm in permutations(range(self.n)):
-            code = 0
-            for i in range(self.n):
-                for j in iter_bits(self.up[i]):
-                    code |= 1 << (perm[i] * self.n + perm[j])
-            if best is None or code < best:
-                best = code
-        return (self.n, best)
+        """``canonical_form`` of the side-marked poset graph: x_i ~ y_j for
+        i <= j (i = j included), plus an apex z ~ every x_i.  It is complete:
+
+        - the graph is connected and bipartite with sides X (k vertices) and
+          Y + z (k + 1), so every isomorphism maps X to X;
+        - if z goes to y_m, then y_m is adjacent to all of X, so m is the
+          maximum of its poset, as is the preimage of z; swapping z with that
+          twin gives an isomorphism that fixes z;
+        - row x_i is the up-set of i, and i <= j iff up(i) contains up(j), so
+          the map on X is a poset isomorphism.
+
+        Without the apex, V and Lambda would collide, as would V + 2-chain and
+        Lambda + 2-chain: a component can flip sides on its own.
+        """
+        k = self.n
+        g = SimpleGraph(2 * k + 1)
+        for i, row in enumerate(self.up):
+            g.adj[i] = row << k | 1 << 2 * k
+            for j in iter_bits(row):
+                g.adj[k + j] |= 1 << i
+        g.adj[2 * k] = (1 << k) - 1
+        return canonical_form(g)
 
     def __repr__(self):
         rels = [
@@ -187,9 +198,9 @@ def _antisymmetric(arcs) -> bool:
     )
 
 
-def _matching_search(g: SimpleGraph, need_antisymmetric: bool):
-    """Per-component matchings whose x->y relation is transitive (and acyclic
-    when requested); yields (xs, ys) for the whole graph or None."""
+def _matching_search(g: SimpleGraph):
+    """Per-component matchings whose x->y relation is transitive; (xs, ys)
+    for the whole graph, or None."""
     parts = bipartition(g)
     if parts is None:
         raise ValueError("graph is not bipartite")
@@ -207,7 +218,7 @@ def _matching_search(g: SimpleGraph, need_antisymmetric: bool):
                 continue
             for ys in _component_labelings(g, xcand, ycand):
                 arcs = _relation_arcs(g, xcand, ys)
-                if _transitive(arcs) and (not need_antisymmetric or _antisymmetric(arcs)):
+                if _transitive(arcs):
                     found = (xcand, ys)
                     break
             if found:
@@ -223,11 +234,16 @@ def cm_labeling(g: SimpleGraph) -> CMGraphLabeling | None:
     """A labeling satisfying the matching, comparability, and transitivity
     conditions, with columns sorted along a linear extension; None if G is
     bipartite without isolated vertices but admits none."""
-    got = _matching_search(g, need_antisymmetric=True)
+    got = _matching_search(g)
     if got is None:
         return None
     xs, ys = got
-    order = _linear_extension(_relation_arcs(g, xs, ys))
+    arcs = _relation_arcs(g, xs, ys)
+    # a cycle i -> j -> i in a transitive relation makes x_i and x_j twins,
+    # which no poset graph has, so the first transitive labelling decides
+    if not _antisymmetric(arcs):
+        return None
+    order = _linear_extension(arcs)
     return CMGraphLabeling([xs[i] for i in order], [ys[i] for i in order])
 
 

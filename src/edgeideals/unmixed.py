@@ -36,7 +36,7 @@ def unmixed_labeling(g: SimpleGraph) -> CMGraphLabeling | None:
     Such a labeling exists exactly when the bipartite graph (no isolated
     vertices) is unmixed; antisymmetry is not required.
     """
-    got = _matching_search(g, need_antisymmetric=False)
+    got = _matching_search(g)
     if got is None:
         return None
     return CMGraphLabeling(got[0], got[1])

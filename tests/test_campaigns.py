@@ -16,7 +16,6 @@ from edgeideals.campaigns import (
     _certified,
     _Ctx,
     _valid_families,
-    default_workers,
     run_campaign,
 )
 from edgeideals.catalog import generate_catalog, graphs_on
@@ -165,18 +164,10 @@ def test_timing_block():
         small_campaign(graphs={"class": "named", "names": ["path_3"]}),
         timing=True,
     )
-    assert report.timing and report.timing["workers"] >= 1
+    # no worker count means one worker
+    assert report.timing and report.timing["workers"] == 1
     assert all("elapsed_ms" in r for r in report.results)
     assert "timing" in report.to_json()
-
-
-def test_default_workers_env(monkeypatch):
-    monkeypatch.setenv("EDGEIDEALS_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("EDGEIDEALS_WORKERS", "zero")
-    assert default_workers() == 1
-    monkeypatch.delenv("EDGEIDEALS_WORKERS")
-    assert default_workers() == 1
 
 
 def test_full_registry_on_tiny_corpus():

@@ -32,7 +32,7 @@ from test_graphs import reference_isomorphic
 # unlabeled simple graphs / connected ones / finite posets, by element count
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
-POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
+POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
 CHORDAL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 27, 6: 94}
 
 

@@ -435,6 +435,15 @@ def test_over_cap_catalog_fails_before_generating(capsys, tmp_path):
         run(capsys, "verify", str(campaign), "--max-n", "0")
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_verify_with_fewer_than_one_worker_fails_in_one_line(capsys, tmp_path, workers):
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"graphs": {"class": "all", "n": 3}, "assertions": ["T2.2"]}))
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", str(campaign), "--workers", workers)
+    assert str(exc.value) == f"edgeideals: error: workers must be at least 1, got {workers}"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,8 +1,11 @@
 """Poset-graph correspondence, dual-ideal free bases, and family extraction."""
 
+import itertools
+import random
+
 import pytest
 
-from edgeideals.catalog import cm_poset_graphs, graphs_on, posets_on
+from edgeideals.catalog import cm_poset_graphs, graphs_on, posets_on, unmixed_blowups
 from edgeideals.cm_bipartite import (
     CMGraphLabeling,
     FreeBasis,
@@ -19,6 +22,7 @@ from edgeideals.cm_bipartite import (
     poset_of_graph,
 )
 from edgeideals.graphs import (
+    are_isomorphic,
     bipartition,
     complete_bipartite_graph,
     cycle_graph,
@@ -55,6 +59,75 @@ def test_poset_canonical_key_permutation_invariant():
     q = Poset.from_relations(3, [(2, 0), (2, 1)])
     assert p.canonical_key() == q.canonical_key()
     assert p.canonical_key() != chain(3).canonical_key()
+    # V and Lambda, alone and beside a 2-chain, have isomorphic poset graphs,
+    # because a component of a bipartite graph can flip sides on its own
+    wedge = Poset.from_relations(3, [(0, 2), (1, 2)])
+    v_chain = Poset.from_relations(5, [(0, 1), (0, 2), (3, 4)])
+    wedge_chain = Poset.from_relations(5, [(0, 2), (1, 2), (3, 4)])
+    for a, b in ((p, wedge), (v_chain, wedge_chain)):
+        assert are_isomorphic(graph_from_poset(a), graph_from_poset(b))
+        assert reference_poset_key(a) != reference_poset_key(b)
+        assert a.canonical_key() != b.canonical_key()
+
+
+def reference_poset_key(p):
+    """Least relation bitstring over all k! relabellings: a complete isomorphism
+    invariant of the poset, independent of canonical_form."""
+    return (p.n, min(
+        sum(1 << (perm[i] * p.n + perm[j]) for i in range(p.n) for j in iter_bits(p.up[i]))
+        for perm in itertools.permutations(range(p.n))
+    ))
+
+
+def relabelled_poset(p, perm):
+    up = [0] * p.n
+    for i in range(p.n):
+        for j in iter_bits(p.up[i]):
+            up[perm[i]] |= 1 << perm[j]
+    return Poset(p.n, up)
+
+
+def poset_candidates(k):
+    """Every poset posets_on(k) considers, before one per class is kept: each
+    poset of posets_on(k - 1) with a new maximal element above each down-set."""
+    out = []
+    for base in posets_on(k - 1):
+        for down in base.ideals():
+            up = [m | (1 << (k - 1) if down >> i & 1 else 0) for i, m in enumerate(base.up)]
+            out.append(Poset(k, up + [1 << (k - 1)]))
+    return out
+
+
+def test_poset_canonical_key_against_the_reference():
+    rng = random.Random(19)
+    for k in range(1, 6):
+        pool = poset_candidates(k)
+        keys = [p.canonical_key() for p in pool]
+        refs = [reference_poset_key(p) for p in pool]
+        for a, b in itertools.combinations(range(len(pool)), 2):
+            assert (keys[a] == keys[b]) == (refs[a] == refs[b]), (pool[a], pool[b])
+        assert len(set(refs)) == len(posets_on(k))
+        for p, key in zip(pool, keys):
+            perm = list(range(k))
+            rng.shuffle(perm)
+            assert relabelled_poset(p, perm).canonical_key() == key
+
+
+def test_unmixed_bipartite_graph_is_cm_iff_no_two_vertices_share_a_neighbourhood():
+    # cm_labeling stops at the first transitive labelling: a cycle i -> j -> i
+    # in it makes x_i and x_j twins, and a graph without twins has none
+    pool = [g for n in range(1, 8) for g in graphs_on(n)] + unmixed_blowups(3, 3, 12)
+    cm = other = 0
+    for g in pool:
+        if bipartition(g) is None or any(g.degree(v) == 0 for v in range(g.n)):
+            continue
+        if not is_unmixed(g):
+            continue
+        twin_free = len(set(g.adj)) == g.n
+        assert is_cm_bipartite(g) == twin_free, g.edges()
+        cm += twin_free
+        other += not twin_free
+    assert cm > 10 and other > 10
 
 
 def test_labeling_existence_matches_cm_characterization():
