@@ -235,7 +235,6 @@ def cmd_witness(args) -> int:
 
 def cmd_lyubeznik(args) -> int:
     ideal, g = _load_ideal_or_graph(args.source, args.max_n)
-    order = None
     if args.order:
         try:
             order = tuple(int(tok) for tok in args.order.split(",") if tok.strip())
@@ -246,12 +245,13 @@ def cmd_lyubeznik(args) -> int:
                 f"--order must be a permutation of 0..{ideal.ngens - 1} "
                 f"(0-based generator positions), got {list(order)}"
             )
+        ideal = ideal.reordered(order)
     acted = False
     if args.symbols is not None:
         if args.symbols < 0:
             _fail(f"--symbols takes a symbol size of at least 0, got {args.symbols}")
         try:
-            syms = admissible_symbols(ideal, order, s=args.symbols)
+            syms = admissible_symbols(ideal, s=args.symbols)
         except ResourceLimitError as exc:
             _fail(str(exc))
         print(json.dumps([{"indices": list(t)} for t in syms]))
@@ -275,7 +275,7 @@ def cmd_lyubeznik(args) -> int:
     if not acted:
         field = _field(args)
         try:
-            table = lyubeznik_betti_table(ideal, order, field=field)
+            table = lyubeznik_betti_table(ideal, field=field)
         except (ValueError, ResourceLimitError) as exc:
             _fail(str(exc))
         _print_table(table, f"Betti table from the ordered-subset resolution over {field!r}")

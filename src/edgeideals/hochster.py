@@ -29,8 +29,8 @@ restriction it tries, in order:
   (``StrandComplex``) and reaches the linear algebra. Its boundary
   matrices are sparse rows ({(d-1)-face index: +-1}), and each goes once to
   ``linalg.rank_over``, which eliminates unit pivots over Z (exact over
-  every field) and leaves only a residual, usually empty, to field
-  arithmetic.
+  every field) and finishes the rows left with a non-unit lead, usually
+  none, by the same elimination over the field.
 
 A complex is described only by sigma and the generator supports inside it,
 its minimal non-faces; no facet list is ever stored. One function,

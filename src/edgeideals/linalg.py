@@ -1,16 +1,19 @@
 """Exact rank computations over prime fields and the rationals.
 
 One kernel, ``rank_over``, takes integer matrices as sparse rows (a dict
-from column to nonzero entry).  It eliminates unit (+-1) pivots over Z
-first, pivoting each row on its largest column as persistence reduction
-pivots on the "low" entry; every such step is unimodular, so it is exact
-over every field at once.  What no unit pivot clears is compacted into a
-small dense residual and finished by field arithmetic: fraction-free
-Bareiss elimination over the rationals (all arithmetic stays in the
-integers), bit-packed rows over GF(2), modular elimination over GF(p).
+from column to nonzero entry) and pivots each row on its largest column,
+as persistence reduction pivots on the "low" entry.  A first pass over Z
+takes only unit (+-1) pivots; every such step is unimodular, so it is
+exact over every field at once.  The rows whose lead is not a unit are
+set aside and finished by the same elimination over the field: over
+GF(p) on residues, over the rationals on integer rows divided by their
+content, so no fractions arise.  Torsion, where the rank depends on the
+characteristic, lives only in those rows.
 """
 
 from __future__ import annotations
+
+import math
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -91,8 +94,8 @@ def rank_over(field: FieldSpec, int_rows: list[dict[int, int]]) -> int:
     holds a unit (+-1), and becomes one itself when its own largest column
     does.  Each step adds an integer multiple of a unit-pivot row, so it is
     unimodular, and the pivot rows are independent over every field.  The
-    rows left over are reduced against the final pivots; the rank is the
-    number of pivots plus the rank of that residual over the field.
+    rows set aside are then finished by the same elimination over the
+    field, against every pivot; the rank is the number of pivots.
     """
     pivots: dict[int, dict[int, int]] = {}
     rest: list[dict[int, int]] = []
@@ -109,20 +112,25 @@ def rank_over(field: FieldSpec, int_rows: list[dict[int, int]]) -> int:
                     rest.append(row)
                 break
             _eliminate(row, piv, head * piv[col])
-    if not rest:
-        return len(pivots)
-    # eliminating a pivot column only touches smaller columns, so one
-    # descending sweep clears every pivot column
-    order = sorted(pivots, reverse=True)
-    residual = []
+    p = field.p
     for row in rest:
-        for col in order:
-            if col in row:
-                piv = pivots[col]
-                _eliminate(row, piv, row[col] * piv[col])
-        if row:
-            residual.append(row)
-    return len(pivots) + _residual_rank(field, residual)
+        row = _normalise(row, p)
+        while row:
+            col = max(row)
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row
+                break
+            # scaling by the pivot's lead, a unit of the field, keeps the
+            # span and keeps the arithmetic in the integers
+            a = piv[col]
+            head = row[col]
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+            _eliminate(row, piv, head)
+            row = _normalise(row, p)
+    return len(pivots)
 
 
 def _eliminate(row: dict[int, int], piv: dict[int, int], factor: int) -> None:
@@ -135,89 +143,11 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], factor: int) -> None:
             del row[c]
 
 
-def _residual_rank(field: FieldSpec, rows: list[dict[int, int]]) -> int:
-    """Rank of the rows no unit pivot eliminated, compacted to dense form."""
-    if not rows:
-        return 0
-    cols = {c: k for k, c in enumerate(sorted(set().union(*rows)))}
-    if field.p == 2:
-        packed = []
-        for row in rows:
-            bits = 0
-            for c, x in row.items():
-                if x & 1:
-                    bits |= 1 << cols[c]
-            packed.append(bits)
-        return _rank_gf2(packed)
-    dense = []
-    for row in rows:
-        out = [0] * len(cols)
-        for c, x in row.items():
-            out[cols[c]] = x
-        dense.append(out)
-    if field.kind == "rat":
-        return _rank_bareiss(dense)
-    return _rank_gfp(dense, field.p)
-
-
-def _rank_gf2(rows: list[int]) -> int:
-    """Rank over GF(2) of rows given as bitmasks."""
-    pivots: list[int] = []
-    for row in rows:
-        for p in pivots:
-            if row & (p & -p):
-                row ^= p
-        if row:
-            pivots.append(row)
-    return len(pivots)
-
-
-def _rank_gfp(rows: list[list[int]], p: int) -> int:
-    """Rank over GF(p) by modular elimination."""
-    mat = [[x % p for x in row] for row in rows]
-    ncols = len(mat[0])
-    nrows = len(mat)
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(rank + 1, nrows):
-            if mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_bareiss(mat: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free Bareiss elimination; consumes mat."""
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivot = mat[rank][col]
-        # rows below must be updated even when their head is zero, to keep
-        # every entry an exact subdeterminant (the division stays integral)
-        for r in range(rank + 1, nrows):
-            head = mat[r][col]
-            row = mat[r]
-            top = mat[rank]
-            for c in range(col, ncols):
-                row[c] = (pivot * row[c] - head * top[c]) // prev
-        prev = pivot
-        rank += 1
-        col += 1
-    return rank
+def _normalise(row: dict[int, int], p: int | None) -> dict[int, int]:
+    """The row's residues mod p without zeros, or over Q the row divided by its content."""
+    if p is not None:
+        return {c: r for c, x in row.items() if (r := x % p)}
+    g = math.gcd(*row.values())
+    if g > 1:
+        return {c: x // g for c, x in row.items()}
+    return row

@@ -8,6 +8,8 @@ symbols span a subcomplex of the Taylor complex that resolves S/I, so a
 maximal admissible symbol whose entire boundary has non-unit cofactors, or a
 cycle of admissible symbols whose unit-cofactor boundary cancels and whose
 leading symbol is maximal, certifies a nonzero multigraded Betti number.
+Every function here reads the ideal's own generator order; another order is
+another ideal, ``MonomialIdeal.reordered``.
 
 Cycle cancellation is checked over the integers, which is sound over every
 coefficient field at once.
@@ -52,14 +54,8 @@ from .witness import DisjointFamily, valid_representatives
 MAX_ADMISSIBLE_GENS = 24
 
 
-def _ordered(ideal: MonomialIdeal, order) -> MonomialIdeal:
-    if order is None:
-        return ideal
-    return ideal.reordered(order)
-
-
-def symbol_degree(ideal: MonomialIdeal, indices, order=None) -> Monomial:
-    gens = _ordered(ideal, order).generators
+def symbol_degree(ideal: MonomialIdeal, indices) -> Monomial:
+    gens = ideal.generators
     return lcm_of([gens[i] for i in indices], ideal.nvars)
 
 
@@ -80,12 +76,11 @@ def _running_lcms(monomials, one: Monomial) -> list[Monomial]:
     return out
 
 
-def taylor_boundary(ideal: MonomialIdeal, indices, order=None):
+def taylor_boundary(ideal: MonomialIdeal, indices):
     """Boundary of a Taylor symbol: list of (subsymbol, sign, cofactor monomial)."""
-    ordered = _ordered(ideal, order)
-    indices = _check_symbol(ordered, indices)
-    members = [ordered.generators[i] for i in indices]
-    one = Monomial.one(ordered.nvars)
+    indices = _check_symbol(ideal, indices)
+    members = [ideal.generators[i] for i in indices]
+    one = Monomial.one(ideal.nvars)
     # before[t] is the lcm of members[:t], after[t] that of members[t + 1:]
     before = _running_lcms(members, one)
     after = _running_lcms(members[:0:-1], one)[::-1]
@@ -103,47 +98,45 @@ def taylor_boundary(ideal: MonomialIdeal, indices, order=None):
     return out
 
 
-def is_admissible(ideal: MonomialIdeal, indices, order=None) -> bool:
+def is_admissible(ideal: MonomialIdeal, indices) -> bool:
     """Whether the symbol is admissible, in one backward walk over it.
 
     The walk checks order and range as it goes, and a symbol that is not
     strictly increasing or not in range raises the ValueError of
     ``_check_symbol`` even when it is already known to be inadmissible.
     """
-    ordered = _ordered(ideal, order)
     indices = tuple(indices)
     if not indices:
         return True
-    masks = ordered.masks
-    first = ordered.first_divisors
+    masks = ideal.masks
+    first = ideal.first_divisors
     nxt = indices[-1]
     if not 0 <= nxt < len(masks):
-        _check_symbol(ordered, indices)
+        _check_symbol(ideal, indices)
     lcm = masks[nxt]
     admissible = True
     for t in range(len(indices) - 2, -1, -1):
         i = indices[t]
         if not 0 <= i < nxt:
-            _check_symbol(ordered, indices)
+            _check_symbol(ideal, indices)
         nxt = i
         if admissible:
             lcm |= masks[i]
             q = first.get(lcm)
             if q is None:
-                q = ordered.first_divisor(lcm)
+                q = ideal.first_divisor(lcm)
             # masks[i] lies inside lcm, so q <= i
             admissible = q == i
     return admissible
 
 
-def admissible_symbols(ideal: MonomialIdeal, order=None, s: int | None = None):
+def admissible_symbols(ideal: MonomialIdeal, s: int | None = None):
     """All admissible symbols (of homological degree s when given), by DFS.
 
     Admissibility is closed under taking subsets, so pruning inadmissible
     extensions never loses a symbol.
     """
-    ordered = _ordered(ideal, order)
-    u = ordered.ngens
+    u = ideal.ngens
     if u > MAX_ADMISSIBLE_GENS:
         raise ResourceLimitError(
             f"{u} generators exceeds the admissible-symbol cap of {MAX_ADMISSIBLE_GENS}"
@@ -157,7 +150,7 @@ def admissible_symbols(ideal: MonomialIdeal, order=None, s: int | None = None):
         prefix, nexts = stack[-1]
         for nxt in nexts:
             cand = prefix + (nxt,)
-            if is_admissible(ordered, cand):
+            if is_admissible(ideal, cand):
                 if s is None or len(cand) == s:
                     out.append(cand)
                 if s is None or len(cand) != s:
@@ -168,52 +161,50 @@ def admissible_symbols(ideal: MonomialIdeal, order=None, s: int | None = None):
     return out
 
 
-def is_maximal_admissible(ideal: MonomialIdeal, indices, order=None, paranoid=False) -> bool:
+def is_maximal_admissible(ideal: MonomialIdeal, indices, paranoid=False) -> bool:
     """No admissible proper superset exists.
 
     Downward closure of admissibility makes single-element extensions a
     complete test; paranoid=True additionally walks every superset.
     """
-    ordered = _ordered(ideal, order)
-    indices = _check_symbol(ordered, indices)
-    if not is_admissible(ordered, indices):
+    indices = _check_symbol(ideal, indices)
+    if not is_admissible(ideal, indices):
         raise ValueError("symbol is not admissible")
     members = set(indices)
-    for k in range(ordered.ngens):
+    for k in range(ideal.ngens):
         if k in members:
             continue
         cand = tuple(sorted(members | {k}))
-        if is_admissible(ordered, cand):
+        if is_admissible(ideal, cand):
             return False
     if paranoid:
-        outside = [k for k in range(ordered.ngens) if k not in members]
+        outside = [k for k in range(ideal.ngens) if k not in members]
         # (extra generators, first position of outside that may join them),
         # popped in depth-first preorder
         stack = [((), 0)]
         while stack:
             extra, start = stack.pop()
-            if extra and is_admissible(ordered, tuple(sorted(members.union(extra)))):
+            if extra and is_admissible(ideal, tuple(sorted(members.union(extra)))):
                 return False
             stack.extend((extra + (outside[j],), j + 1) for j in reversed(range(start, len(outside))))
     return True
 
 
-def barile_certificate(ideal: MonomialIdeal, indices, order=None):
+def barile_certificate(ideal: MonomialIdeal, indices):
     """(s, degree) when the symbol is maximal admissible with no unit cofactor.
 
     Every boundary facet then has strictly smaller degree, so the symbol
     survives in the minimalization and beta_{s, deg} (S/I) is nonzero.
     """
-    ordered = _ordered(ideal, order)
-    indices = _check_symbol(ordered, indices)
-    if not is_admissible(ordered, indices):
+    indices = _check_symbol(ideal, indices)
+    if not is_admissible(ideal, indices):
         return None
-    if not is_maximal_admissible(ordered, indices):
+    if not is_maximal_admissible(ideal, indices):
         return None
-    for _, _, cof in taylor_boundary(ordered, indices):
+    for _, _, cof in taylor_boundary(ideal, indices):
         if cof.is_one():
             return None
-    return len(indices), symbol_degree(ordered, indices)
+    return len(indices), symbol_degree(ideal, indices)
 
 
 class Cycle:
@@ -251,7 +242,7 @@ class Cycle:
         return f"Cycle({body}; leading=e{list(self.leading)})"
 
 
-def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle, order=None):
+def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle):
     """(s, degree) when the unit-cofactor boundary cancels integrally and the
     leading symbol is maximal admissible; None otherwise.
 
@@ -260,12 +251,11 @@ def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle, order=None):
     exactly when their lcms are; only the leading symbol's degree is built
     as a ``Monomial``.
     """
-    ordered = _ordered(ideal, order)
-    masks = ordered.masks
+    masks = ideal.masks
     degrees = set()
     for sym in cycle.terms:
-        _check_symbol(ordered, sym)
-        if not is_admissible(ordered, sym):
+        _check_symbol(ideal, sym)
+        if not is_admissible(ideal, sym):
             raise ValueError(f"cycle term {sym} is not admissible")
         deg = 0
         for i in sym:
@@ -275,14 +265,14 @@ def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle, order=None):
         raise ValueError("cycle terms have mixed multidegrees")
     image: dict[tuple[int, ...], int] = {}
     for sym, coeff in cycle.terms.items():
-        for sub, sign, cof in taylor_boundary(ordered, sym):
+        for sub, sign, cof in taylor_boundary(ideal, sym):
             if cof.is_one():
                 image[sub] = image.get(sub, 0) + coeff * sign
     if any(image.values()):
         return None
-    if not is_maximal_admissible(ordered, cycle.leading):
+    if not is_maximal_admissible(ideal, cycle.leading):
         return None
-    return cycle.s, symbol_degree(ordered, cycle.leading)
+    return cycle.s, symbol_degree(ideal, cycle.leading)
 
 
 def bipartite_cycle(m: int, n: int, left_labels=None, right_labels=None):
@@ -456,10 +446,8 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | N
     return s, sigma
 
 
-def lyubeznik_betti_table(
-    ideal: MonomialIdeal, order=None, field: FieldSpec = GF2
-) -> BettiTable:
-    """Betti table of S/I from the Lyubeznik resolution for the given order.
+def lyubeznik_betti_table(ideal: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
+    """Betti table of S/I from the Lyubeznik resolution for the generator order.
 
     The complex splits by multidegree after tensoring with the residue field;
     each strand keeps only unit-cofactor boundary terms, as sparse rows for
@@ -467,13 +455,12 @@ def lyubeznik_betti_table(
     squarefree ideal are the supports.  Independent of the Hochster engine,
     so the two routes cross-check each other.
     """
-    ordered = _ordered(ideal, order)
-    if not ordered.is_squarefree():
+    if not ideal.is_squarefree():
         raise ValueError("Betti tables here are for squarefree ideals")
-    masks = ordered.masks
+    masks = ideal.masks
     # degree -> s -> [(symbol, bits that two or more of its members cover)]
     by_degree: dict[int, dict[int, list[tuple[tuple[int, ...], int]]]] = {}
-    for sym in admissible_symbols(ordered):
+    for sym in admissible_symbols(ideal):
         deg = twice = 0
         for i in sym:
             m = masks[i]
@@ -502,4 +489,4 @@ def lyubeznik_betti_table(
             dim = len(terms) - ranks.get(s, 0) - ranks.get(s + 1, 0)
             if dim:
                 entries[(s, deg)] = dim
-    return BettiTable("quotient", field, ordered.variables, entries)
+    return BettiTable("quotient", field, ideal.variables, entries)

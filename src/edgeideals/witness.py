@@ -314,11 +314,9 @@ class WitnessResult:
         return f"WitnessResult(value={self.value}, family={self.family})"
 
 
-def max_pd_witness(
-    g: SimpleGraph, max_block_vertices: int | None = None
-) -> WitnessResult:
+def max_pd_witness(g: SimpleGraph) -> WitnessResult:
     """Exact maximum of |sigma| - r over valid disjoint families (branch and bound)."""
-    blocks = all_blocks(g, max_vertices=max_block_vertices)
+    blocks = all_blocks(g)
     blocks.sort(key=lambda b: -b.size)
     n = g.n
     best_value = 0

@@ -76,7 +76,7 @@ def test_rank_matches_reference_on_random_integer_matrices():
 
 
 def test_rank_of_unit_free_and_scaled_matrices():
-    # no entry is a unit, so everything goes through the residual
+    # no entry is a unit, so every row is finished over the field
     rng = random.Random(11)
     for _ in range(100):
         dense = [[rng.choice((-3, -2, 0, 2, 3)) for _ in range(5)] for _ in range(5)]
@@ -85,6 +85,39 @@ def test_rank_of_unit_free_and_scaled_matrices():
     # 6 * identity vanishes over GF(2) and GF(3), not over GF(5) or Q
     six = [[6 if r == c else 0 for c in range(4)] for r in range(4)]
     assert [rank_over(f, sparse(six)) for f in FIELDS] == [0, 0, 4, 4]
+
+
+def test_rank_of_larger_unit_free_and_mixed_matrices():
+    # up to 30 x 30 over small and large primes and Q.  Unit-free matrices
+    # are finished wholly over the field; products of thin factors are rank
+    # deficient, so rows cancel only after their entries have grown past p;
+    # scaled rows carry a content for the elimination over Q to divide out
+    fields = FIELDS + [FieldSpec.parse(f"gf{2**61 - 1}")]
+    rng = random.Random(61)
+    for k in range(36):
+        nrows, ncols = rng.randint(1, 30), rng.randint(1, 30)
+        if k % 3 == 0:
+            dense = [
+                [rng.choice((0, 0, 0, 2, -2, 3, -3, 4, 6, -9, 10)) for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+        elif k % 3 == 1:
+            density = rng.choice((0.1, 0.3, 0.7))
+            dense = [
+                [rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+        else:
+            inner = rng.randint(1, min(nrows, ncols))
+            left = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(nrows)]
+            right = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(inner)]
+            dense = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+        for r, row in enumerate(dense):
+            scale = rng.choice((1, 1, 2, 3, 6))
+            dense[r] = [x * scale for x in row]
+        rows = sparse(dense)
+        for field in fields:
+            assert rank_over(field, rows) == reference_rank(field, dense), (dense, field)
 
 
 def test_empty_and_zero_rows():
