@@ -59,9 +59,8 @@ SCHEMA = "edgeideals-report/1"
 class _Ctx:
     """Per-graph cache shared by the assertions of one run.
 
-    Per field it holds the quotient table of S/I(G), the table of the
-    cover ideal I(G)* read off it (shared by T6.1 and T6.2) and the dual
-    table of the acyclic reduction (shared by P7.2 and T7.1).  Graph Betti
+    Per field it holds the quotient table of S/I(G) and the table of the
+    cover ideal I(G)* read off it (shared by T6.1 and T6.2).  Graph Betti
     numbers can depend on the characteristic, so only these tables are kept
     per field.
 
@@ -71,8 +70,11 @@ class _Ctx:
     and T2.5 share (with T2.5's verdicts), P5.1's complement component
     counts, T5.8's induced complete bipartite subsets, C5.2's
     ``witness_for`` results, the graph-class tests, the closed-form values,
-    the acyclic reduction and the maximal witness.  Each assertion then only
-    reads its field's table, and emits its rows in the order of a fresh walk.
+    the acyclic reduction, its weighted scores (``reduced_scores``, shared by
+    P7.2 and T7.1) and the maximal witness.  The scores are field-free: they
+    are read off the reduction poset's free bases, whose dual Betti entries
+    are 1 over every field.  Each assertion then only reads its field's
+    table, and emits its rows in the order of a fresh walk.
 
     Certificate verdicts are kept per graph too: ``certified`` checks each
     distinct family (its blocks in order, each with its representative) once,
@@ -104,8 +106,8 @@ class _Ctx:
     def cover_table(self, field: FieldSpec):
         return self._once(("cover", repr(field)), lambda: cover_betti_table(self.g, self.table(field)))
 
-    def reduced_scores(self, field: FieldSpec):
-        return self._once(("reduced", repr(field)), lambda: _dual_scores(self.of(acyclic_reduction), field))
+    def reduced_scores(self):
+        return self._once("reduced", lambda: _dual_scores(self.of(acyclic_reduction)))
 
     def of(self, fn):
         """fn(G), computed once per graph; fn must not read a field."""
@@ -523,7 +525,7 @@ def _assert_p72(g, field, caps, ctx):
     if not ctx.of(is_unmixed_bipartite):
         return None
     table = ctx.table(field)
-    closed = max(v for v, _, _ in ctx.reduced_scores(field)[1])
+    closed = max(v for v, _, _ in ctx.reduced_scores())
     if closed != table.pd():
         return [{"check": "pd-formula", "closed": closed, "table": table.pd()}]
     return []
@@ -536,7 +538,7 @@ def _assert_t71(g, field, caps, ctx):
         return None
     table = ctx.table(field)
     out = []
-    w = _witness(ctx.of(acyclic_reduction), *ctx.reduced_scores(field))
+    w = _witness(ctx.of(acyclic_reduction), ctx.reduced_scores())
     if w.value != table.pd():
         out.append({"check": "pd-equality", "witness": w.value, "table": table.pd()})
     if not is_valid_family(g, w.family):
@@ -590,11 +592,12 @@ class Campaign:
     """A graph catalog spec, fields, assertion tags and caps.
 
     ``graphs`` is a catalog spec object (see ``catalog.generate_catalog``);
-    ``fields`` and ``assertions`` are lists of field names and registry
-    tags; ``caps`` may set the integers ``max_n`` (vertex cap, default 7,
-    at least 1), ``family_size`` (most blocks in a T1.1 family, default 2,
-    at least 1) and ``block_vertices`` (most vertices in a T1.1 block,
-    default 5, at least 2).  Malformed fields raise ``ValueError``.
+    ``fields`` and ``assertions`` are non-empty lists of field names and
+    registry tags (an empty one would check nothing and pass); ``caps`` may
+    set the integers ``max_n`` (vertex cap, default 7, at least 1),
+    ``family_size`` (most blocks in a T1.1 family, default 2, at least 1)
+    and ``block_vertices`` (most vertices in a T1.1 block, default 5, at
+    least 2).  Malformed fields raise ``ValueError``.
 
     ``seed`` is a label copied into the report; nothing reads it, because
     every catalog is exhaustive and every assertion deterministic.
@@ -611,6 +614,8 @@ class Campaign:
             isinstance(f, (str, FieldSpec)) for f in fields
         ):
             raise ValueError(f"campaign 'fields' must be a list of field names, got {fields!r}")
+        if not fields:
+            raise ValueError("campaign 'fields' must name at least one field")
         self.fields = [f if isinstance(f, str) else repr(f) for f in fields]
         for f in self.fields:
             FieldSpec.parse(f)
@@ -627,6 +632,8 @@ class Campaign:
             isinstance(a, str) for a in assertions
         ):
             raise ValueError(f"campaign 'assertions' must be a list of tags, got {assertions!r}")
+        if not assertions:
+            raise ValueError("campaign 'assertions' must name at least one tag")
         unknown = [a for a in assertions if a not in REGISTRY]
         if unknown:
             raise ValueError(f"unknown assertion tags: {unknown}")

@@ -34,7 +34,7 @@ from .cm_bipartite import (
 )
 from .graphs import SimpleGraph, bit_list, iter_bits
 from .errors import ResourceLimitError
-from .hochster import MAX_TABLE_VARS, graph_betti_table
+from .hochster import MAX_TABLE_VARS, BettiTable, graph_betti_table
 from .ideals import MonomialIdeal, cover_ideal, edge_ideal
 from .linalg import FieldSpec
 from .lyubeznik import admissible_symbols, lyubeznik_betti_table, main_theorem_certificate
@@ -359,9 +359,11 @@ def cmd_unmixed(args) -> int:
     print(f"acyclic reduction on {red.t} classes, edges:")
     for u, v in red.ghat.edges():
         print(f"  {red.ghat.labels[u]} {red.ghat.labels[v]}")
-    dual_table, scored = _dual_scores(red, field)
+    scored = _dual_scores(red)
+    # one entry 1 per free basis of the poset's resolution, over every field
+    dual_table = BettiTable("ideal", field, red.ghat.labels, {(r, s): 1 for _, r, s in scored})
     _print_table(dual_table, f"dual Betti table of the reduction over {field!r}")
-    wit = _witness(red, dual_table, scored)
+    wit = _witness(red, scored)
     print("weighted maximizers (r, sigma-hat):")
     for r, s in wit.maximizers:
         print(f"  r={r}  sigma-hat={{{','.join(red.ghat.label_set(s))}}}")
@@ -540,7 +542,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader of stdout stopped early (``| head``): send what is still
+        # buffered to devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -365,22 +365,13 @@ def free_bases(p: Poset, i: int | None = None) -> list[FreeBasis]:
     return sorted(out, key=lambda b: (b.i, b.ideal, b.tset))
 
 
-def is_maximal_boolean(p: Poset, basis: FreeBasis) -> bool:
-    """True when no other basis interval strictly contains this one.
+def maximal_boolean_bases(p: Poset) -> list[FreeBasis]:
+    """The bases whose interval no other basis interval strictly contains.
 
     Basis elements biject with Boolean intervals [I minus (I n T), I] in the
     lattice of poset ideals, so interval containment over all bases is an
     exhaustive maximality search.
     """
-    lo, hi = basis.interval()
-    for other in free_bases(p):
-        lo2, hi2 = other.interval()
-        if lo2 & ~lo == 0 and hi & ~hi2 == 0 and (lo2, hi2) != (lo, hi):
-            return False
-    return True
-
-
-def maximal_boolean_bases(p: Poset) -> list[FreeBasis]:
     bases = free_bases(p)
     intervals = [b.interval() for b in bases]
     out = []
@@ -404,7 +395,7 @@ def extract_family(g: SimpleGraph, lab: CMGraphLabeling, basis: FreeBasis) -> Di
     union and the block count equals the homological degree of the basis.
     """
     p = poset_of_graph(g, lab)
-    if not is_maximal_boolean(p, basis):
+    if basis not in maximal_boolean_bases(p):
         raise ValueError("basis must be maximal Boolean")
     seeds = bit_list(basis.ideal & basis.tset)
     deg = basis.degree

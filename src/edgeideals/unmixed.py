@@ -6,9 +6,10 @@ allowed, unlike the Cohen-Macaulay case).  Collapsing the strongly connected
 classes of that relation yields a poset, hence a CM bipartite graph ghat; the
 original graph is the blow-up of ghat by the class sizes zeta.  The projective
 dimension of S/I(G) is then the maximum of zeta-weighted multidegree size
-minus homological degree over the nonzero Betti entries of the dual ideal of
-ghat, and a maximizing entry lifts to an explicit disjoint complete bipartite
-family in G.
+minus homological degree over the free bases of the poset's resolution of
+the dual ideal of ghat (``free_bases``: every such entry is 1 over every
+field, so no Betti table of ghat is built), and a maximizing maximal Boolean
+basis lifts to an explicit disjoint complete bipartite family in G.
 """
 
 from __future__ import annotations
@@ -19,36 +20,13 @@ from .cm_bipartite import (
     _linear_extension,
     _matching_search,
     _relation_arcs,
-    _transitive,
     extract_family,
+    free_bases,
     graph_from_poset,
     maximal_boolean_bases,
 )
 from .graphs import SimpleGraph, bipartition, bit_list, bits_of, iter_bits
-from .hochster import cover_betti_table, graph_betti_table
-from .linalg import GF2, FieldSpec
 from .witness import CompleteBipartiteSub, DisjointFamily, is_valid_family
-
-
-def unmixed_labeling(g: SimpleGraph) -> CMGraphLabeling | None:
-    """A perfect-matching labeling whose x->y relation is transitive, or None.
-
-    Such a labeling exists exactly when the bipartite graph (no isolated
-    vertices) is unmixed; antisymmetry is not required.
-    """
-    got = _matching_search(g)
-    if got is None:
-        return None
-    return CMGraphLabeling(got[0], got[1])
-
-
-def directed_relation(g: SimpleGraph, lab: CMGraphLabeling) -> list[int]:
-    """Arc masks of the x->y relation; arcs[i] holds j when x_i y_j is an edge
-    and i != j.  Raises if the relation is not transitive."""
-    arcs = _relation_arcs(g, lab.xs, lab.ys)
-    if not _transitive(arcs):
-        raise ValueError("labeling relation is not transitive")
-    return arcs
 
 
 class AcyclicReduction:
@@ -84,10 +62,11 @@ class AcyclicReduction:
 
 
 def acyclic_reduction(g: SimpleGraph) -> AcyclicReduction:
-    lab = unmixed_labeling(g)
-    if lab is None:
+    got = _matching_search(g)
+    if got is None:
         raise ValueError("graph admits no unmixed labeling")
-    arcs = directed_relation(g, lab)
+    lab = CMGraphLabeling(*got)
+    arcs = _relation_arcs(g, lab.xs, lab.ys)
     # the relation is transitive, so two columns share a strongly connected
     # class exactly when they carry arcs both ways
     classes = []
@@ -126,7 +105,7 @@ def acyclic_reduction(g: SimpleGraph) -> AcyclicReduction:
 def is_unmixed_bipartite(g: SimpleGraph) -> bool:
     if bipartition(g) is None or g.n == 0 or any(g.degree(v) == 0 for v in range(g.n)):
         return False
-    return unmixed_labeling(g) is not None
+    return _matching_search(g) is not None
 
 
 def blow_up(p: Poset, zeta) -> SimpleGraph:
@@ -148,11 +127,11 @@ def blow_up(p: Poset, zeta) -> SimpleGraph:
     return g
 
 
-def _dual_scores(red: AcyclicReduction, field: FieldSpec):
-    """The Betti table of the dual ideal of ghat over field, and (zeta-weighted
-    size - homological degree, degree, sigma-hat) for each nonzero entry."""
-    table = cover_betti_table(red.ghat, graph_betti_table(red.ghat, field))
-    return table, [(red.sigma_zeta(s) - r, r, s) for r, s, _ in table.nonzero()]
+def _dual_scores(red: AcyclicReduction):
+    """(zeta-weighted size - homological degree, degree, sigma-hat) for each
+    free basis of the poset's resolution of the dual ideal of ghat: its
+    nonzero Betti entries, each equal to 1 over every field."""
+    return [(red.sigma_zeta(b.degree) - b.i, b.i, b.degree) for b in free_bases(red.poset)]
 
 
 class UnmixedWitness:
@@ -207,37 +186,32 @@ def lift_family(red: AcyclicReduction, fam_hat: DisjointFamily) -> DisjointFamil
     return fam
 
 
-def unmixed_pd_witness(g: SimpleGraph, field: FieldSpec = GF2) -> UnmixedWitness:
+def unmixed_pd_witness(g: SimpleGraph) -> UnmixedWitness:
     """Maximize the weighted formula, pick the lexicographically smallest
     extremal maximizer, extract its family in ghat, and lift it."""
     red = acyclic_reduction(g)
-    return _witness(red, *_dual_scores(red, field))
+    return _witness(red, _dual_scores(red))
 
 
-def _witness(red: AcyclicReduction, table, scored) -> UnmixedWitness:
-    """``unmixed_pd_witness`` on a reduction and its ``_dual_scores``."""
+def _witness(red: AcyclicReduction, scored) -> UnmixedWitness:
+    """``unmixed_pd_witness`` on a reduction and its ``_dual_scores``.
+
+    The extremal entries of the dual table are the maximal Boolean bases of
+    the poset, so the chosen entry is read straight off
+    ``maximal_boolean_bases`` and extracted as a family in ghat.
+    """
     best = max(v for v, _, _ in scored)
     maximizers = sorted(
         ((r, s) for v, r, s in scored if v == best),
         key=lambda e: (bit_list(e[1]), e[0]),
     )
-    extremal = set(table.extremal())
-    ext_best = max((red.sigma_zeta(s) - r for r, s in extremal), default=None)
-    if ext_best != best:
-        raise RuntimeError("extremal entries must attain the maximum")
+    extremal = {(b.i, b.degree): b for b in maximal_boolean_bases(red.poset)}
     choices = [e for e in maximizers if e in extremal]
     if not choices:
         raise RuntimeError("no extremal maximizer found")
     r, s = choices[0]
-    basis = None
-    for b in maximal_boolean_bases(red.poset):
-        if b.i == r and b.degree == s:
-            basis = b
-            break
-    if basis is None:
-        raise RuntimeError("extremal entry has no maximal Boolean basis")
     ghat_lab = CMGraphLabeling(list(range(red.t)), [red.t + a for a in range(red.t)])
-    fam_hat = extract_family(red.ghat, ghat_lab, basis)
+    fam_hat = extract_family(red.ghat, ghat_lab, extremal[r, s])
     fam = lift_family(red, fam_hat)
     if fam.value != best:
         raise RuntimeError("lifted family value mismatch")

@@ -695,6 +695,9 @@ def test_campaign_searches_leave_no_reference_cycles():
         ("caps", {"block_vertices": "x"}),
         ("caps", {"block_vertices": 1}),
         ("seed", [1]),
+        # an empty list would check nothing and pass
+        ("fields", []),
+        ("assertions", []),
     ],
 )
 def test_malformed_campaign_fields_raise_value_error(field, value):
