@@ -13,14 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .catalog import catalog_sizes, generate_catalog
-from .cm_bipartite import (
-    cm_labeling,
-    cm_pd,
-    extract_family,
-    is_cm_bipartite,
-    maximal_boolean_bases,
-    poset_of_graph,
-)
+from .cm_bipartite import extract_family, maximal_boolean_bases
 from .graphs import (
     SimpleGraph,
     bipartition,
@@ -40,7 +33,7 @@ from .hochster import (
 from .ideals import is_unmixed
 from .linalg import FieldSpec
 from .lyubeznik import main_theorem_certificate
-from .unmixed import _dual_scores, _witness, acyclic_reduction, is_unmixed_bipartite
+from .unmixed import _dual_scores, _witness, acyclic_reduction, lift_family
 from .witness import (
     DisjointFamily,
     _extend,
@@ -70,8 +63,12 @@ class _Ctx:
     and T2.5 share (with T2.5's verdicts), P5.1's complement component
     counts, T5.8's induced complete bipartite subsets, C5.2's
     ``witness_for`` results, the graph-class tests, the closed-form values,
-    the acyclic reduction, its weighted scores (``reduced_scores``, shared by
-    P7.2 and T7.1) and the maximal witness.  The scores are field-free: they
+    the maximal witness, and one acyclic reduction (None when G is not
+    unmixed bipartite).  P6.6, C6.7, C6.8, P7.2 and T7.1 all read that
+    reduction: G is CM when ``is_cm`` (every class one column), P6.6's
+    families (``basis_families``) are extracted in ghat and lifted, C6.8's
+    closed form is its number of poset elements, and P7.2 and T7.1 share its
+    weighted scores (``reduced_scores``).  The scores are field-free: they
     are read off the reduction poset's free bases, whose dual Betti entries
     are 1 over every field.  Each assertion then only reads its field's
     table, and emits its rows in the order of a fresh walk.
@@ -106,8 +103,15 @@ class _Ctx:
     def cover_table(self, field: FieldSpec):
         return self._once(("cover", repr(field)), lambda: cover_betti_table(self.g, self.table(field)))
 
+    def basis_families(self):
+        return self._once("basis families", lambda: _basis_families(self.of(_reduction)))
+
     def reduced_scores(self):
-        return self._once("reduced", lambda: _dual_scores(self.of(acyclic_reduction)))
+        return self._once("reduced", lambda: _dual_scores(self.of(_reduction)))
+
+    def is_cm(self) -> bool:
+        red = self.of(_reduction)
+        return red is not None and red.is_cm
 
     def of(self, fn):
         """fn(G), computed once per graph; fn must not read a field."""
@@ -442,15 +446,23 @@ def _assert_t62(g, field, caps, ctx):
     return [{"check": "dual-pd-reg-swap", **c} for c in report.comparisons if c["left"] != c["right"]]
 
 
-def _basis_families(g: SimpleGraph):
-    """P6.6's field-free part: per maximal Boolean basis, the extracted family
-    (None when extraction fails) and the violations found without a table."""
-    lab = cm_labeling(g)
-    p = poset_of_graph(g, lab)
+def _reduction(g: SimpleGraph):
+    """acyclic_reduction(G), or None when G is not unmixed bipartite."""
+    try:
+        return acyclic_reduction(g)
+    except ValueError:
+        return None
+
+
+def _basis_families(red):
+    """P6.6's field-free part: per maximal Boolean basis of the reduction's
+    poset, the family extracted in ghat and lifted to G (None when that
+    fails) and the violations found without a table."""
+    maximal = maximal_boolean_bases(red.poset)
     out = []
-    for basis in maximal_boolean_bases(p):
+    for basis in maximal:
         try:
-            fam = extract_family(g, lab, basis)
+            fam = lift_family(red, extract_family(red.ghat, basis, maximal))
         except Exception as exc:
             out.append(
                 (
@@ -465,16 +477,10 @@ def _basis_families(g: SimpleGraph):
                 )
             )
             continue
-        want = 0
-        for q in range(p.n):
-            if basis.degree >> q & 1:
-                want |= 1 << lab.xs[q]
-            if basis.degree >> (p.n + q) & 1:
-                want |= 1 << lab.ys[q]
         found = []
-        if fam.sigma != want or fam.r != basis.i:
+        if fam.sigma != red.lift(basis.degree) or fam.r != basis.i:
             found.append(
-                {"check": "degree-match", "basis": repr(basis), "family": fam.to_json(g)}
+                {"check": "degree-match", "basis": repr(basis), "family": fam.to_json(red.graph)}
             )
         out.append((fam, found))
     return out
@@ -483,11 +489,11 @@ def _basis_families(g: SimpleGraph):
 def _assert_p66(g, field, caps, ctx):
     """Maximal Boolean bases of the poset resolution extract valid families
     on exactly the basis multidegree."""
-    if not ctx.of(is_cm_bipartite):
+    if not ctx.is_cm():
         return None
     table = ctx.table(field)
     out = []
-    for fam, found in ctx.of(_basis_families):
+    for fam, found in ctx.basis_families():
         out.extend(found)
         if fam is not None and table.entry(fam.value, fam.sigma) < 1:
             out.append(
@@ -497,7 +503,7 @@ def _assert_p66(g, field, caps, ctx):
 
 
 def _assert_c67(g, field, caps, ctx):
-    if not ctx.of(is_cm_bipartite):
+    if not ctx.is_cm():
         return None
     table = ctx.table(field)
     if table.reg() != ctx.of(a_number):
@@ -508,11 +514,11 @@ def _assert_c67(g, field, caps, ctx):
 def _assert_c68(g, field, caps, ctx):
     """Closed-form projective dimension of CM bipartite graphs matches the
     table and the exhaustive family search."""
-    if not ctx.of(is_cm_bipartite):
+    if not ctx.is_cm():
         return None
     table = ctx.table(field)
     out = []
-    closed = ctx.of(cm_pd)
+    closed = ctx.of(_reduction).t
     if closed != table.pd():
         out.append({"check": "pd-formula", "closed": closed, "table": table.pd()})
     witness = ctx.of(max_pd_witness)
@@ -522,7 +528,7 @@ def _assert_c68(g, field, caps, ctx):
 
 
 def _assert_p72(g, field, caps, ctx):
-    if not ctx.of(is_unmixed_bipartite):
+    if ctx.of(_reduction) is None:
         return None
     table = ctx.table(field)
     closed = max(v for v, _, _ in ctx.reduced_scores())
@@ -534,11 +540,11 @@ def _assert_p72(g, field, caps, ctx):
 def _assert_t71(g, field, caps, ctx):
     """The weighted dual maximizer lifts to a valid, certified family whose
     value is the projective dimension; the family search agrees."""
-    if not ctx.of(is_unmixed_bipartite):
+    if ctx.of(_reduction) is None:
         return None
     table = ctx.table(field)
     out = []
-    w = _witness(ctx.of(acyclic_reduction), ctx.reduced_scores())
+    w = _witness(ctx.of(_reduction), ctx.reduced_scores())
     if w.value != table.pd():
         out.append({"check": "pd-equality", "witness": w.value, "table": table.pd()})
     if not is_valid_family(g, w.family):

@@ -23,22 +23,14 @@ import sys
 
 from .campaigns import Campaign, run_campaign
 from .catalog import named_graph
-from .cm_bipartite import (
-    cm_labeling,
-    cm_pd,
-    extract_family,
-    free_bases,
-    hg_generators,
-    maximal_boolean_bases,
-    poset_of_graph,
-)
+from .cm_bipartite import extract_family, free_bases, hg_generators, maximal_boolean_bases
 from .graphs import SimpleGraph, bit_list, iter_bits
-from .errors import ResourceLimitError
+from .errors import NoLabelingError, ResourceLimitError
 from .hochster import MAX_TABLE_VARS, BettiTable, graph_betti_table
 from .ideals import MonomialIdeal, cover_ideal, edge_ideal
 from .linalg import FieldSpec
 from .lyubeznik import admissible_symbols, lyubeznik_betti_table, main_theorem_certificate
-from .unmixed import _dual_scores, _witness, acyclic_reduction
+from .unmixed import _dual_scores, _witness, acyclic_reduction, lift_family
 from .witness import DisjointFamily, max_pd_witness, witness_for
 
 SINGLE_GRAPH_CAP = 14
@@ -282,10 +274,10 @@ def cmd_lyubeznik(args) -> int:
     return 0
 
 
-def _print_labeling(g: SimpleGraph, lab):
+def _print_labeling(g: SimpleGraph, xs, ys):
     print("matched pairs (x_k, y_k):")
-    for k in range(lab.n):
-        print(f"  k={k + 1}: x={g.labels[lab.xs[k]]}  y={g.labels[lab.ys[k]]}")
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        print(f"  k={k + 1}: x={g.labels[x]}  y={g.labels[y]}")
 
 
 def _poset_covers(p):
@@ -299,15 +291,20 @@ def _poset_covers(p):
 def cmd_cm(args) -> int:
     g = _load_graph(args.graph, args.max_n)
     try:
-        lab = cm_labeling(g)
+        red = acyclic_reduction(g)
+    except NoLabelingError:
+        red = None
     except ValueError as exc:
         print(f"not CM bipartite: {exc}")
         return 1
-    if lab is None:
+    if red is None or not red.is_cm:
         print("graph admits no order-compatible perfect matching: not CM bipartite")
         return 1
-    p = poset_of_graph(g, lab)
-    _print_labeling(g, lab)
+    field = _field(args)
+    p = red.poset
+    # one column per class, so the classes list the columns in poset order
+    cols = [cls.bit_length() - 1 for cls in red.classes]
+    _print_labeling(g, [red.labeling.xs[i] for i in cols], [red.labeling.ys[i] for i in cols])
     covers = list(_poset_covers(p))
     print("poset cover relations:")
     if not covers:
@@ -324,15 +321,16 @@ def cmd_cm(args) -> int:
         if cnt:
             print(f"  i={i}: {cnt}")
     print("maximal Boolean bases and extracted families:")
-    for basis in maximal_boolean_bases(p):
-        fam = extract_family(g, lab, basis)
+    maximal = maximal_boolean_bases(p)
+    for basis in maximal:
+        fam = lift_family(red, extract_family(red.ghat, basis, maximal))
         lo, hi = basis.interval()
         print(
             f"  interval [{bit_list(lo)}, {bit_list(hi)}] i={basis.i}: "
             f"{json.dumps(fam.to_json(g))}"
         )
-    formula = cm_pd(g)
-    oracle = _table(g, _field(args)).pd()
+    formula = red.t
+    oracle = _table(g, field).pd()
     verdict = "OK" if formula == oracle else "MISMATCH"
     print(f"pd: formula {formula}, Betti table {oracle}  [{verdict}]")
     return 0 if formula == oracle else 1
@@ -346,7 +344,7 @@ def cmd_unmixed(args) -> int:
         print(f"not unmixed bipartite: {exc}")
         return 1
     field = _field(args)
-    _print_labeling(g, red.labeling)
+    _print_labeling(g, red.labeling.xs, red.labeling.ys)
     print("directed relation arcs (columns i -> j):")
     for i, mask in enumerate(red.arcs):
         for j in iter_bits(mask):

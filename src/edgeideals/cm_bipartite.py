@@ -1,14 +1,18 @@
-"""Cohen-Macaulay bipartite graphs, their posets, and extremal free bases.
+"""Posets, their poset graphs, the matching search, and extremal free bases.
 
-A bipartite graph on {x_1..x_n} u {y_1..y_n} is CM exactly when it admits a
-labeling with x_i y_i edges (a perfect matching), x_i y_j in E implying
-i <= j, and transitivity (x_i y_j, x_j y_k in E imply x_i y_k in E).  Such a
-labeling is the comparability data of a poset P on n points; the dual of the
-edge ideal is generated by one monomial per poset ideal of P, its minimal
+A bipartite graph on {x_1..x_n} u {y_1..y_n} is unmixed exactly when it
+admits a labeling with x_i y_i edges (a perfect matching) whose relation
+x_i -> y_j in E is transitive, and Cohen-Macaulay exactly when that relation
+is also antisymmetric, so that it is the comparability data of a poset P on
+n points.  ``_matching_search`` finds such a labeling, and
+``unmixed.acyclic_reduction``, the one path from a graph to a poset,
+collapses it; for a CM graph the reduction's poset graph
+(``graph_from_poset``) is G relabelled.  The dual of the edge ideal of a
+poset graph is generated by one monomial per poset ideal of P, its minimal
 free resolution has basis elements indexed by pairs (ideal, complementary
 antichain), and the extremal basis elements correspond to maximal Boolean
 intervals in the lattice of poset ideals.  Extracting a vertex-disjoint
-complete bipartite family from a maximal basis yields the closed-form
+complete bipartite family from a maximal basis witnesses the closed-form
 projective dimension.
 """
 
@@ -128,10 +132,6 @@ class CMGraphLabeling:
         self.xs = list(xs)
         self.ys = list(ys)
 
-    @property
-    def n(self) -> int:
-        return len(self.xs)
-
     def __repr__(self):
         return f"CMGraphLabeling(xs={self.xs}, ys={self.ys})"
 
@@ -189,18 +189,11 @@ def _transitive(arcs) -> bool:
     return True
 
 
-def _antisymmetric(arcs) -> bool:
-    return all(
-        not (arcs[j] >> i & 1)
-        for i in range(len(arcs))
-        for j in iter_bits(arcs[i])
-        if i != j
-    )
-
-
 def _matching_search(g: SimpleGraph):
     """Per-component matchings whose x->y relation is transitive; (xs, ys)
     for the whole graph, or None."""
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
     parts = bipartition(g)
     if parts is None:
         raise ValueError("graph is not bipartite")
@@ -230,23 +223,6 @@ def _matching_search(g: SimpleGraph):
     return all_xs, all_ys
 
 
-def cm_labeling(g: SimpleGraph) -> CMGraphLabeling | None:
-    """A labeling satisfying the matching, comparability, and transitivity
-    conditions, with columns sorted along a linear extension; None if G is
-    bipartite without isolated vertices but admits none."""
-    got = _matching_search(g)
-    if got is None:
-        return None
-    xs, ys = got
-    arcs = _relation_arcs(g, xs, ys)
-    # a cycle i -> j -> i in a transitive relation makes x_i and x_j twins,
-    # which no poset graph has, so the first transitive labelling decides
-    if not _antisymmetric(arcs):
-        return None
-    order = _linear_extension(arcs)
-    return CMGraphLabeling([xs[i] for i in order], [ys[i] for i in order])
-
-
 def _linear_extension(arcs) -> list[int]:
     """Indices 0..n-1 in the order that repeatedly takes the smallest index
     with no arc into it from an index not yet taken; arcs[i] is the mask of
@@ -268,11 +244,6 @@ def _linear_extension(arcs) -> list[int]:
     return order
 
 
-def poset_of_graph(g: SimpleGraph, lab: CMGraphLabeling) -> Poset:
-    arcs = _relation_arcs(g, lab.xs, lab.ys)
-    return Poset(lab.n, [arcs[i] | 1 << i for i in range(lab.n)])
-
-
 def graph_from_poset(p: Poset, x_labels=None, y_labels=None) -> SimpleGraph:
     n = p.n
     if x_labels is None:
@@ -284,12 +255,6 @@ def graph_from_poset(p: Poset, x_labels=None, y_labels=None) -> SimpleGraph:
         for j in iter_bits(p.up[i]):
             g.add_edge(i, n + j)
     return g
-
-
-def is_cm_bipartite(g: SimpleGraph) -> bool:
-    if bipartition(g) is None or g.n == 0 or any(g.degree(v) == 0 for v in range(g.n)):
-        return False
-    return cm_labeling(g) is not None
 
 
 def hg_generators(p: Poset) -> MonomialIdeal:
@@ -385,53 +350,38 @@ def maximal_boolean_bases(p: Poset) -> list[FreeBasis]:
     return out
 
 
-def extract_family(g: SimpleGraph, lab: CMGraphLabeling, basis: FreeBasis) -> DisjointFamily:
+def extract_family(ghat: SimpleGraph, basis: FreeBasis, maximal) -> DisjointFamily:
     """Vertex-disjoint complete bipartite subgraphs with pairwise 3-disjoint
     representatives, carved from a maximal-Boolean basis element.
 
-    Each maximal element l of the basis ideal seeds a block: the vertices of
-    the basis multidegree adjacent to x_l or y_l and not claimed by an
-    earlier seed.  Earlier seeds win ties, so the blocks partition their
-    union and the block count equals the homological degree of the basis.
+    ``ghat`` is ``graph_from_poset(p)``, so x_q is vertex q, y_q is vertex
+    n + q and the basis multidegree is a vertex mask of ghat; ``maximal`` is
+    ``maximal_boolean_bases(p)``, computed once by the caller.  Each maximal
+    element l of the basis ideal seeds a block: the vertices of the basis
+    multidegree adjacent to x_l or y_l and not claimed by an earlier seed.
+    Earlier seeds win ties, so the blocks partition their union and the block
+    count equals the homological degree of the basis.
     """
-    p = poset_of_graph(g, lab)
-    if basis not in maximal_boolean_bases(p):
+    if basis not in maximal:
         raise ValueError("basis must be maximal Boolean")
-    seeds = bit_list(basis.ideal & basis.tset)
-    deg = basis.degree
-    support = 0
-    for q in iter_bits(deg & (1 << p.n) - 1):
-        support |= 1 << lab.xs[q]
-    for q in range(p.n):
-        if deg >> (p.n + q) & 1:
-            support |= 1 << lab.ys[q]
+    n = basis.n
+    xside = (1 << n) - 1
+    support = basis.degree
     blocks = []
     reps = []
     claimed = 0
-    for l in seeds:
-        cx, cy = lab.xs[l], lab.ys[l]
+    for l in iter_bits(basis.ideal & basis.tset):
+        cx, cy = l, n + l
         members = 0
         for v in iter_bits(support & ~claimed):
-            if v in (cx, cy) or g.has_edge(v, cx) or g.has_edge(v, cy):
+            if v in (cx, cy) or ghat.has_edge(v, cx) or ghat.has_edge(v, cy):
                 members |= 1 << v
         claimed |= members
-        left = members & bits_of(lab.xs)
-        right = members & bits_of(lab.ys)
-        blocks.append(CompleteBipartiteSub(left, right))
+        blocks.append(CompleteBipartiteSub(members & xside, members & ~xside))
         reps.append((cx, cy))
     if claimed != support:
         raise RuntimeError("blocks must exhaust the basis multidegree")
     fam = DisjointFamily(blocks, reps)
-    if not is_valid_family(g, fam):
+    if not is_valid_family(ghat, fam):
         raise RuntimeError("extracted family failed validation")
     return fam
-
-
-def cm_pd(g: SimpleGraph) -> int:
-    """Projective dimension of S/I(G) for a CM bipartite graph, read off the
-    maximal-Boolean bases as max(|multidegree| - homological degree)."""
-    lab = cm_labeling(g)
-    if lab is None:
-        raise ValueError("graph admits no CM labeling")
-    p = poset_of_graph(g, lab)
-    return max(b.degree.bit_count() - b.i for b in maximal_boolean_bases(p))

@@ -1,15 +1,20 @@
-"""Unmixed bipartite graphs via weighted acyclic reductions.
+"""Unmixed and Cohen-Macaulay bipartite graphs via weighted acyclic reductions.
 
+``acyclic_reduction`` is the one path from a bipartite graph to a poset.
 An unmixed bipartite graph without isolated vertices carries a perfect
 matching x_i y_i whose x->y adjacency relation is transitive (cycles are
-allowed, unlike the Cohen-Macaulay case).  Collapsing the strongly connected
-classes of that relation yields a poset, hence a CM bipartite graph ghat; the
-original graph is the blow-up of ghat by the class sizes zeta.  The projective
-dimension of S/I(G) is then the maximum of zeta-weighted multidegree size
-minus homological degree over the free bases of the poset's resolution of
-the dual ideal of ghat (``free_bases``: every such entry is 1 over every
+allowed).  Collapsing the strongly connected classes of that relation yields a poset,
+hence a CM bipartite graph ghat; the original graph is the blow-up of ghat
+by the class sizes zeta.  The graph is Cohen-Macaulay exactly when every
+class is a single column (zeta = 1, so ghat is G relabelled), and then its
+projective dimension is the number of poset elements.  In general the
+projective dimension of S/I(G) is the maximum of zeta-weighted multidegree
+size minus homological degree over the free bases of the poset's resolution
+of the dual ideal of ghat (``free_bases``: every such entry is 1 over every
 field, so no Betti table of ghat is built), and a maximizing maximal Boolean
-basis lifts to an explicit disjoint complete bipartite family in G.
+basis is extracted as a family in ghat and lifted to an explicit disjoint
+complete bipartite family in G.  Cohen-Macaulay families take the same two
+steps, the lift being a relabelling.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from .cm_bipartite import (
     graph_from_poset,
     maximal_boolean_bases,
 )
-from .graphs import SimpleGraph, bipartition, bit_list, bits_of, iter_bits
+from .errors import NoLabelingError
+from .graphs import SimpleGraph, bit_list, bits_of, iter_bits
 from .witness import CompleteBipartiteSub, DisjointFamily, is_valid_family
 
 
@@ -50,11 +56,19 @@ class AcyclicReduction:
     def class_of_ghat_vertex(self, w: int) -> int:
         return w if w < self.t else w - self.t
 
-    def lift_vertices(self, w: int) -> int:
-        """Original-graph vertex mask blown up from one ghat vertex."""
-        cls = self.classes[self.class_of_ghat_vertex(w)]
-        side = self.labeling.xs if w < self.t else self.labeling.ys
-        return bits_of(side[i] for i in iter_bits(cls))
+    @property
+    def is_cm(self) -> bool:
+        """Every class is a single column (zeta = 1): G is Cohen-Macaulay."""
+        return all(z == 1 for z in self.zeta)
+
+    def lift(self, mask_hat: int) -> int:
+        """Original-graph vertex mask blown up from a ghat vertex mask."""
+        out = 0
+        for w in iter_bits(mask_hat):
+            cls = self.classes[self.class_of_ghat_vertex(w)]
+            side = self.labeling.xs if w < self.t else self.labeling.ys
+            out |= bits_of(side[i] for i in iter_bits(cls))
+        return out
 
     def sigma_zeta(self, sigma_hat: int) -> int:
         """zeta-weighted size of a ghat multidegree."""
@@ -62,9 +76,13 @@ class AcyclicReduction:
 
 
 def acyclic_reduction(g: SimpleGraph) -> AcyclicReduction:
+    """The reduction of the first matching whose column relation is
+    transitive.  Raises ``ValueError`` unless G is a nonempty bipartite graph
+    without isolated vertices, and its subclass ``NoLabelingError`` when such
+    a G is not unmixed."""
     got = _matching_search(g)
     if got is None:
-        raise ValueError("graph admits no unmixed labeling")
+        raise NoLabelingError("graph admits no unmixed labeling")
     lab = CMGraphLabeling(*got)
     arcs = _relation_arcs(g, lab.xs, lab.ys)
     # the relation is transitive, so two columns share a strongly connected
@@ -103,9 +121,28 @@ def acyclic_reduction(g: SimpleGraph) -> AcyclicReduction:
 
 
 def is_unmixed_bipartite(g: SimpleGraph) -> bool:
-    if bipartition(g) is None or g.n == 0 or any(g.degree(v) == 0 for v in range(g.n)):
+    try:
+        return _matching_search(g) is not None
+    except ValueError:
         return False
-    return _matching_search(g) is not None
+
+
+def is_cm_bipartite(g: SimpleGraph) -> bool:
+    """Unmixed bipartite, with every class of the reduction a single column."""
+    try:
+        return acyclic_reduction(g).is_cm
+    except ValueError:
+        return False
+
+
+def cm_pd(g: SimpleGraph) -> int:
+    """Projective dimension of S/I(G) for a CM bipartite graph: the number of
+    poset elements.  Every free basis e(I, T) has |multidegree| = n + i, so
+    |multidegree| - homological degree is n on each of them."""
+    red = acyclic_reduction(g)
+    if not red.is_cm:
+        raise ValueError("graph is unmixed but not Cohen-Macaulay")
+    return red.t
 
 
 def blow_up(p: Poset, zeta) -> SimpleGraph:
@@ -158,18 +195,11 @@ def lift_family(red: AcyclicReduction, fam_hat: DisjointFamily) -> DisjointFamil
     """Blow a disjoint family in ghat up to one in the original graph.
 
     Every ghat vertex expands to its class; representatives expand to the
-    matched column of the smallest poset index in each class.
+    matched column of the smallest poset index in each class.  When every
+    class is one column, this only relabels the family.
     """
     t = red.t
-    blocks = []
-    for b in fam_hat.blocks:
-        left = 0
-        for w in iter_bits(b.left):
-            left |= red.lift_vertices(w)
-        right = 0
-        for w in iter_bits(b.right):
-            right |= red.lift_vertices(w)
-        blocks.append(CompleteBipartiteSub(left, right))
+    blocks = [CompleteBipartiteSub(red.lift(b.left), red.lift(b.right)) for b in fam_hat.blocks]
     reps = None
     if fam_hat.representatives is not None:
         reps = []
@@ -205,14 +235,13 @@ def _witness(red: AcyclicReduction, scored) -> UnmixedWitness:
         ((r, s) for v, r, s in scored if v == best),
         key=lambda e: (bit_list(e[1]), e[0]),
     )
-    extremal = {(b.i, b.degree): b for b in maximal_boolean_bases(red.poset)}
+    maximal = maximal_boolean_bases(red.poset)
+    extremal = {(b.i, b.degree): b for b in maximal}
     choices = [e for e in maximizers if e in extremal]
     if not choices:
         raise RuntimeError("no extremal maximizer found")
     r, s = choices[0]
-    ghat_lab = CMGraphLabeling(list(range(red.t)), [red.t + a for a in range(red.t)])
-    fam_hat = extract_family(red.ghat, ghat_lab, extremal[r, s])
-    fam = lift_family(red, fam_hat)
+    fam = lift_family(red, extract_family(red.ghat, extremal[r, s], maximal))
     if fam.value != best:
         raise RuntimeError("lifted family value mismatch")
     return UnmixedWitness(best, fam, (r, s), maximizers, red)

@@ -18,7 +18,7 @@ from edgeideals.catalog import (
     posets_on,
     unmixed_blowups,
 )
-from edgeideals.cm_bipartite import is_cm_bipartite
+from edgeideals.unmixed import is_cm_bipartite
 from edgeideals.graphs import (
     complete_bipartite_graph,
     is_chordal,

@@ -113,6 +113,12 @@ def test_malformed_order_and_field_fail_in_one_line(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "pd", "cycle_4", "--field", "gfx")
     assert str(exc.value) == "edgeideals: error: cannot parse field 'gfx'; use gf<p> or rat"
+    # the analyses parse the field before they print anything
+    for command in ("cm", "unmixed"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, command, "analyze", "path_2", "--field", "gf4")
+        assert str(exc.value) == "edgeideals: error: GF order must be prime, got 4"
+        assert capsys.readouterr().out == ""
 
 
 def test_malformed_family_file_fails_in_one_line(capsys, tmp_path):
@@ -189,6 +195,10 @@ def test_cm_analyze(capsys, tmp_path):
     assert rc == 1 and "not CM bipartite" in out
     rc, out, _ = run(capsys, "cm", "analyze", "cycle_4")
     assert rc == 1 and "no order-compatible perfect matching" in out
+    rc, out, _ = run(capsys, "cm", "analyze", "path_3")
+    assert rc == 1 and out == "graph admits no order-compatible perfect matching: not CM bipartite\n"
+    rc, out, err = run(capsys, "cm", "analyze", "path_0")
+    assert rc == 1 and out == "not CM bipartite: graph has no vertices\n" and err == ""
 
 
 def test_closed_stdout_ends_without_a_traceback():
@@ -218,6 +228,8 @@ def test_unmixed_analyze(capsys):
     assert "pd: formula 5, witness 5, Betti table 5  [OK]" in out
     rc, out, _ = run(capsys, "unmixed", "analyze", "path_5")
     assert rc == 1 and "not unmixed bipartite" in out
+    rc, out, err = run(capsys, "unmixed", "analyze", "path_0")
+    assert rc == 1 and out == "not unmixed bipartite: graph has no vertices\n" and err == ""
 
 
 def test_unmixed_analyze_builds_only_the_graph_table(capsys, monkeypatch):

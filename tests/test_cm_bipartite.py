@@ -10,19 +10,21 @@ from edgeideals.cm_bipartite import (
     CMGraphLabeling,
     FreeBasis,
     Poset,
-    cm_labeling,
-    cm_pd,
+    _linear_extension,
+    _matching_search,
+    _relation_arcs,
     extract_family,
     free_bases,
     graph_from_poset,
     hg_generators,
-    is_cm_bipartite,
     maximal_boolean_bases,
-    poset_of_graph,
 )
 from edgeideals.graphs import (
+    SimpleGraph,
     are_isomorphic,
     bipartition,
+    bit_list,
+    bits_of,
     complete_bipartite_graph,
     cycle_graph,
     iter_bits,
@@ -31,6 +33,13 @@ from edgeideals.graphs import (
 from edgeideals.hochster import betti_table, graph_betti_table
 from edgeideals.ideals import cover_ideal, is_unmixed
 from edgeideals.linalg import GF2, RATIONALS
+from edgeideals.unmixed import (
+    acyclic_reduction,
+    cm_pd,
+    is_cm_bipartite,
+    is_unmixed_bipartite,
+    lift_family,
+)
 from edgeideals.witness import is_valid_family
 
 
@@ -113,7 +122,7 @@ def test_poset_canonical_key_against_the_reference():
 
 
 def test_unmixed_bipartite_graph_is_cm_iff_no_two_vertices_share_a_neighbourhood():
-    # cm_labeling stops at the first transitive labelling: a cycle i -> j -> i
+    # the reduction reads the first transitive labelling: a cycle i -> j -> i
     # in it makes x_i and x_j twins, and a graph without twins has none
     pool = [g for n in range(1, 8) for g in graphs_on(n)] + unmixed_blowups(3, 3, 12)
     cm = other = 0
@@ -141,20 +150,20 @@ def test_labeling_existence_matches_cm_characterization():
 
 def test_labeling_edge_cases():
     with pytest.raises(ValueError):
-        cm_labeling(cycle_graph(5))
+        acyclic_reduction(cycle_graph(5))
     assert not is_cm_bipartite(cycle_graph(5))
     assert not is_cm_bipartite(cycle_graph(4))
     assert not is_cm_bipartite(complete_bipartite_graph(2, 3))
-    lab = cm_labeling(path_graph(2))
-    assert lab is not None and lab.n == 1
+    assert not is_cm_bipartite(SimpleGraph(0))
+    red = acyclic_reduction(path_graph(2))
+    assert red.is_cm and red.t == 1
+    with pytest.raises(ValueError):
+        cm_pd(cycle_graph(4))  # unmixed, but its one class has two columns
 
 
 def test_labeling_columns_follow_a_linear_extension():
     for p in posets_on(3):
-        g = graph_from_poset(p)
-        lab = cm_labeling(g)
-        assert lab is not None
-        q = poset_of_graph(g, lab)
+        q = acyclic_reduction(graph_from_poset(p)).poset
         # column order is a linear extension: i < j in the poset forces i < j
         for i in range(q.n):
             for j in iter_bits(q.up[i] & ~(1 << i)):
@@ -166,9 +175,88 @@ def test_poset_graph_round_trip():
         for p in posets_on(k):
             g = graph_from_poset(p)
             assert is_cm_bipartite(g)
-            lab = cm_labeling(g)
-            q = poset_of_graph(g, lab)
-            assert q.canonical_key() == p.canonical_key()
+            assert acyclic_reduction(g).poset.canonical_key() == p.canonical_key()
+
+
+def _antisymmetric(arcs) -> bool:
+    return all(
+        not (arcs[j] >> i & 1)
+        for i in range(len(arcs))
+        for j in iter_bits(arcs[i])
+        if i != j
+    )
+
+
+def cm_labeling(g):
+    """Reference: the first transitive labelling when it is antisymmetric,
+    with columns sorted along a linear extension; None if G is bipartite
+    without isolated vertices but admits none."""
+    got = _matching_search(g)
+    if got is None:
+        return None
+    xs, ys = got
+    arcs = _relation_arcs(g, xs, ys)
+    if not _antisymmetric(arcs):
+        return None
+    order = _linear_extension(arcs)
+    return CMGraphLabeling([xs[i] for i in order], [ys[i] for i in order])
+
+
+def poset_of_graph(g, lab):
+    arcs = _relation_arcs(g, lab.xs, lab.ys)
+    return Poset(len(arcs), [arc | 1 << i for i, arc in enumerate(arcs)])
+
+
+def direct_extraction(g, lab, basis):
+    """Reference: the blocks and representatives of a maximal basis carved in
+    G itself through a CM labelling, with no reduction."""
+    n = len(lab.xs)
+    support = 0
+    for q in iter_bits(basis.degree & (1 << n) - 1):
+        support |= 1 << lab.xs[q]
+    for q in iter_bits(basis.degree >> n):
+        support |= 1 << lab.ys[q]
+    blocks, reps, claimed = [], [], 0
+    for l in iter_bits(basis.ideal & basis.tset):
+        cx, cy = lab.xs[l], lab.ys[l]
+        members = 0
+        for v in iter_bits(support & ~claimed):
+            if v in (cx, cy) or g.has_edge(v, cx) or g.has_edge(v, cy):
+                members |= 1 << v
+        claimed |= members
+        blocks.append((members & bits_of(lab.xs), members & bits_of(lab.ys)))
+        reps.append((cx, cy))
+    return blocks, reps
+
+
+def test_reduction_reads_cm_graphs_as_the_reference_labelling_does():
+    pool = [g for n in range(2, 8) for g in graphs_on(n)]
+    pool += cm_poset_graphs(5) + unmixed_blowups(3, 3, 12)
+    cm = 0
+    for g in pool:
+        if bipartition(g) is None or any(g.degree(v) == 0 for v in range(g.n)):
+            continue
+        lab = cm_labeling(g)
+        assert is_cm_bipartite(g) == (lab is not None), g.edges()
+        if not is_unmixed_bipartite(g):
+            continue
+        red = acyclic_reduction(g)
+        assert red.is_cm == all(z == 1 for z in red.zeta) == (lab is not None)
+        if lab is None:
+            continue
+        cm += 1
+        p = poset_of_graph(g, lab)
+        assert red.poset.up == p.up, g.edges()
+        cols = [cls.bit_length() - 1 for cls in red.classes]
+        assert [red.labeling.xs[i] for i in cols] == lab.xs
+        assert [red.labeling.ys[i] for i in cols] == lab.ys
+        maximal = maximal_boolean_bases(p)
+        assert cm_pd(g) == red.t == max(b.degree.bit_count() - b.i for b in maximal)
+        for basis in maximal:
+            fam = lift_family(red, extract_family(red.ghat, basis, maximal))
+            blocks = [(b.left, b.right) for b in fam.blocks]
+            assert (blocks, fam.representatives) == direct_extraction(g, lab, basis)
+    assert cm > 60
 
 
 def test_dual_ideal_equals_cover_ideal():
@@ -222,11 +310,15 @@ def test_maximal_boolean_matches_antichain_criterion():
 
 def test_extract_family_on_poset_graphs():
     for g in cm_poset_graphs(3):
-        lab = cm_labeling(g)
-        p = poset_of_graph(g, lab)
+        red = acyclic_reduction(g)
+        p = red.poset
         table = graph_betti_table(g, GF2)
-        for basis in maximal_boolean_bases(p):
-            fam = extract_family(g, lab, basis)
+        maximal = maximal_boolean_bases(p)
+        for basis in maximal:
+            fam_hat = extract_family(red.ghat, basis, maximal)
+            assert is_valid_family(red.ghat, fam_hat)
+            assert fam_hat.sigma == basis.degree
+            fam = lift_family(red, fam_hat)
             assert is_valid_family(g, fam)
             # i blocks on n+i vertices: the witnessed degree is always n = pd
             assert fam.r == basis.i
@@ -234,22 +326,19 @@ def test_extract_family_on_poset_graphs():
             # the family's multidegree is the basis multidegree moved to G
             expect = 0
             for q in iter_bits(basis.degree & ((1 << p.n) - 1)):
-                expect |= 1 << lab.xs[q]
+                expect |= 1 << red.labeling.xs[bit_list(red.classes[q])[0]]
             for q in iter_bits(basis.degree >> p.n):
-                expect |= 1 << lab.ys[q]
+                expect |= 1 << red.labeling.ys[bit_list(red.classes[q])[0]]
             assert fam.sigma == expect
             assert table.entry(fam.value, fam.sigma) >= 1
 
 
 def test_extract_family_rejects_non_maximal_basis():
     p = chain(2)
-    g = graph_from_poset(p)
-    lab = cm_labeling(g)
-    non_maximal = next(
-        b for b in free_bases(p) if b not in maximal_boolean_bases(p)
-    )
+    maximal = maximal_boolean_bases(p)
+    non_maximal = next(b for b in free_bases(p) if b not in maximal)
     with pytest.raises(ValueError):
-        extract_family(g, lab, non_maximal)
+        extract_family(graph_from_poset(p), non_maximal, maximal)
 
 
 def test_cm_pd_formula_against_table():

@@ -7,10 +7,10 @@ from edgeideals.cm_bipartite import (
     Poset,
     free_bases,
     graph_from_poset,
-    is_cm_bipartite,
     maximal_boolean_bases,
 )
 from edgeideals.graphs import (
+    SimpleGraph,
     bipartition,
     complete_bipartite_graph,
     cycle_graph,
@@ -24,6 +24,7 @@ from edgeideals.lyubeznik import main_theorem_certificate
 from edgeideals.unmixed import (
     acyclic_reduction,
     blow_up,
+    is_cm_bipartite,
     is_unmixed_bipartite,
     lift_family,
     unmixed_pd_witness,
@@ -100,6 +101,9 @@ def test_reduction_rejects_mixed_graphs():
         acyclic_reduction(path_graph(5))
     with pytest.raises(ValueError):
         acyclic_reduction(cycle_graph(5))
+    # a reduction on no columns would have the unit ideal as its dual ideal
+    with pytest.raises(ValueError, match="no vertices"):
+        acyclic_reduction(SimpleGraph(0))
 
 
 def test_kummini_pd_against_table():
