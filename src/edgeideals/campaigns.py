@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from .catalog import catalog_sizes, generate_catalog
 from .cm_bipartite import extract_family, maximal_boolean_bases
@@ -82,14 +83,14 @@ class _Ctx:
     ``certificates`` is the memo that ``main_theorem_certificate`` keys by
     the blocks' shapes (m, n) and G[sigma]'s adjacency rows with sigma's
     vertices numbered in block order.  The key mentions neither the graph
-    nor its labels, so ``run_campaign`` hands one memo to every graph of a
-    call, and relabelled copies of a configuration share an entry.  A
-    context lives for one graph of one ``run_campaign`` call.
+    nor its labels, so one memo serves every graph of a share (the whole
+    catalog with one worker), and relabelled copies of a configuration share
+    an entry.  The caller owns the memo; a context lives for one graph.
     """
 
-    def __init__(self, g: SimpleGraph, certificates: dict | None = None):
+    def __init__(self, g: SimpleGraph, certificates: dict):
         self.g = g
-        self.certificates = {} if certificates is None else certificates
+        self.certificates = certificates
         self._cache: dict = {}
 
     def _once(self, key, build):
@@ -732,43 +733,43 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _run_graph(task, certificates=None):
-    """Rows of one graph.  certificates is the run's certificate memo; a pool
-    worker, called without one, keeps a memo for its task."""
-    gid, gjson, fields, caps, assertions, timing = task
-    g = SimpleGraph.from_json(gjson)
-    ctx = _Ctx(g, certificates)
-    rows = []
-    for fname in fields:
-        field = FieldSpec.parse(fname)
-        for tag in assertions:
-            t0 = time.monotonic() if timing else None
-            got = REGISTRY[tag](g, field, caps, ctx)
-            row = {
-                "graph": gid,
-                "n": g.n,
-                "field": fname,
-                "assertion": tag,
-                "status": "skipped" if got is None else ("ok" if not got else "violation"),
-                "violations": got or [],
-            }
-            if timing:
-                row["elapsed_ms"] = round(1000 * (time.monotonic() - t0), 3)
-            rows.append(row)
-    return rows
+def _run_graphs(campaign: Campaign, timing: bool, graphs):
+    """One row list per graph of graphs, a list of (gid, SimpleGraph), with
+    one certificate memo for the whole call."""
+    certificates: dict = {}
+    fields = [(name, FieldSpec.parse(name)) for name in campaign.fields]
+    chunks = []
+    for gid, g in graphs:
+        ctx = _Ctx(g, certificates)
+        rows = []
+        for fname, field in fields:
+            for tag in campaign.assertions:
+                t0 = time.monotonic() if timing else None
+                got = REGISTRY[tag](g, field, campaign.caps, ctx)
+                row = {
+                    "graph": gid,
+                    "n": g.n,
+                    "field": fname,
+                    "assertion": tag,
+                    "status": "skipped" if got is None else ("ok" if not got else "violation"),
+                    "violations": got or [],
+                }
+                if timing:
+                    row["elapsed_ms"] = round(1000 * (time.monotonic() - t0), 3)
+                rows.append(row)
+        chunks.append(rows)
+    return chunks
 
 
-def run_campaign(campaign: Campaign, workers: int | None = None, timing: bool = False) -> Report:
+def run_campaign(campaign: Campaign, workers: int = 1, timing: bool = False) -> Report:
     """Evaluate every assertion on every graph over every field.
 
-    ``workers`` processes share the graphs; None means one, and fewer than
-    one is a ValueError.  Sizes a catalog names (``catalog.catalog_sizes``)
-    are checked against ``caps.max_n`` before its graphs are generated;
-    other catalogs are checked once built.  One certificate memo serves
-    every graph of a serial run and is dropped when the call returns.
+    Fewer than one worker is a ValueError.  Sizes a catalog names
+    (``catalog.catalog_sizes``) are checked against ``caps.max_n`` before its
+    graphs are generated; other catalogs are checked once built.  w workers
+    deal the graphs into strided shares (cost grows along a catalog), one
+    process and one certificate memo each, and rows return in catalog order.
     """
-    if workers is None:
-        workers = 1
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cap_n = campaign.caps.get("max_n", 7)
@@ -785,17 +786,15 @@ def run_campaign(campaign: Campaign, workers: int | None = None, timing: bool = 
             f"graphs exceed the vertex cap {cap_n}: {oversized[:5]}; "
             "raise caps.max_n explicitly"
         )
-    tasks = [
-        (gid, g.to_json(), campaign.fields, campaign.caps, campaign.assertions, timing)
-        for gid, g in catalog
-    ]
+    run = partial(_run_graphs, campaign, timing)
+    shares = min(workers, len(catalog))
     t0 = time.monotonic()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_graph, tasks))
+    if shares <= 1:
+        chunks = run(catalog)
     else:
-        certificates: dict = {}
-        chunks = [_run_graph(t, certificates) for t in tasks]
+        with ProcessPoolExecutor(max_workers=shares) as pool:
+            done = list(pool.map(run, [catalog[k::shares] for k in range(shares)]))
+        chunks = [done[j % shares][j // shares] for j in range(len(catalog))]
     results = [row for chunk in chunks for row in chunk]
     timing_info = None
     if timing:

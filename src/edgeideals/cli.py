@@ -290,6 +290,7 @@ def _poset_covers(p):
 
 def cmd_cm(args) -> int:
     g = _load_graph(args.graph, args.max_n)
+    field = _field(args)
     try:
         red = acyclic_reduction(g)
     except NoLabelingError:
@@ -300,7 +301,6 @@ def cmd_cm(args) -> int:
     if red is None or not red.is_cm:
         print("graph admits no order-compatible perfect matching: not CM bipartite")
         return 1
-    field = _field(args)
     p = red.poset
     # one column per class, so the classes list the columns in poset order
     cols = [cls.bit_length() - 1 for cls in red.classes]
@@ -338,12 +338,12 @@ def cmd_cm(args) -> int:
 
 def cmd_unmixed(args) -> int:
     g = _load_graph(args.graph, args.max_n)
+    field = _field(args)
     try:
         red = acyclic_reduction(g)
     except ValueError as exc:
         print(f"not unmixed bipartite: {exc}")
         return 1
-    field = _field(args)
     _print_labeling(g, red.labeling.xs, red.labeling.ys)
     print("directed relation arcs (columns i -> j):")
     for i, mask in enumerate(red.arcs):
@@ -524,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("campaign", help="campaign JSON file")
     _add_json_out(p)
     p.add_argument("--csv", metavar="OUT", help="also write CSV to OUT ('-' for stdout)")
-    p.add_argument("--workers", type=int, default=None, help="worker processes (default 1)")
+    p.add_argument("--workers", type=int, default=1, help="processes, each on every Nth graph (default 1)")
     p.add_argument(
         "--seed",
         type=int,

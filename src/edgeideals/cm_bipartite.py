@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .graphs import SimpleGraph, bipartition, bit_list, bits_of, canonical_form, iter_bits
 from .ideals import Monomial, MonomialIdeal
-from .witness import CompleteBipartiteSub, DisjointFamily, is_valid_family
+from .witness import CompleteBipartiteSub, DisjointFamily
 
 
 class Poset:
@@ -360,7 +360,8 @@ def extract_family(ghat: SimpleGraph, basis: FreeBasis, maximal) -> DisjointFami
     element l of the basis ideal seeds a block: the vertices of the basis
     multidegree adjacent to x_l or y_l and not claimed by an earlier seed.
     Earlier seeds win ties, so the blocks partition their union and the block
-    count equals the homological degree of the basis.
+    count equals the homological degree of the basis.  Callers lift the
+    family with ``unmixed.lift_family``, which validates it in G.
     """
     if basis not in maximal:
         raise ValueError("basis must be maximal Boolean")
@@ -381,7 +382,4 @@ def extract_family(ghat: SimpleGraph, basis: FreeBasis, maximal) -> DisjointFami
         reps.append((cx, cy))
     if claimed != support:
         raise RuntimeError("blocks must exhaust the basis multidegree")
-    fam = DisjointFamily(blocks, reps)
-    if not is_valid_family(ghat, fam):
-        raise RuntimeError("extracted family failed validation")
-    return fam
+    return DisjointFamily(blocks, reps)

@@ -2,6 +2,7 @@
 
 import gc
 import json
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 from pathlib import Path
 from types import FunctionType
@@ -313,7 +314,7 @@ def test_block_order_certificate_matches_the_sigma_order_construction():
     checked = 0
     reference: dict = {}
     for _, g in generate_catalog({"class": "all", "max_n": 6}):
-        ctx = _Ctx(g)
+        ctx = _Ctx(g, {})
         families = [fam for _, _, fam, _, _ in ctx.families(5, 2)]
         families += [fam for _, fam in _bouquets(g)]
         for fam in families:
@@ -461,7 +462,7 @@ def test_duality_tags_on_shared_tables_match_fresh_verification():
     rows = {(r["graph"], r["field"], r["assertion"]): r for r in run_campaign(c, workers=1).results}
     assert len(rows) == len(graphs) * len(fields) * 2
     for gid, g in graphs.items():
-        ctx = _Ctx(g)
+        ctx = _Ctx(g, {})
         for fname in fields:
             field = FieldSpec.parse(fname)
             if g.edge_count() == 0:
@@ -572,7 +573,7 @@ def test_field_free_results_belong_to_one_graph():
     assert len(together) == (1 + 2 + 4 + 11) * 2 * 16
     # a fresh context per graph, as a campaign of that graph alone would have
     for gid, g in generate_catalog(spec):
-        ctx = _Ctx(g)
+        ctx = _Ctx(g, {})
         for fname in fields:
             field = FieldSpec.parse(fname)
             for tag in tags:
@@ -612,23 +613,54 @@ def test_field_free_work_runs_once_per_graph(monkeypatch):
     assert three == run(["gf2"])
 
 
-def test_one_certificate_memo_per_run(monkeypatch):
+def spy_contexts(monkeypatch):
+    """(graph, certificate memo) of every context a campaign builds, in order."""
     seen = []
-    original = campaigns._run_graph
+    original = _Ctx.__init__
 
-    def spy(task, certificates=None):
-        seen.append(certificates)
-        return original(task, certificates)
+    def spy(self, g, certificates):
+        seen.append((g, certificates))
+        original(self, g, certificates)
 
-    monkeypatch.setattr(campaigns, "_run_graph", spy)
+    monkeypatch.setattr(_Ctx, "__init__", spy)
+    return seen
+
+
+def test_one_certificate_memo_per_run(monkeypatch):
+    seen = spy_contexts(monkeypatch)
     c = small_campaign(assertions=["T1.1", "T2.5"])
     first = run_campaign(c, workers=1)
-    memo = seen[0]
-    assert len(seen) == 10 and all(m is memo for m in seen) and memo
+    memo = seen[0][1]
+    assert len(seen) == 10 and all(m is memo for _, m in seen) and memo
     seen.clear()
     second = run_campaign(c, workers=1)
-    assert seen[0] is not memo and all(m is seen[0] for m in seen)
+    assert seen[0][1] is not memo and all(m is seen[0][1] for _, m in seen)
     assert first.to_json() == second.to_json()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_each_share_runs_its_graphs_with_one_memo(monkeypatch, workers):
+    # threads in place of processes, so the spy sees the contexts of every share
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", ThreadPoolExecutor)
+    seen = spy_contexts(monkeypatch)
+    c = small_campaign(assertions=["T1.1", "T2.5"])
+    serial = run_campaign(c, workers=1).to_json()
+    seen.clear()
+    shared = run_campaign(c, workers=workers).to_json()
+    edges = lambda graphs: sorted((g.n, g.edges()) for g in graphs)
+    catalog = [g for _, g in generate_catalog(c.graphs)]
+    assert len(catalog) == 10
+    assert edges(g for g, _ in seen) == edges(catalog)
+    memos = {id(m): m for _, m in seen}
+    assert len(memos) == workers and all(memos.values())
+    assert shared == serial
+
+
+def test_more_workers_than_graphs():
+    c = small_campaign(graphs={"class": "named", "names": ["path_3", "cycle_4"]})
+    serial = run_campaign(c, workers=1).to_json()
+    assert len(serial["results"]) == 2 * 4
+    assert run_campaign(c, workers=4).to_json() == serial
 
 
 def test_campaign_searches_leave_no_reference_cycles():

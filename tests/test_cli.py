@@ -113,10 +113,11 @@ def test_malformed_order_and_field_fail_in_one_line(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "pd", "cycle_4", "--field", "gfx")
     assert str(exc.value) == "edgeideals: error: cannot parse field 'gfx'; use gf<p> or rat"
-    # the analyses parse the field before they print anything
-    for command in ("cm", "unmixed"):
+    # the analyses parse the field before they print anything, and before
+    # they decide that the graph is not CM (P3) or not unmixed (P5)
+    for command, graph in (("cm", "path_2"), ("unmixed", "path_2"), ("cm", "path_3"), ("unmixed", "path_5")):
         with pytest.raises(SystemExit) as exc:
-            run(capsys, command, "analyze", "path_2", "--field", "gf4")
+            run(capsys, command, "analyze", graph, "--field", "gf4")
         assert str(exc.value) == "edgeideals: error: GF order must be prime, got 4"
         assert capsys.readouterr().out == ""
 
