@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .catalog import catalog_sizes, generate_catalog
@@ -792,6 +791,10 @@ def run_campaign(campaign: Campaign, workers: int = 1, timing: bool = False) -> 
     if shares <= 1:
         chunks = run(catalog)
     else:
+        # imported here: it loads multiprocessing and logging, which a
+        # one-worker run and a plain import of the package never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=shares) as pool:
             done = list(pool.map(run, [catalog[k::shares] for k in range(shares)]))
         chunks = [done[j % shares][j // shares] for j in range(len(catalog))]

@@ -16,6 +16,7 @@ from itertools import product
 from .cm_bipartite import Poset, graph_from_poset
 from .graphs import (
     SimpleGraph,
+    _twins,
     canonical_form,
     check_keys,
     complete_bipartite_graph,
@@ -42,19 +43,43 @@ def _one_per_class(items, key) -> list:
     return out
 
 
+def _twin_normal_sets(g: SimpleGraph) -> list[int]:
+    """The vertex sets of g that hold the lowest members of each class of
+    twins, as increasing integers.
+
+    Swapping two twins is an automorphism of g.  Such swaps take any vertex
+    set onto the twin-normal set with the same count in each class, which is
+    no larger as an integer.
+    """
+    classes: list[list[int]] = []
+    for v in range(g.n):
+        for c in classes:
+            if _twins(g.adj, c[0], v):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    lowest = [[sum(1 << v for v in c[:k]) for k in range(len(c) + 1)] for c in classes]
+    return sorted(map(sum, product(*lowest)))
+
+
 @lru_cache(maxsize=None)
 def graphs_on(n: int) -> tuple[SimpleGraph, ...]:
     """All simple graphs on exactly n vertices, one per isomorphism class.
 
-    Extend each (n-1)-vertex graph by a new vertex attached to every subset
-    of the old ones; keep the first extension of each class.
+    Extend each (n-1)-vertex graph by a new vertex attached to each
+    twin-normal set of the old ones, in increasing order; keep the first
+    extension of each class.  An attach set that is not twin-normal gives an
+    extension isomorphic to that of a smaller set offered before it from the
+    same base, so it is never the first of its class, and skipping it leaves
+    the catalog and its order as they would be over every attach set.
     """
     if n == 0:
         return (SimpleGraph(0),)
     return tuple(_one_per_class((
         SimpleGraph(n, base.edges() + [(u, n - 1) for u in iter_bits(attach)])
         for base in graphs_on(n - 1)
-        for attach in range(1 << (n - 1))
+        for attach in _twin_normal_sets(base)
     ), canonical_form))
 
 

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .campaigns import Campaign, run_campaign
 from .catalog import named_graph
@@ -105,12 +106,10 @@ def _load_ideal_or_graph(arg: str, max_n=None):
 
 
 def _write_json(path: str, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path == "-":
-        print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    """Stream obj as indented JSON and a newline, so the text is never held whole."""
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _sigma_mask(g: SimpleGraph, tokens) -> int:

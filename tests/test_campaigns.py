@@ -1,5 +1,6 @@
 """Campaign engine: registry, determinism, caps, statuses, report formats."""
 
+import concurrent.futures
 import gc
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -640,8 +641,9 @@ def test_one_certificate_memo_per_run(monkeypatch):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_each_share_runs_its_graphs_with_one_memo(monkeypatch, workers):
-    # threads in place of processes, so the spy sees the contexts of every share
-    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", ThreadPoolExecutor)
+    # threads in place of processes, so the spy sees the contexts of every share;
+    # run_campaign looks the pool class up in concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     seen = spy_contexts(monkeypatch)
     c = small_campaign(assertions=["T1.1", "T2.5"])
     serial = run_campaign(c, workers=1).to_json()

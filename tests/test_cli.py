@@ -202,16 +202,20 @@ def test_cm_analyze(capsys, tmp_path):
     assert rc == 1 and out == "not CM bipartite: graph has no vertices\n" and err == ""
 
 
+def source_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_closed_stdout_ends_without_a_traceback():
     # K_{1,13} has over 300 kB of multigraded rows, far more than a pipe
     # holds, so the command is still writing when the reader goes away
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
         [sys.executable, "-m", "edgeideals.cli", "betti", "complete_bipartite_1_13", "--multigraded"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=source_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -220,6 +224,20 @@ def test_closed_stdout_ends_without_a_traceback():
     assert proc.wait(timeout=120) != 0
     assert first.startswith(b"Betti table of S/I(G)")
     assert b"Traceback" not in err and err == b""
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only a run with a second worker starts a pool; a fresh import of the
+    # CLI must not pay for multiprocessing
+    code = (
+        "import sys, edgeideals.cli; "
+        "print(*[m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=source_env(), timeout=60
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.split() == []
 
 
 def test_unmixed_analyze(capsys):
@@ -266,6 +284,22 @@ def test_verify_roundtrip(capsys, tmp_path):
     assert blob["schema"] == "edgeideals-report/1"
     assert blob["summary"] == {"ok": 12, "violation": 0, "skipped": 0}
     assert cout.read_text().startswith("graph,n,field,assertion,status,violations")
+
+
+def test_streamed_report_json_is_the_indented_text(capsys, tmp_path):
+    spec = {
+        "name": "cli-json",
+        "graphs": {"class": "connected", "max_n": 4},
+        "fields": ["gf2"],
+        "assertions": ["T1.1", "P5.1"],
+    }
+    cpath, jout = tmp_path / "c.json", tmp_path / "r.json"
+    cpath.write_text(json.dumps(spec))
+    rc, _, _ = run(capsys, "verify", str(cpath), "--json", str(jout))
+    text = jout.read_text()
+    assert rc == 0 and text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    rc, out, _ = run(capsys, "verify", str(cpath), "--json", "-")
+    assert rc == 0 and out.endswith("PASS\n\n" + text)
 
 
 def test_verify_error_paths(capsys, tmp_path):
