@@ -590,6 +590,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# the vertex cap of a campaign whose caps do not set max_n
+CAMPAIGN_CAP = 7
 # least value of each integer cap
 _CAP_MINIMUM = {"max_n": 1, "family_size": 1, "block_vertices": 2}
 
@@ -600,7 +602,7 @@ class Campaign:
     ``graphs`` is a catalog spec object (see ``catalog.generate_catalog``);
     ``fields`` and ``assertions`` are non-empty lists of field names and
     registry tags (an empty one would check nothing and pass); ``caps`` may
-    set the integers ``max_n`` (vertex cap, default 7, at least 1),
+    set the integers ``max_n`` (vertex cap, default ``CAMPAIGN_CAP``, at least 1),
     ``family_size`` (most blocks in a T1.1 family, default 2, at least 1)
     and ``block_vertices`` (most vertices in a T1.1 block, default 5, at
     least 2).  Malformed fields raise ``ValueError``.
@@ -771,7 +773,7 @@ def run_campaign(campaign: Campaign, workers: int = 1, timing: bool = False) -> 
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    cap_n = campaign.caps.get("max_n", 7)
+    cap_n = campaign.caps.get("max_n", CAMPAIGN_CAP)
     named = catalog_sizes(campaign.graphs)
     if named and max(named) > cap_n:
         raise ValueError(

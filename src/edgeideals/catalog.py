@@ -101,7 +101,7 @@ def posets_on(k: int) -> tuple[Poset, ...]:
     ), Poset.canonical_key))
 
 
-def unmixed_blowups(max_elements=3, max_zeta=3, max_vertices=12) -> list[SimpleGraph]:
+def unmixed_blowups(max_elements, max_zeta, max_vertices) -> list[SimpleGraph]:
     """Blow-ups of poset graphs: every unmixed bipartite graph whose reduction
     has at most max_elements classes of size at most max_zeta each."""
     # k classes need 2k vertices, and leave one class max_vertices // 2 - k + 1
@@ -114,7 +114,7 @@ def unmixed_blowups(max_elements=3, max_zeta=3, max_vertices=12) -> list[SimpleG
     ), canonical_form)
 
 
-def cm_poset_graphs(max_elements=4) -> list[SimpleGraph]:
+def cm_poset_graphs(max_elements) -> list[SimpleGraph]:
     return _one_per_class(
         (graph_from_poset(p) for k in range(1, max_elements + 1) for p in posets_on(k)), canonical_form
     )
@@ -132,7 +132,7 @@ def partitions_in_box(max_rows: int, max_cols: int):
             stack.extend(lam + (p,) for p in range(1, lam[-1] + 1))
 
 
-def ferrers_graphs(max_rows=4, max_cols=4) -> list[SimpleGraph]:
+def ferrers_graphs(max_rows, max_cols) -> list[SimpleGraph]:
     shapes = sorted(partitions_in_box(max_rows, max_cols), key=lambda t: (len(t), t))
     return _one_per_class((ferrers_graph(lam) for lam in shapes), canonical_form)
 
@@ -157,15 +157,17 @@ def named_graph(name: str) -> SimpleGraph:
 
 
 _SIZED_CLASSES = ("all", "connected", "chordal", "cochordal")
+# the builder of each class a spec sizes by its own parameters, and those
+# parameters with their defaults, in the builder's argument order
+_BUILT_CLASSES = {
+    "cm_posets": (cm_poset_graphs, {"max_elements": 4}),
+    "unmixed_blowups": (unmixed_blowups, {"max_elements": 3, "max_zeta": 3, "max_vertices": 12}),
+    "ferrers": (ferrers_graphs, {"max_rows": 4, "max_cols": 4}),
+}
 # the keys each catalog class reads, "class" included
 _SPEC_KEYS = {cls: ("class", "n", "max_n") for cls in _SIZED_CLASSES}
-_SPEC_KEYS.update(
-    cm_posets=("class", "max_elements"),
-    unmixed_blowups=("class", "max_elements", "max_zeta", "max_vertices"),
-    ferrers=("class", "max_rows", "max_cols"),
-    named=("class", "names"),
-    files=("class", "files"),
-)
+_SPEC_KEYS.update({cls: ("class", *params) for cls, (_, params) in _BUILT_CLASSES.items()})
+_SPEC_KEYS.update(named=("class", "names"), files=("class", "files"))
 
 
 def _spec_class(spec: dict):
@@ -184,6 +186,12 @@ def _spec_int(spec: dict, key: str, default=None) -> int:
     return value
 
 
+def _built_args(spec: dict) -> list[int]:
+    """The builder arguments of a spec of a class in ``_BUILT_CLASSES``."""
+    params = _BUILT_CLASSES[spec["class"]][1]
+    return [_spec_int(spec, key, default) for key, default in params.items()]
+
+
 def _spec_strings(spec: dict, key: str) -> list[str]:
     value = spec.get(key)
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -198,17 +206,15 @@ def catalog_sizes(spec: dict) -> list[int] | None:
     where only the built graphs tell."""
     cls = _spec_class(spec)
     if cls == "cm_posets":
-        return [2 * k for k in range(1, _spec_int(spec, "max_elements", 4) + 1)]
+        (elements,) = _built_args(spec)
+        return [2 * k for k in range(1, elements + 1)]
     if cls == "unmixed_blowups":
         # a blow-up has 2 * sum(zeta) vertices, and every total weight from 1
         # to max_elements * max_zeta that max_vertices leaves room for is built
-        most = min(
-            _spec_int(spec, "max_elements", 3) * _spec_int(spec, "max_zeta", 3),
-            _spec_int(spec, "max_vertices", 12) // 2,
-        )
-        return [2 * w for w in range(1, most + 1)]
+        elements, zeta, vertices = _built_args(spec)
+        return [2 * w for w in range(1, min(elements * zeta, vertices // 2) + 1)]
     if cls == "ferrers":
-        rows, cols = _spec_int(spec, "max_rows", 4), _spec_int(spec, "max_cols", 4)
+        rows, cols = _built_args(spec)
         return list(range(2, rows + cols + 1)) if rows and cols else []
     if cls not in _SIZED_CLASSES:
         return None
@@ -239,21 +245,9 @@ def generate_catalog(spec: dict) -> list[tuple[str, SimpleGraph]]:
                 pool = [g for g in pool if (is_chordal if cls == "chordal" else is_cochordal)(g)]
             for idx, g in enumerate(pool):
                 out.append((f"{cls}/{n}/{idx}", g))
-    elif cls == "cm_posets":
-        for idx, g in enumerate(cm_poset_graphs(_spec_int(spec, "max_elements", 4))):
-            out.append((f"cm_posets/{idx}", g))
-    elif cls == "unmixed_blowups":
-        graphs = unmixed_blowups(
-            _spec_int(spec, "max_elements", 3),
-            _spec_int(spec, "max_zeta", 3),
-            _spec_int(spec, "max_vertices", 12),
-        )
-        for idx, g in enumerate(graphs):
-            out.append((f"unmixed_blowups/{idx}", g))
-    elif cls == "ferrers":
-        graphs = ferrers_graphs(_spec_int(spec, "max_rows", 4), _spec_int(spec, "max_cols", 4))
-        for idx, g in enumerate(graphs):
-            out.append((f"ferrers/{idx}", g))
+    elif cls in _BUILT_CLASSES:
+        for idx, g in enumerate(_BUILT_CLASSES[cls][0](*_built_args(spec))):
+            out.append((f"{cls}/{idx}", g))
     elif cls == "named":
         for name in _spec_strings(spec, "names"):
             out.append((f"named/{name}", named_graph(name)))

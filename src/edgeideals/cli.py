@@ -20,9 +20,9 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stdout
 
-from .campaigns import Campaign, run_campaign
+from .campaigns import CAMPAIGN_CAP, Campaign, run_campaign
 from .catalog import named_graph
 from .cm_bipartite import extract_family, free_bases, hg_generators, maximal_boolean_bases
 from .graphs import SimpleGraph, bit_list, iter_bits
@@ -35,7 +35,6 @@ from .unmixed import _dual_scores, _witness, acyclic_reduction, lift_family
 from .witness import DisjointFamily, max_pd_witness, witness_for
 
 SINGLE_GRAPH_CAP = 14
-CAMPAIGN_CAP = 7
 
 
 def _fail(msg: str):
@@ -105,9 +104,14 @@ def _load_ideal_or_graph(arg: str, max_n=None):
     return edge_ideal(g), g
 
 
-def _write_json(path: str, obj):
+def _out(args, path: str):
+    """The stream a --json or --csv OUT names: stdout for '-', else the file."""
+    return nullcontext(args.stdout) if path == "-" else open(path, "w", encoding="utf-8")
+
+
+def _write_json(args, path: str, obj):
     """Stream obj as indented JSON and a newline, so the text is never held whole."""
-    with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fh:
+    with _out(args, path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -166,7 +170,7 @@ def cmd_betti(args) -> int:
             sig = ",".join(row["sigma"])
             print(f"  beta_{row['i']},{{{sig}}} = {row['value']}")
     if args.json:
-        _write_json(args.json, table.to_json())
+        _write_json(args, args.json, table.to_json())
     return 0
 
 
@@ -191,7 +195,7 @@ def cmd_dual(args) -> int:
     for gen in dual.generators:
         print(gen.pretty(dual.variables))
     if args.json:
-        _write_json(args.json, dual.to_json())
+        _write_json(args, args.json, dual.to_json())
     return 0
 
 
@@ -220,7 +224,7 @@ def cmd_witness(args) -> int:
         print(f"max family value (pd lower bound): {wit.value}")
     print(json.dumps(fam.to_json(g), indent=2))
     if args.json:
-        _write_json(args.json, payload)
+        _write_json(args, args.json, payload)
     return 0
 
 
@@ -303,7 +307,7 @@ def cmd_cm(args) -> int:
     p = red.poset
     # one column per class, so the classes list the columns in poset order
     cols = [cls.bit_length() - 1 for cls in red.classes]
-    _print_labeling(g, [red.labeling.xs[i] for i in cols], [red.labeling.ys[i] for i in cols])
+    _print_labeling(g, [red.xs[i] for i in cols], [red.ys[i] for i in cols])
     covers = list(_poset_covers(p))
     print("poset cover relations:")
     if not covers:
@@ -343,7 +347,7 @@ def cmd_unmixed(args) -> int:
     except ValueError as exc:
         print(f"not unmixed bipartite: {exc}")
         return 1
-    _print_labeling(g, red.labeling.xs, red.labeling.ys)
+    _print_labeling(g, red.xs, red.ys)
     print("directed relation arcs (columns i -> j):")
     for i, mask in enumerate(red.arcs):
         for j in iter_bits(mask):
@@ -375,6 +379,8 @@ def cmd_unmixed(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.json == "-" and args.csv == "-":
+        _fail("--json - and --csv - cannot both take stdout")
     try:
         campaign = Campaign.load(args.campaign)
     except (OSError, ValueError, KeyError) as exc:
@@ -397,13 +403,10 @@ def cmd_verify(args) -> int:
         _fail(str(exc))
     print(report.human())
     if args.json:
-        _write_json(args.json, report.to_json())
+        _write_json(args, args.json, report.to_json())
     if args.csv:
-        if args.csv == "-":
-            print(report.to_csv())
-        else:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(report.to_csv())
+        with _out(args, args.csv) as fh:
+            fh.write(report.to_csv())
     return 0 if report.ok else 1
 
 
@@ -425,7 +428,9 @@ def _add_max_n(p):
 
 
 def _add_json_out(p):
-    p.add_argument("--json", metavar="OUT", help="also write JSON to OUT ('-' for stdout)")
+    p.add_argument(
+        "--json", metavar="OUT", help="also write JSON to OUT ('-': stdout, and the text to stderr)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,7 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a theorem-verification campaign")
     p.add_argument("campaign", help="campaign JSON file")
     _add_json_out(p)
-    p.add_argument("--csv", metavar="OUT", help="also write CSV to OUT ('-' for stdout)")
+    p.add_argument(
+        "--csv", metavar="OUT", help="also write CSV to OUT ('-': stdout, and the text to stderr)"
+    )
     p.add_argument("--workers", type=int, default=1, help="processes, each on every Nth graph (default 1)")
     p.add_argument(
         "--seed",
@@ -539,8 +546,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a document written to stdout ('-') has stdout to itself, and the
+    # human-readable text goes to stderr
+    args.stdout = sys.stdout
+    streamed = "-" in (getattr(args, "json", None), getattr(args, "csv", None))
     try:
-        rc = args.func(args)
+        with redirect_stdout(sys.stderr) if streamed else nullcontext():
+            rc = args.func(args)
         sys.stdout.flush()
         return rc
     except BrokenPipeError:

@@ -1,24 +1,20 @@
-"""Posets, their poset graphs, the matching search, and extremal free bases.
+"""Posets, their poset graphs, and extremal free bases.
 
-A bipartite graph on {x_1..x_n} u {y_1..y_n} is unmixed exactly when it
-admits a labeling with x_i y_i edges (a perfect matching) whose relation
-x_i -> y_j in E is transitive, and Cohen-Macaulay exactly when that relation
-is also antisymmetric, so that it is the comparability data of a poset P on
-n points.  ``_matching_search`` finds such a labeling, and
-``unmixed.acyclic_reduction``, the one path from a graph to a poset,
-collapses it; for a CM graph the reduction's poset graph
-(``graph_from_poset``) is G relabelled.  The dual of the edge ideal of a
-poset graph is generated by one monomial per poset ideal of P, its minimal
-free resolution has basis elements indexed by pairs (ideal, complementary
-antichain), and the extremal basis elements correspond to maximal Boolean
-intervals in the lattice of poset ideals.  Extracting a vertex-disjoint
-complete bipartite family from a maximal basis witnesses the closed-form
-projective dimension.
+A Cohen-Macaulay bipartite graph is the poset graph of a poset P on n
+points: x_i y_j is an edge exactly when i <= j.  ``unmixed.acyclic_reduction``,
+the one path from a graph to a poset, reads P off a graph, and
+``graph_from_poset`` builds the graph of P back.  The dual of the edge ideal
+of a poset graph is generated by one monomial per poset ideal of P, its
+minimal free resolution has basis elements indexed by pairs (ideal,
+complementary antichain), and the extremal basis elements correspond to
+maximal Boolean intervals in the lattice of poset ideals.  Extracting a
+vertex-disjoint complete bipartite family from a maximal basis witnesses the
+closed-form projective dimension.
 """
 
 from __future__ import annotations
 
-from .graphs import SimpleGraph, bipartition, bit_list, bits_of, canonical_form, iter_bits
+from .graphs import SimpleGraph, bit_list, bits_of, canonical_form, iter_bits
 from .ideals import Monomial, MonomialIdeal
 from .witness import CompleteBipartiteSub, DisjointFamily
 
@@ -119,129 +115,6 @@ class Poset:
             if i != j
         ]
         return f"Poset(n={self.n}, relations={rels})"
-
-
-class CMGraphLabeling:
-    """Pairing of graph vertices into matched columns (x_i, y_i), i = 0..n-1."""
-
-    __slots__ = ("xs", "ys")
-
-    def __init__(self, xs, ys):
-        if len(xs) != len(ys):
-            raise ValueError("sides must have equal length")
-        self.xs = list(xs)
-        self.ys = list(ys)
-
-    def __repr__(self):
-        return f"CMGraphLabeling(xs={self.xs}, ys={self.ys})"
-
-
-def _component_labelings(g: SimpleGraph, xcand, ycand):
-    """Pairings of xcand with ycand along matching edges, one list per matching."""
-    if len(xcand) != len(ycand):
-        return
-    xs = list(xcand)
-    if not xs:
-        yield []
-        return
-    # depth-first over the positions of xs: stack[k] iterates the candidates
-    # for xs[k], and acc holds the partners chosen for xs[:k]
-    acc: list[int] = []
-    used = 0
-    stack = [iter(ycand)]
-    while stack:
-        x = xs[len(acc)]
-        for y in stack[-1]:
-            if not used >> y & 1 and g.has_edge(x, y):
-                break
-        else:
-            stack.pop()
-            if acc:
-                used ^= 1 << acc.pop()
-            continue
-        acc.append(y)
-        used |= 1 << y
-        if len(acc) == len(xs):
-            yield list(acc)
-            used ^= 1 << acc.pop()
-        else:
-            stack.append(iter(ycand))
-
-
-def _relation_arcs(g: SimpleGraph, xs, ys):
-    n = len(xs)
-    arcs = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and g.has_edge(xs[i], ys[j]):
-                arcs[i] |= 1 << j
-    return arcs
-
-
-def _transitive(arcs) -> bool:
-    n = len(arcs)
-    for i in range(n):
-        reach = 0
-        for j in iter_bits(arcs[i]):
-            reach |= arcs[j]
-        if reach & ~arcs[i] & ~(1 << i):
-            return False
-    return True
-
-
-def _matching_search(g: SimpleGraph):
-    """Per-component matchings whose x->y relation is transitive; (xs, ys)
-    for the whole graph, or None."""
-    if g.n == 0:
-        raise ValueError("graph has no vertices")
-    parts = bipartition(g)
-    if parts is None:
-        raise ValueError("graph is not bipartite")
-    if any(g.degree(v) == 0 for v in range(g.n)):
-        raise ValueError("isolated vertices are not allowed here")
-    all_xs: list[int] = []
-    all_ys: list[int] = []
-    for comp in g.components():
-        found = None
-        for flip in (False, True):
-            left_mask, right_mask = parts[::-1] if flip else parts
-            xcand = bit_list(left_mask & comp)
-            ycand = bit_list(right_mask & comp)
-            if len(xcand) != len(ycand):
-                continue
-            for ys in _component_labelings(g, xcand, ycand):
-                arcs = _relation_arcs(g, xcand, ys)
-                if _transitive(arcs):
-                    found = (xcand, ys)
-                    break
-            if found:
-                break
-        if found is None:
-            return None
-        all_xs.extend(found[0])
-        all_ys.extend(found[1])
-    return all_xs, all_ys
-
-
-def _linear_extension(arcs) -> list[int]:
-    """Indices 0..n-1 in the order that repeatedly takes the smallest index
-    with no arc into it from an index not yet taken; arcs[i] is the mask of
-    the heads of the arcs out of i, and self-arcs are ignored."""
-    into = [0] * len(arcs)
-    for i, mask in enumerate(arcs):
-        for j in iter_bits(mask & ~(1 << i)):
-            into[j] |= 1 << i
-    order = []
-    left = (1 << len(arcs)) - 1
-    while left:
-        for j in iter_bits(left):
-            if not into[j] & left:
-                break
-        else:
-            raise RuntimeError("relation must be acyclic")
-        order.append(j)
-        left &= ~(1 << j)
-    return order
 
 
 def graph_from_poset(p: Poset, x_labels=None, y_labels=None) -> SimpleGraph:

@@ -277,12 +277,9 @@ def complete_graph(n) -> SimpleGraph:
     return SimpleGraph(n, edges=[(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def complete_bipartite_graph(m, n, left_labels=None, right_labels=None) -> SimpleGraph:
-    if left_labels is None:
-        left_labels = [f"u{i + 1}" for i in range(m)]
-    if right_labels is None:
-        right_labels = [f"v{j + 1}" for j in range(n)]
-    g = SimpleGraph(m + n, labels=list(left_labels) + list(right_labels))
+def complete_bipartite_graph(m, n) -> SimpleGraph:
+    labels = [f"u{i + 1}" for i in range(m)] + [f"v{j + 1}" for j in range(n)]
+    g = SimpleGraph(m + n, labels=labels)
     for i in range(m):
         for j in range(n):
             g.add_edge(i, m + j)
@@ -303,12 +300,8 @@ def ferrers_graph(shape) -> SimpleGraph:
     return g
 
 
-def disjoint_union(g1: SimpleGraph, g2: SimpleGraph, relabel=True) -> SimpleGraph:
-    if relabel:
-        labels = [f"x{i + 1}" for i in range(g1.n + g2.n)]
-    else:
-        labels = g1.labels + g2.labels
-    g = SimpleGraph(g1.n + g2.n, labels=labels)
+def disjoint_union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
+    g = SimpleGraph(g1.n + g2.n, labels=[f"x{i + 1}" for i in range(g1.n + g2.n)])
     for u, v in g1.edges():
         g.add_edge(u, v)
     for u, v in g2.edges():

@@ -275,7 +275,7 @@ def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle):
     return cycle.s, symbol_degree(ideal, cycle.leading)
 
 
-def bipartite_cycle(m: int, n: int, left_labels=None, right_labels=None):
+def bipartite_cycle(m: int, n: int):
     """The canonical non-vanishing cycle for I(K_{m,n}).
 
     Returns (ideal, cycle): the edge ideal of K_{m,n} with generators in the
@@ -286,11 +286,7 @@ def bipartite_cycle(m: int, n: int, left_labels=None, right_labels=None):
     """
     if m < 1 or n < 1:
         raise ValueError("both sides must be nonempty")
-    if left_labels is None:
-        left_labels = [f"u{i + 1}" for i in range(m)]
-    if right_labels is None:
-        right_labels = [f"v{j + 1}" for j in range(n)]
-    variables = list(left_labels) + list(right_labels)
+    variables = [f"u{i + 1}" for i in range(m)] + [f"v{j + 1}" for j in range(n)]
     gens = []
     for beta in range(n):
         for alpha in range(m):

@@ -1,9 +1,11 @@
 """Unmixed and Cohen-Macaulay bipartite graphs via weighted acyclic reductions.
 
 ``acyclic_reduction`` is the one path from a bipartite graph to a poset.
-An unmixed bipartite graph without isolated vertices carries a perfect
-matching x_i y_i whose x->y adjacency relation is transitive (cycles are
-allowed).  Collapsing the strongly connected classes of that relation yields a poset,
+A bipartite graph without isolated vertices is unmixed exactly when it has a
+perfect matching x_i y_i whose x->y adjacency relation is transitive
+(cycles are allowed), and then every perfect matching has one, so the
+reduction reads the first matching it finds and checks it once.
+Collapsing the strongly connected classes of that relation yields a poset,
 hence a CM bipartite graph ghat; the original graph is the blow-up of ghat
 by the class sizes zeta.  The graph is Cohen-Macaulay exactly when every
 class is a single column (zeta = 1, so ghat is G relabelled), and then its
@@ -20,29 +22,27 @@ steps, the lift being a relabelling.
 from __future__ import annotations
 
 from .cm_bipartite import (
-    CMGraphLabeling,
     Poset,
-    _linear_extension,
-    _matching_search,
-    _relation_arcs,
     extract_family,
     free_bases,
     graph_from_poset,
     maximal_boolean_bases,
 )
 from .errors import NoLabelingError
-from .graphs import SimpleGraph, bit_list, bits_of, iter_bits
+from .graphs import SimpleGraph, bipartition, bit_list, bits_of, iter_bits
 from .witness import CompleteBipartiteSub, DisjointFamily, is_valid_family
 
 
 class AcyclicReduction:
-    """The collapse of an unmixed labeling to a CM poset graph plus weights."""
+    """The collapse of an unmixed labeling to a CM poset graph plus weights;
+    column i of the labeling is the matching edge xs[i] ys[i]."""
 
-    __slots__ = ("graph", "labeling", "arcs", "classes", "zeta", "poset", "ghat")
+    __slots__ = ("graph", "xs", "ys", "arcs", "classes", "zeta", "poset", "ghat")
 
-    def __init__(self, graph, labeling, arcs, classes, zeta, poset, ghat):
+    def __init__(self, graph, xs, ys, arcs, classes, zeta, poset, ghat):
         self.graph = graph
-        self.labeling = labeling
+        self.xs = xs
+        self.ys = ys
         self.arcs = arcs
         self.classes = classes
         self.zeta = zeta
@@ -66,7 +66,7 @@ class AcyclicReduction:
         out = 0
         for w in iter_bits(mask_hat):
             cls = self.classes[self.class_of_ghat_vertex(w)]
-            side = self.labeling.xs if w < self.t else self.labeling.ys
+            side = self.xs if w < self.t else self.ys
             out |= bits_of(side[i] for i in iter_bits(cls))
         return out
 
@@ -75,16 +75,109 @@ class AcyclicReduction:
         return sum(self.zeta[self.class_of_ghat_vertex(w)] for w in iter_bits(sigma_hat))
 
 
+def _first_matching(g: SimpleGraph, xs, ycand):
+    """The partners of xs in the first perfect matching onto ycand, found
+    depth first with the candidates tried in order; None if there is none."""
+    if len(xs) != len(ycand):
+        return None
+    # stack[k] iterates the candidates for xs[k], and acc holds the partners
+    # chosen for xs[:k]
+    acc: list[int] = []
+    used = 0
+    stack = [iter(ycand)]
+    while stack:
+        x = xs[len(acc)]
+        for y in stack[-1]:
+            if not used >> y & 1 and g.has_edge(x, y):
+                break
+        else:
+            stack.pop()
+            if acc:
+                used ^= 1 << acc.pop()
+            continue
+        acc.append(y)
+        used |= 1 << y
+        if len(acc) == len(xs):
+            return acc
+        stack.append(iter(ycand))
+    return None
+
+
+def _relation_arcs(g: SimpleGraph, xs, ys):
+    """arcs[i]: the mask of the columns j != i with x_i y_j an edge."""
+    n = len(xs)
+    arcs = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and g.has_edge(xs[i], ys[j]):
+                arcs[i] |= 1 << j
+    return arcs
+
+
+def _transitive(arcs) -> bool:
+    n = len(arcs)
+    for i in range(n):
+        reach = 0
+        for j in iter_bits(arcs[i]):
+            reach |= arcs[j]
+        if reach & ~arcs[i] & ~(1 << i):
+            return False
+    return True
+
+
+def _linear_extension(arcs) -> list[int]:
+    """Indices 0..n-1 in the order that repeatedly takes the smallest index
+    with no arc into it from an index not yet taken; arcs[i] is the mask of
+    the heads of the arcs out of i, and self-arcs are ignored."""
+    into = [0] * len(arcs)
+    for i, mask in enumerate(arcs):
+        for j in iter_bits(mask & ~(1 << i)):
+            into[j] |= 1 << i
+    order = []
+    left = (1 << len(arcs)) - 1
+    while left:
+        for j in iter_bits(left):
+            if not into[j] & left:
+                break
+        else:
+            raise RuntimeError("relation must be acyclic")
+        order.append(j)
+        left &= ~(1 << j)
+    return order
+
+
 def acyclic_reduction(g: SimpleGraph) -> AcyclicReduction:
-    """The reduction of the first matching whose column relation is
-    transitive.  Raises ``ValueError`` unless G is a nonempty bipartite graph
-    without isolated vertices, and its subclass ``NoLabelingError`` when such
-    a G is not unmixed."""
-    got = _matching_search(g)
-    if got is None:
+    """The reduction of the first perfect matching, component by component
+    with the first side of ``bipartition`` as x.  Raises ``ValueError``
+    unless G is a nonempty bipartite graph without isolated vertices, and its
+    subclass ``NoLabelingError`` when such a G is not unmixed.
+
+    Any perfect matching decides: if G is unmixed, each side of a component
+    is a minimal vertex cover of it, so every maximal independent set holds
+    one end of each matching edge; were x_i y_j and x_j y_k edges and
+    x_i y_k not, a maximal independent set through x_i and y_k could hold
+    neither x_j nor y_j.  So every perfect matching of an unmixed G has a
+    transitive relation, and G is unmixed exactly when the first one has.
+    """
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
+    parts = bipartition(g)
+    if parts is None:
+        raise ValueError("graph is not bipartite")
+    if any(g.degree(v) == 0 for v in range(g.n)):
+        raise ValueError("isolated vertices are not allowed here")
+    xs: list[int] = []
+    ys: list[int] = []
+    for comp in g.components():
+        xcand = bit_list(parts[0] & comp)
+        partners = _first_matching(g, xcand, bit_list(parts[1] & comp))
+        if partners is None:
+            raise NoLabelingError("graph admits no unmixed labeling")
+        xs.extend(xcand)
+        ys.extend(partners)
+    arcs = _relation_arcs(g, xs, ys)
+    if not _transitive(arcs):
         raise NoLabelingError("graph admits no unmixed labeling")
-    lab = CMGraphLabeling(*got)
-    arcs = _relation_arcs(g, lab.xs, lab.ys)
     # the relation is transitive, so two columns share a strongly connected
     # class exactly when they carry arcs both ways
     classes = []
@@ -117,14 +210,15 @@ def acyclic_reduction(g: SimpleGraph) -> AcyclicReduction:
         x_labels=[f"u{a + 1}" for a in range(t)],
         y_labels=[f"v{a + 1}" for a in range(t)],
     )
-    return AcyclicReduction(g, lab, arcs, comps, zeta, poset, ghat)
+    return AcyclicReduction(g, xs, ys, arcs, comps, zeta, poset, ghat)
 
 
 def is_unmixed_bipartite(g: SimpleGraph) -> bool:
     try:
-        return _matching_search(g) is not None
+        acyclic_reduction(g)
     except ValueError:
         return False
+    return True
 
 
 def is_cm_bipartite(g: SimpleGraph) -> bool:
@@ -209,7 +303,7 @@ def lift_family(red: AcyclicReduction, fam_hat: DisjointFamily) -> DisjointFamil
             iu = (red.classes[u] & -red.classes[u]).bit_length() - 1
             iv_cls = red.classes[v - t]
             iv = (iv_cls & -iv_cls).bit_length() - 1
-            reps.append((red.labeling.xs[iu], red.labeling.ys[iv]))
+            reps.append((red.xs[iu], red.ys[iv]))
     fam = DisjointFamily(blocks, reps)
     if not is_valid_family(red.graph, fam):
         raise RuntimeError("lifted family failed validation")

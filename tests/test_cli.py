@@ -298,8 +298,36 @@ def test_streamed_report_json_is_the_indented_text(capsys, tmp_path):
     rc, _, _ = run(capsys, "verify", str(cpath), "--json", str(jout))
     text = jout.read_text()
     assert rc == 0 and text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
-    rc, out, _ = run(capsys, "verify", str(cpath), "--json", "-")
-    assert rc == 0 and out.endswith("PASS\n\n" + text)
+    rc, out, err = run(capsys, "verify", str(cpath), "--json", "-")
+    assert rc == 0 and out == text and err.endswith("PASS\n\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti", "cycle_4", "--multigraded"),
+    ("verify", "tests/data/smoke_campaign.json"),
+])
+def test_json_on_stdout_is_the_document_alone(capsys, tmp_path, argv):
+    dest = tmp_path / "out.json"
+    rc, text, _ = run(capsys, *argv, "--json", str(dest))
+    assert rc == 0
+    rc, out, err = run(capsys, *argv, "--json", "-")
+    assert rc == 0 and json.loads(out) == json.loads(dest.read_text())
+    assert out == dest.read_text() and err == text
+
+
+def test_csv_on_stdout_is_the_file_bytes(capsys, tmp_path):
+    dest = tmp_path / "out.csv"
+    rc, text, _ = run(capsys, "verify", "tests/data/smoke_campaign.json", "--csv", str(dest))
+    assert rc == 0
+    rc, out, err = run(capsys, "verify", "tests/data/smoke_campaign.json", "--csv", "-")
+    assert rc == 0 and out.encode() == dest.read_bytes() and err == text
+
+
+def test_json_and_csv_cannot_share_stdout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "tests/data/smoke_campaign.json", "--json", "-", "--csv", "-")
+    assert str(exc.value) == "edgeideals: error: --json - and --csv - cannot both take stdout"
+    assert capsys.readouterr() == ("", "")
 
 
 def test_verify_error_paths(capsys, tmp_path):

@@ -7,12 +7,8 @@ import pytest
 
 from edgeideals.catalog import cm_poset_graphs, graphs_on, posets_on, unmixed_blowups
 from edgeideals.cm_bipartite import (
-    CMGraphLabeling,
     FreeBasis,
     Poset,
-    _linear_extension,
-    _matching_search,
-    _relation_arcs,
     extract_family,
     free_bases,
     graph_from_poset,
@@ -34,6 +30,8 @@ from edgeideals.hochster import betti_table, graph_betti_table
 from edgeideals.ideals import cover_ideal, is_unmixed
 from edgeideals.linalg import GF2, RATIONALS
 from edgeideals.unmixed import (
+    _linear_extension,
+    _relation_arcs,
     acyclic_reduction,
     cm_pd,
     is_cm_bipartite,
@@ -122,7 +120,7 @@ def test_poset_canonical_key_against_the_reference():
 
 
 def test_unmixed_bipartite_graph_is_cm_iff_no_two_vertices_share_a_neighbourhood():
-    # the reduction reads the first transitive labelling: a cycle i -> j -> i
+    # the reduction reads the first perfect matching: a cycle i -> j -> i
     # in it makes x_i and x_j twins, and a graph without twins has none
     pool = [g for n in range(1, 8) for g in graphs_on(n)] + unmixed_blowups(3, 3, 12)
     cm = other = 0
@@ -187,11 +185,98 @@ def _antisymmetric(arcs) -> bool:
     )
 
 
+def perfect_matchings(g, xs, ycand):
+    """Every perfect matching of xs onto ycand, as the partners of xs, in
+    the depth-first order that tries ycand in turn for each x."""
+    if not xs:
+        yield []
+        return
+    for y in ycand:
+        if g.has_edge(xs[0], y):
+            rest = [c for c in ycand if c != y]
+            for tail in perfect_matchings(g, xs[1:], rest):
+                yield [y] + tail
+
+
+def relation_is_transitive(g, xs, ys):
+    """Villarreal's condition: x_i y_j and x_j y_k edges force x_i y_k."""
+    cols = range(len(xs))
+    return all(
+        g.has_edge(xs[i], ys[k])
+        for i in cols for j in cols for k in cols
+        if g.has_edge(xs[i], ys[j]) and g.has_edge(xs[j], ys[k])
+    )
+
+
+def reference_labeling(g):
+    """Reference: the labelling a search over every perfect matching finds.
+    Per component, the first side of the bipartition is tried as x before
+    the other, and the first matching in depth-first order whose relation is
+    transitive is kept; None if some component has none."""
+    parts = bipartition(g)
+    xs, ys = [], []
+    for comp in g.components():
+        found = None
+        for left, right in (parts, parts[::-1]):
+            xcand, ycand = bit_list(left & comp), bit_list(right & comp)
+            if len(xcand) != len(ycand):
+                continue
+            found = next(
+                ((xcand, m) for m in perfect_matchings(g, xcand, ycand)
+                 if relation_is_transitive(g, xcand, m)),
+                None,
+            )
+            if found is not None:
+                break
+        if found is None:
+            return None
+        xs += found[0]
+        ys += found[1]
+    return xs, ys
+
+
+def bipartite_without_isolated_vertices(pool):
+    return [
+        g for g in pool
+        if bipartition(g) is not None and all(g.degree(v) for v in range(g.n))
+    ]
+
+
+def test_first_perfect_matching_decides_unmixedness():
+    # an unmixed graph has every perfect matching transitive, on either
+    # side, so the reduction's first matching is the one the search over
+    # every matching keeps; seeded relabellings vary which matching is first
+    rng = random.Random(25)
+    pool = bipartite_without_isolated_vertices(
+        [g for n in range(2, 9) for g in graphs_on(n)] + unmixed_blowups(3, 3, 12)
+    )
+    unmixed = several = 0
+    for g0 in pool:
+        perm = list(range(g0.n))
+        rng.shuffle(perm)
+        for g in (g0, SimpleGraph(g0.n, [(perm[u], perm[v]) for u, v in g0.edges()])):
+            ref = reference_labeling(g)
+            assert is_unmixed_bipartite(g) == is_unmixed(g) == (ref is not None), g.edges()
+            if ref is None:
+                continue
+            unmixed += 1
+            red = acyclic_reduction(g)
+            assert (red.xs, red.ys) == ref, g.edges()
+            parts = bipartition(g)
+            for comp in g.components():
+                for left, right in (parts, parts[::-1]):
+                    xcand, ycand = bit_list(left & comp), bit_list(right & comp)
+                    matchings = list(perfect_matchings(g, xcand, ycand))
+                    several += len(matchings) > 1
+                    assert all(relation_is_transitive(g, xcand, m) for m in matchings), g.edges()
+    assert len(pool) == 302 + 54 and unmixed == 2 * (35 + 54) and several > 100
+
+
 def cm_labeling(g):
     """Reference: the first transitive labelling when it is antisymmetric,
     with columns sorted along a linear extension; None if G is bipartite
     without isolated vertices but admits none."""
-    got = _matching_search(g)
+    got = reference_labeling(g)
     if got is None:
         return None
     xs, ys = got
@@ -199,32 +284,33 @@ def cm_labeling(g):
     if not _antisymmetric(arcs):
         return None
     order = _linear_extension(arcs)
-    return CMGraphLabeling([xs[i] for i in order], [ys[i] for i in order])
+    return [xs[i] for i in order], [ys[i] for i in order]
 
 
 def poset_of_graph(g, lab):
-    arcs = _relation_arcs(g, lab.xs, lab.ys)
+    arcs = _relation_arcs(g, *lab)
     return Poset(len(arcs), [arc | 1 << i for i, arc in enumerate(arcs)])
 
 
 def direct_extraction(g, lab, basis):
     """Reference: the blocks and representatives of a maximal basis carved in
     G itself through a CM labelling, with no reduction."""
-    n = len(lab.xs)
+    xs, ys = lab
+    n = len(xs)
     support = 0
     for q in iter_bits(basis.degree & (1 << n) - 1):
-        support |= 1 << lab.xs[q]
+        support |= 1 << xs[q]
     for q in iter_bits(basis.degree >> n):
-        support |= 1 << lab.ys[q]
+        support |= 1 << ys[q]
     blocks, reps, claimed = [], [], 0
     for l in iter_bits(basis.ideal & basis.tset):
-        cx, cy = lab.xs[l], lab.ys[l]
+        cx, cy = xs[l], ys[l]
         members = 0
         for v in iter_bits(support & ~claimed):
             if v in (cx, cy) or g.has_edge(v, cx) or g.has_edge(v, cy):
                 members |= 1 << v
         claimed |= members
-        blocks.append((members & bits_of(lab.xs), members & bits_of(lab.ys)))
+        blocks.append((members & bits_of(xs), members & bits_of(ys)))
         reps.append((cx, cy))
     return blocks, reps
 
@@ -248,8 +334,7 @@ def test_reduction_reads_cm_graphs_as_the_reference_labelling_does():
         p = poset_of_graph(g, lab)
         assert red.poset.up == p.up, g.edges()
         cols = [cls.bit_length() - 1 for cls in red.classes]
-        assert [red.labeling.xs[i] for i in cols] == lab.xs
-        assert [red.labeling.ys[i] for i in cols] == lab.ys
+        assert ([red.xs[i] for i in cols], [red.ys[i] for i in cols]) == lab
         maximal = maximal_boolean_bases(p)
         assert cm_pd(g) == red.t == max(b.degree.bit_count() - b.i for b in maximal)
         for basis in maximal:
@@ -326,9 +411,9 @@ def test_extract_family_on_poset_graphs():
             # the family's multidegree is the basis multidegree moved to G
             expect = 0
             for q in iter_bits(basis.degree & ((1 << p.n) - 1)):
-                expect |= 1 << red.labeling.xs[bit_list(red.classes[q])[0]]
+                expect |= 1 << red.xs[bit_list(red.classes[q])[0]]
             for q in iter_bits(basis.degree >> p.n):
-                expect |= 1 << red.labeling.ys[bit_list(red.classes[q])[0]]
+                expect |= 1 << red.ys[bit_list(red.classes[q])[0]]
             assert fam.sigma == expect
             assert table.entry(fam.value, fam.sigma) >= 1
 
