@@ -13,7 +13,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .cm_bipartite import Poset, graph_from_poset
 from .graphs import (
     SimpleGraph,
     _twins,
@@ -28,7 +27,9 @@ from .graphs import (
     iter_bits,
     path_graph,
 )
-from .unmixed import blow_up
+
+# the poset and blow-up classes import cm_bipartite and unmixed when they are
+# built, so named graphs and graph catalogs compile neither
 
 
 def _one_per_class(items, key) -> list:
@@ -88,9 +89,11 @@ def connected_graphs_on(n: int) -> list[SimpleGraph]:
 
 
 @lru_cache(maxsize=None)
-def posets_on(k: int) -> tuple[Poset, ...]:
+def posets_on(k: int) -> tuple:
     """All posets on exactly k elements, one per isomorphism class, built by
     repeatedly adjoining a new maximal element above a chosen down-set."""
+    from .cm_bipartite import Poset
+
     if k == 0:
         return (Poset(0, []),)
     top = 1 << (k - 1)
@@ -104,6 +107,8 @@ def posets_on(k: int) -> tuple[Poset, ...]:
 def unmixed_blowups(max_elements, max_zeta, max_vertices) -> list[SimpleGraph]:
     """Blow-ups of poset graphs: every unmixed bipartite graph whose reduction
     has at most max_elements classes of size at most max_zeta each."""
+    from .unmixed import blow_up
+
     # k classes need 2k vertices, and leave one class max_vertices // 2 - k + 1
     return _one_per_class((
         blow_up(p, zeta)
@@ -115,6 +120,8 @@ def unmixed_blowups(max_elements, max_zeta, max_vertices) -> list[SimpleGraph]:
 
 
 def cm_poset_graphs(max_elements) -> list[SimpleGraph]:
+    from .cm_bipartite import graph_from_poset
+
     return _one_per_class(
         (graph_from_poset(p) for k in range(1, max_elements + 1) for p in posets_on(k)), canonical_form
     )

@@ -22,17 +22,8 @@ import os
 import sys
 from contextlib import nullcontext, redirect_stdout
 
-from .campaigns import CAMPAIGN_CAP, Campaign, run_campaign
-from .catalog import named_graph
-from .cm_bipartite import extract_family, free_bases, hg_generators, maximal_boolean_bases
-from .graphs import SimpleGraph, bit_list, iter_bits
-from .errors import NoLabelingError, ResourceLimitError
-from .hochster import MAX_TABLE_VARS, BettiTable, graph_betti_table
-from .ideals import MonomialIdeal, cover_ideal, edge_ideal
+# each command imports the modules it runs, so a cold start compiles only those
 from .linalg import FieldSpec
-from .lyubeznik import admissible_symbols, lyubeznik_betti_table, main_theorem_certificate
-from .unmixed import _dual_scores, _witness, acyclic_reduction, lift_family
-from .witness import DisjointFamily, max_pd_witness, witness_for
 
 SINGLE_GRAPH_CAP = 14
 
@@ -59,7 +50,9 @@ def _enforce_cap(n: int, max_n, default_cap: int, what: str):
         )
 
 
-def _load_graph(arg: str, max_n=None) -> SimpleGraph:
+def _load_graph(arg: str, max_n=None):
+    from .graphs import SimpleGraph
+
     if os.path.exists(arg):
         try:
             g = SimpleGraph.load(arg)
@@ -68,6 +61,8 @@ def _load_graph(arg: str, max_n=None) -> SimpleGraph:
         except (ValueError, KeyError) as exc:
             _fail(f"cannot parse graph file {arg!r}: {exc}")
     else:
+        from .catalog import named_graph
+
         try:
             g = named_graph(arg)
         except ValueError:
@@ -78,6 +73,9 @@ def _load_graph(arg: str, max_n=None) -> SimpleGraph:
 
 def _load_ideal_or_graph(arg: str, max_n=None):
     """Returns (ideal, graph-or-None); graphs contribute their edge ideal."""
+    from .graphs import SimpleGraph
+    from .ideals import MonomialIdeal, edge_ideal
+
     if os.path.exists(arg):
         try:
             with open(arg, encoding="utf-8") as fh:
@@ -96,6 +94,8 @@ def _load_ideal_or_graph(arg: str, max_n=None):
         except (ValueError, KeyError) as exc:
             _fail(f"cannot parse input file {arg!r}: {exc}")
     else:
+        from .catalog import named_graph
+
         try:
             g = named_graph(arg)
         except ValueError:
@@ -116,7 +116,7 @@ def _write_json(args, path: str, obj):
         fh.write("\n")
 
 
-def _sigma_mask(g: SimpleGraph, tokens) -> int:
+def _sigma_mask(g, tokens) -> int:
     mask = 0
     for tok in tokens:
         tok = tok.strip()
@@ -137,9 +137,11 @@ def _sigma_mask(g: SimpleGraph, tokens) -> int:
     return mask
 
 
-def _table(g: SimpleGraph, field: FieldSpec):
+def _table(g, field: FieldSpec):
     """The Betti table of S/I(G); a graph that passed the --max-n cap may
     exceed the library's table cap."""
+    from .hochster import MAX_TABLE_VARS, graph_betti_table
+
     if g.n > SINGLE_GRAPH_CAP:
         # the table walks up to every vertex subset, so be upfront about the bill
         print(
@@ -187,6 +189,8 @@ def cmd_reg(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    from .ideals import cover_ideal
+
     g = _load_graph(args.graph, args.max_n)
     try:
         dual = cover_ideal(g)
@@ -200,6 +204,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from .witness import max_pd_witness, witness_for
+
     g = _load_graph(args.graph, args.max_n)
     if args.target:
         parts = args.target.split(",")
@@ -229,6 +235,10 @@ def cmd_witness(args) -> int:
 
 
 def cmd_lyubeznik(args) -> int:
+    from .errors import ResourceLimitError
+    from .lyubeznik import admissible_symbols, lyubeznik_betti_table, main_theorem_certificate
+    from .witness import DisjointFamily
+
     ideal, g = _load_ideal_or_graph(args.source, args.max_n)
     if args.order:
         try:
@@ -277,13 +287,15 @@ def cmd_lyubeznik(args) -> int:
     return 0
 
 
-def _print_labeling(g: SimpleGraph, xs, ys):
+def _print_labeling(g, xs, ys):
     print("matched pairs (x_k, y_k):")
     for k, (x, y) in enumerate(zip(xs, ys)):
         print(f"  k={k + 1}: x={g.labels[x]}  y={g.labels[y]}")
 
 
 def _poset_covers(p):
+    from .graphs import iter_bits
+
     for a in range(p.n):
         above = p.up[a] & ~(1 << a)
         for b in iter_bits(above):
@@ -292,6 +304,11 @@ def _poset_covers(p):
 
 
 def cmd_cm(args) -> int:
+    from .cm_bipartite import extract_family, free_bases, hg_generators, maximal_boolean_bases
+    from .errors import NoLabelingError
+    from .graphs import bit_list
+    from .unmixed import acyclic_reduction, lift_family
+
     g = _load_graph(args.graph, args.max_n)
     field = _field(args)
     try:
@@ -340,6 +357,10 @@ def cmd_cm(args) -> int:
 
 
 def cmd_unmixed(args) -> int:
+    from .graphs import iter_bits
+    from .hochster import BettiTable
+    from .unmixed import _dual_scores, _witness, acyclic_reduction
+
     g = _load_graph(args.graph, args.max_n)
     field = _field(args)
     try:
@@ -379,6 +400,8 @@ def cmd_unmixed(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .campaigns import CAMPAIGN_CAP, Campaign, run_campaign
+
     if args.json == "-" and args.csv == "-":
         _fail("--json - and --csv - cannot both take stdout")
     try:

@@ -161,11 +161,11 @@ def admissible_symbols(ideal: MonomialIdeal, s: int | None = None):
     return out
 
 
-def is_maximal_admissible(ideal: MonomialIdeal, indices, paranoid=False) -> bool:
+def is_maximal_admissible(ideal: MonomialIdeal, indices) -> bool:
     """No admissible proper superset exists.
 
     Downward closure of admissibility makes single-element extensions a
-    complete test; paranoid=True additionally walks every superset.
+    complete test.
     """
     indices = _check_symbol(ideal, indices)
     if not is_admissible(ideal, indices):
@@ -177,16 +177,6 @@ def is_maximal_admissible(ideal: MonomialIdeal, indices, paranoid=False) -> bool
         cand = tuple(sorted(members | {k}))
         if is_admissible(ideal, cand):
             return False
-    if paranoid:
-        outside = [k for k in range(ideal.ngens) if k not in members]
-        # (extra generators, first position of outside that may join them),
-        # popped in depth-first preorder
-        stack = [((), 0)]
-        while stack:
-            extra, start = stack.pop()
-            if extra and is_admissible(ideal, tuple(sorted(members.union(extra)))):
-                return False
-            stack.extend((extra + (outside[j],), j + 1) for j in reversed(range(start, len(outside))))
     return True
 
 

@@ -75,32 +75,74 @@ class AcyclicReduction:
         return sum(self.zeta[self.class_of_ghat_vertex(w)] for w in iter_bits(sigma_hat))
 
 
-def _first_matching(g: SimpleGraph, xs, ycand):
-    """The partners of xs in the first perfect matching onto ycand, found
-    depth first with the candidates tried in order; None if there is none."""
-    if len(xs) != len(ycand):
-        return None
-    # stack[k] iterates the candidates for xs[k], and acc holds the partners
-    # chosen for xs[:k]
-    acc: list[int] = []
-    used = 0
-    stack = [iter(ycand)]
-    while stack:
-        x = xs[len(acc)]
-        for y in stack[-1]:
-            if not used >> y & 1 and g.has_edge(x, y):
-                break
-        else:
-            stack.pop()
-            if acc:
-                used ^= 1 << acc.pop()
-            continue
-        acc.append(y)
-        used |= 1 << y
-        if len(acc) == len(xs):
-            return acc
-        stack.append(iter(ycand))
+def _augment(adj, ys: int, partner, holder, start: int, blocked: int):
+    """Match start, which has no partner, by a shortest augmenting path into
+    the mask ys that avoids the ys in blocked, and return the y it newly
+    matched; None, and nothing changed, if there is none.  partner maps x to
+    y and holder y to x."""
+    seen = blocked
+    via = {}
+    queue = [start]
+    for x in queue:
+        for y in iter_bits(adj[x] & ys & ~seen):
+            seen |= 1 << y
+            via[y] = x
+            if y not in holder:
+                end = y
+                # flip the path back to start
+                while True:
+                    x = via[y]
+                    prev = partner.get(x)
+                    partner[x], holder[y] = y, x
+                    if x == start:
+                        return end
+                    y = prev
+            queue.append(holder[y])
     return None
+
+
+def _first_matching(g: SimpleGraph, xs, ys: int):
+    """The partners of xs in the first perfect matching onto the mask ys,
+    with xs in order each taking the least y that leaves the rest a perfect
+    matching; None if there is none.
+
+    This is the matching a depth-first search over the candidates finds, in
+    polynomial time: augmenting paths (Kuhn) build one perfect matching M,
+    and x can take an earlier y exactly when, after fixing x y and freeing
+    M(x), the x that M gave y has an augmenting path that avoids the fixed
+    ys.
+    """
+    if len(xs) != ys.bit_count():
+        return None
+    adj = g.adj
+    partner: dict[int, int] = {}
+    holder: dict[int, int] = {}
+    taken = 0
+    for x in xs:
+        # the first free candidate, else an augmenting path
+        free = adj[x] & ys & ~taken
+        if free:
+            y = (free & -free).bit_length() - 1
+            partner[x], holder[y] = y, x
+        else:
+            y = _augment(adj, ys, partner, holder, x, 0)
+            if y is None:
+                return None
+        taken |= 1 << y
+    fixed = 0
+    for x in xs:
+        held = partner[x]
+        for y in iter_bits(adj[x] & ys & ~fixed & ((1 << held) - 1)):
+            # try x y: the x that held y needs another y, and M(x) is free
+            other = holder[y]
+            partner[x], holder[y] = y, x
+            del partner[other], holder[held]
+            if _augment(adj, ys, partner, holder, other, fixed | 1 << y) is not None:
+                break
+            partner[x], holder[y] = held, other
+            partner[other], holder[held] = y, x
+        fixed |= 1 << partner[x]
+    return [partner[x] for x in xs]
 
 
 def _relation_arcs(g: SimpleGraph, xs, ys):
@@ -170,7 +212,7 @@ def acyclic_reduction(g: SimpleGraph) -> AcyclicReduction:
     ys: list[int] = []
     for comp in g.components():
         xcand = bit_list(parts[0] & comp)
-        partners = _first_matching(g, xcand, bit_list(parts[1] & comp))
+        partners = _first_matching(g, xcand, parts[1] & comp)
         if partners is None:
             raise NoLabelingError("graph admits no unmixed labeling")
         xs.extend(xcand)

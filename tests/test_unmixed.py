@@ -1,5 +1,7 @@
 """Villarreal labelings, acyclic reductions, blow-ups, and the weighted formula."""
 
+import random
+
 import pytest
 
 from edgeideals.catalog import posets_on, graphs_on, unmixed_blowups
@@ -9,6 +11,7 @@ from edgeideals.cm_bipartite import (
     graph_from_poset,
     maximal_boolean_bases,
 )
+from edgeideals.errors import NoLabelingError
 from edgeideals.graphs import (
     SimpleGraph,
     bipartition,
@@ -16,12 +19,13 @@ from edgeideals.graphs import (
     cycle_graph,
     path_graph,
 )
-from edgeideals.graphs import bit_list
+from edgeideals.graphs import bit_list, bits_of
 from edgeideals.hochster import cover_betti_table, graph_betti_table
 from edgeideals.ideals import is_unmixed
 from edgeideals.linalg import GF2, RATIONALS, FieldSpec
 from edgeideals.lyubeznik import main_theorem_certificate
 from edgeideals.unmixed import (
+    _first_matching,
     acyclic_reduction,
     blow_up,
     is_cm_bipartite,
@@ -52,6 +56,70 @@ def test_labeling_known_cases():
 def test_reduction_arcs_of_the_four_cycle():
     arcs = acyclic_reduction(cycle_graph(4)).arcs
     assert arcs == [2, 1]  # the two columns point at each other
+
+
+def reference_first_matching(g, xs, ycand):
+    """Reference: the depth-first search over the candidates that
+    ``_first_matching`` replaced, exponential when it backtracks far."""
+    if len(xs) != len(ycand):
+        return None
+    # stack[k] iterates the candidates for xs[k], and acc holds the partners
+    # chosen for xs[:k]
+    acc = []
+    used = 0
+    stack = [iter(ycand)]
+    while stack:
+        x = xs[len(acc)]
+        for y in stack[-1]:
+            if not used >> y & 1 and g.has_edge(x, y):
+                break
+        else:
+            stack.pop()
+            if acc:
+                used ^= 1 << acc.pop()
+            continue
+        acc.append(y)
+        used |= 1 << y
+        if len(acc) == len(xs):
+            return acc
+        stack.append(iter(ycand))
+    return None
+
+
+def test_first_matching_is_the_depth_first_one():
+    # seeded bipartite graphs of every density, the xs listed in random
+    # order and the ys placed at random, so the first matching is rarely the
+    # identity
+    rng = random.Random(26)
+    found = missing = 0
+    for _ in range(3000):
+        a, b = rng.randint(1, 7), rng.randint(1, 7)
+        if rng.random() < 0.7:
+            b = a
+        p = rng.random()
+        perm = list(range(a + b))
+        rng.shuffle(perm)
+        xs, ycand = perm[:a], sorted(perm[a:])
+        edges = [(x, y) for x in xs for y in ycand if rng.random() < p]
+        g = SimpleGraph(a + b, edges)
+        want = reference_first_matching(g, xs, ycand)
+        assert _first_matching(g, xs, bits_of(ycand)) == want, (edges, xs)
+        found += want is not None and a > 2
+        missing += want is None and a == b
+    assert found > 300 and missing > 300
+
+
+def cut_down_complete_bipartite(n):
+    """K_{n,n} with x_{n-1} and x_n cut down to the one neighbour y_1: no
+    perfect matching, found out only at the last two xs."""
+    return SimpleGraph(2 * n, [(i, n + j) for i in range(n) for j in range(n) if i < n - 2 or j == 0])
+
+
+def test_a_matching_that_fails_at_the_last_xs_is_refused_without_backtracking():
+    # the depth-first search tried every injection of the first n - 2 xs here
+    for n in (3, 6, 12, 32):
+        with pytest.raises(NoLabelingError, match="no unmixed labeling"):
+            acyclic_reduction(cut_down_complete_bipartite(n))
 
 
 def test_blow_up_validation_and_shape():
