@@ -38,9 +38,10 @@ _SOURCES = {
         ),
         "graphs",
     ),
-    **dict.fromkeys(("BettiTable", "betti_table", "graph_betti_table"), "hochster"),
+    **dict.fromkeys(("betti_table", "graph_betti_table"), "hochster"),
     **dict.fromkeys(
         (
+            "BettiTable",
             "Monomial",
             "MonomialIdeal",
             "alexander_dual",

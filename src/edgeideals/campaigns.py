@@ -79,12 +79,14 @@ class _Ctx:
     lookup.  Families that differ in block order or representatives, or only
     share sigma, are checked apart.
 
-    ``certificates`` is the memo that ``main_theorem_certificate`` keys by
-    the blocks' shapes (m, n) and G[sigma]'s adjacency rows with sigma's
-    vertices numbered in block order.  The key mentions neither the graph
-    nor its labels, so one memo serves every graph of a share (the whole
-    catalog with one worker), and relabelled copies of a configuration share
-    an entry.  The caller owns the memo; a context lives for one graph.
+    ``certificates`` is the memo of ``main_theorem_certificate``.  It keeps
+    each verdict under the blocks' shapes (m, n) and G[sigma]'s adjacency
+    rows with sigma's vertices numbered in block order; beside those, the
+    cancellation verdict of each shapes tuple, which reads the shapes alone,
+    and the threshold cycle of each block shape (m, n).  No key mentions the
+    graph or its labels, so one memo serves every graph of a share (the
+    whole catalog with one worker), and relabelled copies of a configuration
+    share an entry.  The caller owns the memo; a context lives for one graph.
     """
 
     def __init__(self, g: SimpleGraph, certificates: dict):

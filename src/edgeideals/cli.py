@@ -358,7 +358,7 @@ def cmd_cm(args) -> int:
 
 def cmd_unmixed(args) -> int:
     from .graphs import iter_bits
-    from .hochster import BettiTable
+    from .ideals import BettiTable
     from .unmixed import _dual_scores, _witness, acyclic_reduction
 
     g = _load_graph(args.graph, args.max_n)

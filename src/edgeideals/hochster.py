@@ -78,7 +78,7 @@ from __future__ import annotations
 
 from .errors import ResourceLimitError
 from .graphs import SimpleGraph, bit_list, iter_bits, iter_subsets
-from .ideals import MonomialIdeal, edge_ideal
+from .ideals import BettiTable, MonomialIdeal, edge_ideal
 from .linalg import GF2, FieldSpec, rank_over
 
 MAX_TABLE_VARS = 16
@@ -368,100 +368,6 @@ class _SupportEngine:
                     out[d + 1] = out.get(d + 1, 0) + rank
                 return dict(sorted(out.items()))
         return StrandComplex(active, inside).homology(self.field)
-
-
-class BettiTable:
-    """Multigraded Betti numbers, either of S/I (quotient) or of I itself."""
-
-    __slots__ = ("subject", "field", "variables", "entries")
-
-    def __init__(self, subject, field, variables, entries):
-        if subject not in ("quotient", "ideal"):
-            raise ValueError(f"unknown subject {subject!r}")
-        self.subject = subject
-        self.field = field
-        self.variables = tuple(variables)
-        self.entries = {k: v for k, v in entries.items() if v}
-
-    def entry(self, i: int, sigma: int) -> int:
-        return self.entries.get((i, sigma), 0)
-
-    def nonzero(self) -> list[tuple[int, int, int]]:
-        return sorted((i, s, v) for (i, s), v in self.entries.items())
-
-    def pd(self) -> int:
-        """Largest homological degree with a nonzero entry."""
-        return max((i for i, _ in self.entries), default=0)
-
-    def reg(self) -> int:
-        """max |sigma| - i over nonzero entries."""
-        return max((s.bit_count() - i for i, s in self.entries), default=0)
-
-    def graded(self) -> dict[tuple[int, int], int]:
-        """N-graded Betti numbers beta_{i,j} = sum over |sigma| = j."""
-        out: dict[tuple[int, int], int] = {}
-        for (i, s), v in self.entries.items():
-            key = (i, s.bit_count())
-            out[key] = out.get(key, 0) + v
-        return out
-
-    def linear_strand(self) -> dict[tuple[int, int], int]:
-        return {(i, s): v for (i, s), v in self.entries.items() if s.bit_count() == i + 1}
-
-    def extremal(self) -> list[tuple[int, int]]:
-        """Entries (i, sigma) with no nonzero entry weakly above-and-beyond them.
-
-        (j, tau) dominates (i, sigma) when j >= i, tau strictly contains sigma,
-        and |tau| - |sigma| >= j - i.
-        """
-        keys = list(self.entries)
-        out = []
-        for i, s in keys:
-            size = s.bit_count()
-            dominated = any(
-                j >= i and t != s and s & ~t == 0 and t.bit_count() - size >= j - i
-                for j, t in keys
-            )
-            if not dominated:
-                out.append((i, s))
-        return sorted(out)
-
-    def diagram_text(self) -> str:
-        """ASCII Betti diagram: rows j, columns i, entry beta_{i,i+j}; blank = 0."""
-        graded = self.graded()
-        if not graded:
-            return "(empty table)"
-        pdeg = max(i for i, _ in graded)
-        maxreg = max(j - i for i, j in graded)
-        minreg = min(j - i for i, j in graded)
-        width = max(len(str(v)) for v in graded.values())
-        width = max(width, len(str(pdeg)), 2)
-        lines = ["j\\i " + " ".join(f"{i:>{width}}" for i in range(pdeg + 1))]
-        for j in range(min(0, minreg), maxreg + 1):
-            cells = []
-            for i in range(pdeg + 1):
-                v = graded.get((i, i + j), 0)
-                cells.append(f"{v:>{width}}" if v else " " * width)
-            lines.append(f"{j:>3} " + " ".join(cells))
-        return "\n".join(lines)
-
-    def multigraded_rows(self) -> list[dict]:
-        return [
-            {"i": i, "sigma": [self.variables[v] for v in iter_bits(s)], "value": v}
-            for i, s, v in self.nonzero()
-        ]
-
-    def to_json(self) -> dict:
-        return {
-            "subject": self.subject,
-            "field": repr(self.field),
-            "variables": list(self.variables),
-            "entries": [
-                {"i": i, "sigma": bit_list(s), "value": v} for i, s, v in self.nonzero()
-            ],
-            "pd": self.pd(),
-            "reg": self.reg(),
-        }
 
 
 def betti_table(

@@ -1,4 +1,4 @@
-"""Monomials, monomial ideals, covers and Alexander duals.
+"""Monomials, monomial ideals, covers, Alexander duals and Betti tables.
 
 Everything this package stores is squarefree (edge ideals and their duals),
 but monomials carry full exponent vectors so that Taylor-complex cofactors
@@ -14,6 +14,10 @@ further thresholds sit above bit nvars - 1, so ``mask & (2**nvars - 1)`` is
 the support, and the masks of a squarefree ideal are its supports.  The
 width counts distinct exponents, not their size: an exponent of 10**9 costs
 one bit.
+
+``BettiTable`` holds a multigraded Betti table; it lives here, beside the
+ideals, because both table engines (Hochster's formula and the Lyubeznik
+strands) build one and neither should have to import the other.
 """
 
 from __future__ import annotations
@@ -118,6 +122,36 @@ def _polarized_masks(generators, nvars: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def _first_divisor_pair(masks) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order with i != j and masks[i] inside
+    masks[j], or None when the masks form an antichain.
+
+    A mask lies inside another with as many bits only when the two are
+    equal, so besides duplicates only pairs of different bit counts are
+    tested: masks of one bit count cost O(g).
+    """
+    # positions of each distinct mask, and the distinct masks of each bit count
+    where: dict[int, list[int]] = {}
+    for j, m in enumerate(masks):
+        where.setdefault(m, []).append(j)
+    by_count: dict[int, list[int]] = {}
+    for m in where:
+        by_count.setdefault(m.bit_count(), []).append(m)
+    if len(by_count) == 1 and len(where) == len(masks):
+        return None
+    for i, mi in enumerate(masks):
+        same = where[mi]
+        # the first other position holding the same mask
+        hits = [same[1] if same[0] == i else same[0]] if len(same) > 1 else []
+        count = mi.bit_count()
+        for c, group in by_count.items():
+            if c > count:
+                hits += [where[mj][0] for mj in group if mi & ~mj == 0]
+        if hits:
+            return i, min(hits)
+    return None
+
+
 class MonomialIdeal:
     """Monomial ideal given by a minimal generating set; generator order is significant.
 
@@ -144,12 +178,10 @@ class MonomialIdeal:
                 raise ValueError("unit generator: the ideal is not proper")
             gens.append(g)
         masks = _polarized_masks(gens, len(self.variables))
-        for i, mi in enumerate(masks):
-            for j, mj in enumerate(masks):
-                if i != j and mi & ~mj == 0:
-                    raise ValueError(
-                        f"generators not minimal: #{i} divides #{j}"
-                    )
+        pair = _first_divisor_pair(masks)
+        if pair is not None:
+            i, j = pair
+            raise ValueError(f"generators not minimal: #{i} divides #{j}")
         self.generators = tuple(gens)
         self.masks = masks
         self.first_divisors: dict[int, int] = {}
@@ -240,6 +272,100 @@ class MonomialIdeal:
     def load(cls, path: str) -> "MonomialIdeal":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+class BettiTable:
+    """Multigraded Betti numbers, either of S/I (quotient) or of I itself."""
+
+    __slots__ = ("subject", "field", "variables", "entries")
+
+    def __init__(self, subject, field, variables, entries):
+        if subject not in ("quotient", "ideal"):
+            raise ValueError(f"unknown subject {subject!r}")
+        self.subject = subject
+        self.field = field
+        self.variables = tuple(variables)
+        self.entries = {k: v for k, v in entries.items() if v}
+
+    def entry(self, i: int, sigma: int) -> int:
+        return self.entries.get((i, sigma), 0)
+
+    def nonzero(self) -> list[tuple[int, int, int]]:
+        return sorted((i, s, v) for (i, s), v in self.entries.items())
+
+    def pd(self) -> int:
+        """Largest homological degree with a nonzero entry."""
+        return max((i for i, _ in self.entries), default=0)
+
+    def reg(self) -> int:
+        """max |sigma| - i over nonzero entries."""
+        return max((s.bit_count() - i for i, s in self.entries), default=0)
+
+    def graded(self) -> dict[tuple[int, int], int]:
+        """N-graded Betti numbers beta_{i,j} = sum over |sigma| = j."""
+        out: dict[tuple[int, int], int] = {}
+        for (i, s), v in self.entries.items():
+            key = (i, s.bit_count())
+            out[key] = out.get(key, 0) + v
+        return out
+
+    def linear_strand(self) -> dict[tuple[int, int], int]:
+        return {(i, s): v for (i, s), v in self.entries.items() if s.bit_count() == i + 1}
+
+    def extremal(self) -> list[tuple[int, int]]:
+        """Entries (i, sigma) with no nonzero entry weakly above-and-beyond them.
+
+        (j, tau) dominates (i, sigma) when j >= i, tau strictly contains sigma,
+        and |tau| - |sigma| >= j - i.
+        """
+        keys = list(self.entries)
+        out = []
+        for i, s in keys:
+            size = s.bit_count()
+            dominated = any(
+                j >= i and t != s and s & ~t == 0 and t.bit_count() - size >= j - i
+                for j, t in keys
+            )
+            if not dominated:
+                out.append((i, s))
+        return sorted(out)
+
+    def diagram_text(self) -> str:
+        """ASCII Betti diagram: rows j, columns i, entry beta_{i,i+j}; blank = 0."""
+        graded = self.graded()
+        if not graded:
+            return "(empty table)"
+        pdeg = max(i for i, _ in graded)
+        maxreg = max(j - i for i, j in graded)
+        minreg = min(j - i for i, j in graded)
+        width = max(len(str(v)) for v in graded.values())
+        width = max(width, len(str(pdeg)), 2)
+        lines = ["j\\i " + " ".join(f"{i:>{width}}" for i in range(pdeg + 1))]
+        for j in range(min(0, minreg), maxreg + 1):
+            cells = []
+            for i in range(pdeg + 1):
+                v = graded.get((i, i + j), 0)
+                cells.append(f"{v:>{width}}" if v else " " * width)
+            lines.append(f"{j:>3} " + " ".join(cells))
+        return "\n".join(lines)
+
+    def multigraded_rows(self) -> list[dict]:
+        return [
+            {"i": i, "sigma": [self.variables[v] for v in iter_bits(s)], "value": v}
+            for i, s, v in self.nonzero()
+        ]
+
+    def to_json(self) -> dict:
+        return {
+            "subject": self.subject,
+            "field": repr(self.field),
+            "variables": list(self.variables),
+            "entries": [
+                {"i": i, "sigma": bit_list(s), "value": v} for i, s, v in self.nonzero()
+            ],
+            "pd": self.pd(),
+            "reg": self.reg(),
+        }
 
 
 def edge_ideal(g: SimpleGraph) -> MonomialIdeal:

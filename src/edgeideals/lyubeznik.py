@@ -46,8 +46,7 @@ from itertools import combinations_with_replacement
 
 from .errors import ResourceLimitError
 from .graphs import SimpleGraph, iter_bits
-from .hochster import BettiTable
-from .ideals import Monomial, MonomialIdeal, lcm_of
+from .ideals import BettiTable, Monomial, MonomialIdeal, lcm_of
 from .linalg import GF2, FieldSpec, rank_over
 from .witness import DisjointFamily, valid_representatives
 
@@ -237,9 +236,21 @@ def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle):
     leading symbol is maximal admissible; None otherwise.
 
     Raises ValueError if the terms are not same-degree admissible symbols.
+    The three parts run in order: ``_check_terms``, ``_unit_image_cancels``
+    and ``_maximal_leading``.
+    """
+    _check_terms(ideal, cycle)
+    if not _unit_image_cancels(ideal, cycle):
+        return None
+    return _maximal_leading(ideal, cycle)
+
+
+def _check_terms(ideal: MonomialIdeal, cycle: Cycle) -> None:
+    """Raise ValueError unless every term is an admissible symbol and all
+    terms share one multidegree.
+
     Terms are compared by the OR of their generator masks, which is equal
-    exactly when their lcms are; only the leading symbol's degree is built
-    as a ``Monomial``.
+    exactly when their lcms are.
     """
     masks = ideal.masks
     degrees = set()
@@ -253,13 +264,25 @@ def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle):
         degrees.add(deg)
     if len(degrees) != 1:
         raise ValueError("cycle terms have mixed multidegrees")
+
+
+def _unit_image_cancels(ideal: MonomialIdeal, cycle: Cycle) -> bool:
+    """Whether the unit-cofactor part of the cycle's boundary is zero over Z.
+
+    It reads only the generators that the terms use, and their positions
+    only through their order.
+    """
     image: dict[tuple[int, ...], int] = {}
     for sym, coeff in cycle.terms.items():
         for sub, sign, cof in taylor_boundary(ideal, sym):
             if cof.is_one():
                 image[sub] = image.get(sub, 0) + coeff * sign
-    if any(image.values()):
-        return None
+    return not any(image.values())
+
+
+def _maximal_leading(ideal: MonomialIdeal, cycle: Cycle):
+    """(s, degree) when the leading symbol is maximal admissible, else None;
+    only this degree is built as a ``Monomial``."""
     if not is_maximal_admissible(ideal, cycle.leading):
         return None
     return cycle.s, symbol_degree(ideal, cycle.leading)
@@ -327,7 +350,7 @@ def product_cycle(parts) -> Cycle:
     return Cycle(terms, leading)
 
 
-def _block_order_certificate(shapes, rows):
+def _block_order_certificate(shapes, rows, memo: dict):
     """The cycle check of ``main_theorem_certificate`` for the key (shapes, rows).
 
     Positions follow block order; each block (m, n) holds m positions of the
@@ -335,6 +358,13 @@ def _block_order_certificate(shapes, rows):
     generator supports are each block's cross edges row-major, then its
     edges inside a part, then every edge between blocks, each run in
     increasing position pairs.
+
+    Every member of a cycle term is a cross edge of its block, so the
+    cancellation part of the check reads the shapes alone: two keys with
+    the same shapes differ there only by a shift of generator positions,
+    which keeps their order.  memo keeps that verdict under ``shapes`` and
+    each block's threshold cycle under (m, n); the admissibility and
+    maximality parts read the whole ideal and run for every key.
     """
     supports: list[int] = []
     parts = []
@@ -347,7 +377,10 @@ def _block_order_certificate(shapes, rows):
             for b in iter_bits(rows[a] & (1 << top) - (2 << a)):
                 run.append(1 << a | 1 << b)
         supports.extend(run)
-        parts.append((len(run), _threshold_cycle(m, n)))
+        threshold = memo.get((m, n))
+        if threshold is None:
+            threshold = memo[m, n] = _threshold_cycle(m, n)
+        parts.append((len(run), threshold))
         start = end
     start = 0
     for m, n in shapes:
@@ -361,7 +394,14 @@ def _block_order_certificate(shapes, rows):
         [f"x{i}" for i in range(nvars)],
         [Monomial.from_support(s, nvars) for s in supports],
     )
-    return check_cycle_certificate(ideal, product_cycle(parts))
+    cycle = product_cycle(parts)
+    _check_terms(ideal, cycle)
+    cancels = memo.get(shapes)
+    if cancels is None:
+        cancels = memo[shapes] = _unit_image_cancels(ideal, cycle)
+    if not cancels:
+        return None
+    return _maximal_leading(ideal, cycle)
 
 
 def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | None = None):
@@ -380,11 +420,14 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | N
     That check reads only the block shapes (m, n) and the block-ordered
     adjacency of G[sigma], so memo, a dict the caller owns, keeps its result
     under the key (shapes, rows), rows[i] being the mask, over these
-    positions, of the i-th vertex's neighbours inside sigma.  The key names
-    neither the graph, its labels nor the field, so one memo serves every
-    graph and field; campaigns keep one per ``run_campaign`` call and other
-    callers pass none.  Validating the family and checking the strand run on
-    every call.
+    positions, of the i-th vertex's neighbours inside sigma.  The same memo
+    keeps, for ``_block_order_certificate``, the cancellation verdict of each
+    shapes tuple (a bool) and the threshold cycle of each block shape (m, n)
+    (a ``Cycle``).  No key names the graph, its labels or the field, so one
+    memo serves every graph and field; campaigns keep one per
+    ``run_campaign`` call and other callers pass none, so every part of the
+    check runs.  The family is validated, and the result's strand checked,
+    on every call, memo hit or not.
     """
     reps = valid_representatives(g, fam)
     if reps is None:
@@ -422,7 +465,7 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | N
     if memo is None:
         memo = {}
     if key not in memo:
-        memo[key] = _block_order_certificate(*key)
+        memo[key] = _block_order_certificate(*key, memo)
     res = memo[key]
     if res is None:
         raise RuntimeError("certificate construction failed; theorem hypothesis violated")

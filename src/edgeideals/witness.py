@@ -9,7 +9,9 @@ sigma witnesses beta_{|sigma|-r, sigma}(S/I(G)) != 0.
 3-disjointness is decided here alone, by one rule: an edge is 3-disjoint
 from a set of edges exactly when both its ends lie outside the union of
 their closed neighbourhoods adj[u] | adj[v].  Every search extends a
-family's representative assignments one block at a time with ``_extend``.
+family's representative assignments one block at a time with ``_extend``;
+``valid_representatives`` applies the rule directly to the representatives
+a family carries.
 """
 
 from __future__ import annotations
@@ -246,16 +248,16 @@ def valid_representatives(g: SimpleGraph, fam: DisjointFamily) -> list[tuple[int
     reps = fam.representatives
     if reps is None:
         return find_representatives(g, fam.blocks)
-    # each representative must be a cross edge of its block, and joins as the
-    # block cut down to its two ends
-    assignments = [(0, ())]
+    # each representative must be a cross edge of its block, with both ends
+    # outside the closed neighbourhoods of the earlier ones: the rule of
+    # ``_extend`` on the block cut down to its two ends
+    adj = g.adj
+    blocked = 0
     for (u, v), b in zip(reps, fam.blocks):
         ends = 1 << u | 1 << v
-        if not (b.left & ends and b.right & ends):
+        if not (b.left & ends and b.right & ends) or ends & blocked:
             return None
-        assignments = list(_extend(g, assignments, CompleteBipartiteSub(b.left & ends, b.right & ends)))
-        if not assignments:
-            return None
+        blocked |= adj[u] | adj[v]
     return reps
 
 

@@ -26,6 +26,7 @@ from edgeideals.hochster import BettiTable, compare_bcp, compare_eagon_reiner, c
 from edgeideals.ideals import Monomial, MonomialIdeal
 from edgeideals.linalg import FieldSpec
 from edgeideals.lyubeznik import (
+    Cycle,
     _block_order_certificate,
     bipartite_cycle,
     check_cycle_certificate,
@@ -285,6 +286,13 @@ def sigma_order_certificate(g, fam, memo):
     return ok, key
 
 
+def verdicts(memo):
+    """The (shapes, rows) verdicts of a certificate memo, without the
+    cancellation verdicts (bools under shapes) and threshold cycles (under
+    (m, n)) that it also keeps."""
+    return {key: res for key, res in memo.items() if not isinstance(res, (bool, Cycle))}
+
+
 def test_certificate_memo_never_changes_a_verdict():
     calls = keys = rejected = 0
     for _, g in generate_catalog({"class": "all", "max_n": 5}):
@@ -295,10 +303,10 @@ def test_certificate_memo_never_changes_a_verdict():
             assert verdict[0] == is_valid_family(g, fam)
             calls += 1
             rejected += not verdict[0]
-        keys += len(memo)
-        # each entry is the cycle check on exactly what its key names: the
+        keys += len(verdicts(memo))
+        # each verdict is the cycle check on exactly what its key names: the
         # (m, n) block shapes and the block-ordered adjacency rows of G[sigma]
-        for (shapes, rows), result in memo.items():
+        for (shapes, rows), result in verdicts(memo).items():
             supports, counts = block_order_supports(shapes, rows)
             nvars = len(rows)
             ideal = MonomialIdeal(
@@ -350,12 +358,62 @@ def test_certificate_memo_keeps_rejecting_invalid_families():
     blocks = [CompleteBipartiteSub(1 << 1, 1 << 0 | 1 << 2), CompleteBipartiteSub(1 << 4, 1 << 3 | 1 << 5)]
     memo = {}
     assert _certified(g, DisjointFamily(blocks, [(0, 1), (4, 5)]), memo) == (True, "")
-    assert len(memo) == 1
+    assert len(verdicts(memo)) == 1
+    before = dict(memo)
     # same blocks and sigma, but the representatives share the edge 2-3
     bad = DisjointFamily(blocks, [(1, 2), (3, 4)])
     expected = (False, "ValueError: family is not valid for this graph")
     assert _certified(g, bad, memo) == _certified(g, bad) == expected
-    assert len(memo) == 1
+    assert memo == before
+
+
+def test_shape_entries_hold_the_cancellation_verdict_of_each_key(monkeypatch):
+    seen = spy_contexts(monkeypatch)
+    specs = [
+        {"class": "all", "max_n": 6},
+        {"class": "unmixed_blowups", "max_elements": 2, "max_zeta": 2, "max_vertices": 8},
+    ]
+    for spec in specs:
+        campaign = Campaign("shapes", spec, ["gf2"], ["T1.1", "T2.5", "T7.1"], caps={"max_n": 8})
+        assert run_campaign(campaign, workers=1).ok
+    memo = {}
+    for _, certificates in seen:
+        memo.update(certificates)
+    keys = verdicts(memo)
+    # a cancellation verdict per shapes tuple of a key, a threshold cycle per block shape
+    assert {k for k, v in memo.items() if isinstance(v, bool)} == {shapes for shapes, _ in keys}
+    assert {k for k, v in memo.items() if isinstance(v, Cycle)} == {b for shapes, _ in keys for b in shapes}
+    for (shapes, rows), result in keys.items():
+        supports, counts = block_order_supports(shapes, rows)
+        nvars = len(rows)
+        ideal = MonomialIdeal(
+            [f"x{i}" for i in range(nvars)],
+            [Monomial.from_support(s, nvars) for s in supports],
+        )
+        cycle = product_cycle([(k, bipartite_cycle(m, n)[1]) for (m, n), k in zip(shapes, counts)])
+        # the cancellation part recomputed on this key's own ideal
+        assert lyubeznik._unit_image_cancels(ideal, cycle) is memo[shapes] is True
+        full = check_cycle_certificate(ideal, cycle)
+        assert full == check_cycle_certificate_by_monomials(ideal, cycle) == result
+        assert result is not None
+        # with every shape entry warm
+        assert _block_order_certificate(shapes, rows, memo) == full
+    assert len(keys) > 300 and len({shapes for shapes, _ in keys}) > 30
+
+
+def test_a_cancellation_verdict_is_read_only_under_its_own_shapes():
+    g = path_graph(6)
+    star, other = CompleteBipartiteSub(1 << 1, 1 << 0 | 1 << 2), CompleteBipartiteSub(1 << 4, 1 << 3 | 1 << 5)
+    alone = DisjointFamily([star], [(0, 1)])
+    both = DisjointFamily([star, other], [(0, 1), (4, 5)])
+    shapes, _ = certificate_key(g, alone)
+    assert shapes == ((2, 1),)
+    memo = {shapes: False}
+    # the two-block family starts with the same block shape, and certifies
+    assert main_theorem_certificate(g, both, memo) == (4, 0b111111)
+    with pytest.raises(RuntimeError, match="certificate construction failed"):
+        main_theorem_certificate(g, alone, memo)
+    assert main_theorem_certificate(g, alone) == (2, 0b111)
 
 
 def block_order_key(g, blocks, reps):
@@ -378,7 +436,7 @@ def certifies(key, memo):
     strand: homological degree |sigma| - r, multidegree all of sigma."""
     if key not in memo:
         shapes, rows = key
-        res = _block_order_certificate(*key)
+        res = _block_order_certificate(shapes, rows, {})
         memo[key] = res is not None and res[0] == len(rows) - len(shapes) and res[1].support() == (1 << len(rows)) - 1
     return memo[key]
 
@@ -415,7 +473,7 @@ def certificate_key(g, fam):
     """The certificate memo key of one family."""
     memo = {}
     main_theorem_certificate(g, fam, memo)
-    (key,) = memo
+    (key,) = verdicts(memo)
     return key
 
 
@@ -436,7 +494,9 @@ DIAMOND_KEY = certificate_key(
 def test_shared_verdicts_report_a_failing_certificate_as_each_family_does(monkeypatch, spec, failing):
     original = lyubeznik._block_order_certificate
     monkeypatch.setattr(
-        lyubeznik, "_block_order_certificate", lambda *key: None if key == failing else original(*key)
+        lyubeznik,
+        "_block_order_certificate",
+        lambda shapes, rows, memo: None if (shapes, rows) == failing else original(shapes, rows, memo),
     )
     tags = ["T1.1", "T2.5", "T7.1"]
 

@@ -121,6 +121,48 @@ def test_minimality_check_matches_exponent_division():
     assert accepted > 50 and rejected > 50
 
 
+def pairwise_minimality_error(gens):
+    """The error of the pairwise minimality loop on exponent vectors: the
+    first (i, j) in row-major order with i != j and gens[i] dividing gens[j]."""
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens):
+            if i != j and all(a <= b for a, b in zip(gi, gj)):
+                return f"generators not minimal: #{i} divides #{j}"
+    return None
+
+
+def test_minimality_refuses_the_first_dividing_pair_as_the_pairwise_loop():
+    rng = random.Random(47)
+    outcomes = {}
+    for trial in range(2400):
+        kind = ("equal degree", "mixed degrees", "not squarefree")[trial % 3]
+        nvars = rng.randint(2, 6)
+        ngens = rng.randint(1, 9)
+        if kind == "not squarefree":
+            gens = random_exponent_lists(rng, nvars, ngens)
+        else:
+            k = rng.randint(1, nvars)
+            gens = []
+            for _ in range(ngens):
+                size = k if kind == "equal degree" else rng.randint(1, nvars)
+                support = rng.sample(range(nvars), size)
+                gens.append(tuple(int(v in support) for v in range(nvars)))
+        if rng.random() < 0.2:
+            # a duplicate, anywhere
+            gens.insert(rng.randint(0, len(gens)), rng.choice(gens))
+        want = pairwise_minimality_error(gens)
+        try:
+            MonomialIdeal([f"x{i + 1}" for i in range(nvars)], gens)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, gens
+        key = (kind, want is None)
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # every kind is both accepted and refused, often
+    assert len(outcomes) == 6 and min(outcomes.values()) > 50, outcomes
+
+
 def test_reordered_permutes_masks():
     rng = random.Random(47)
     checked = 0

@@ -97,3 +97,13 @@ def test_betti_on_a_file_graph_loads_only_the_table_path():
         "edgeideals.ideals",
         "edgeideals.linalg",
     ]
+
+
+def test_lyubeznik_on_a_named_graph_loads_no_hochster_engine():
+    loaded = loaded_after(
+        "import contextlib, io\n"
+        "from edgeideals.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['lyubeznik', 'cycle_5']) == 0"
+    )
+    assert "edgeideals.lyubeznik" in loaded and "edgeideals.hochster" not in loaded

@@ -21,6 +21,7 @@ from edgeideals.linalg import GF2
 from edgeideals.witness import (
     CompleteBipartiteSub,
     DisjointFamily,
+    _extend,
     all_blocks,
     bouquet_family,
     cochordal_pd,
@@ -29,6 +30,7 @@ from edgeideals.witness import (
     is_three_disjoint,
     is_valid_family,
     max_pd_witness,
+    valid_representatives,
     witness_for,
 )
 from test_campaigns import disjoint_families
@@ -177,6 +179,71 @@ def test_valid_representatives_folds_the_pairwise_rule():
             reps = [rng.choice(cross_edges(g, b)) for b in fam]
             want = all(pairwise_three_disjoint(g, e, f) for e, f in itertools.combinations(reps, 2))
             assert is_valid_family(g, DisjointFamily(fam, reps)) == want
+
+
+def extend_valid_representatives(g, fam):
+    """The reference validation: genuine vertex-disjoint blocks inside G, then
+    each carried representative, a cross edge of its block, joins through
+    ``_extend`` as the block cut down to its two ends."""
+    used = 0
+    for b in fam.blocks:
+        if b.vertices & used or b.vertices & ~g.vertex_mask() or not is_block(g, b):
+            return None
+        used |= b.vertices
+    if not fam.blocks:
+        return None
+    if fam.representatives is None:
+        return find_representatives(g, fam.blocks)
+    assignments = [(0, ())]
+    for (u, v), b in zip(fam.representatives, fam.blocks):
+        ends = 1 << u | 1 << v
+        if not (b.left & ends and b.right & ends):
+            return None
+        assignments = list(_extend(g, assignments, CompleteBipartiteSub(b.left & ends, b.right & ends)))
+        if not assignments:
+            return None
+    return fam.representatives
+
+
+def test_valid_representatives_matches_the_extend_reference():
+    rng = random.Random(11)
+    seen = dict.fromkeys(("valid", "overlap", "not a block", "not a cross edge", "not 3-disjoint", "searched"), 0)
+    for g, blocks in reference_corpus():
+        for _ in range(20 if blocks else 0):
+            chosen, used = [], 0
+            for _ in range(rng.randint(1, 3)):
+                roll = rng.random()
+                if roll < 0.1:
+                    # any two disjoint nonempty parts, a genuine block or not
+                    verts = rng.sample(range(g.n), rng.randint(2, g.n))
+                    cut = rng.randint(1, len(verts) - 1)
+                    b = CompleteBipartiteSub(sum(1 << v for v in verts[:cut]), sum(1 << v for v in verts[cut:]))
+                else:
+                    # mostly a block disjoint from those chosen, sometimes any block
+                    pool = blocks if roll < 0.2 else [b for b in blocks if not b.vertices & used]
+                    if not pool:
+                        break
+                    b = rng.choice(pool)
+                chosen.append(b)
+                used |= b.vertices
+            reps = [
+                rng.choice(cross_edges(g, b)) if rng.random() < 0.85 else tuple(rng.sample(range(g.n), 2))
+                for b in chosen
+            ]
+            fam = DisjointFamily(chosen, None if rng.random() < 0.1 else reps)
+            want = extend_valid_representatives(g, fam)
+            assert valid_representatives(g, fam) == want
+            if any(a.vertices & b.vertices for a, b in itertools.combinations(chosen, 2)):
+                seen["overlap"] += 1
+            elif not all(is_block(g, b) for b in chosen):
+                seen["not a block"] += 1
+            elif fam.representatives is None:
+                seen["searched"] += 1
+            elif not all(e in cross_edges(g, b) for e, b in zip(fam.representatives, chosen)):
+                seen["not a cross edge"] += 1
+            else:
+                seen["valid" if want is not None else "not 3-disjoint"] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def reference_families(g, blocks):
