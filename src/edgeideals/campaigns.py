@@ -25,6 +25,7 @@ from .graphs import (
     is_ferrers,
 )
 from .hochster import (
+    MAX_TABLE_VARS,
     compare_bcp,
     compare_eagon_reiner,
     cover_betti_table,
@@ -81,9 +82,9 @@ class _Ctx:
 
     ``certificates`` is the memo of ``main_theorem_certificate``.  It keeps
     each verdict under the blocks' shapes (m, n) and G[sigma]'s adjacency
-    rows with sigma's vertices numbered in block order; beside those, the
-    cancellation verdict of each shapes tuple, which reads the shapes alone,
-    and the threshold cycle of each block shape (m, n).  No key mentions the
+    rows with sigma's vertices numbered in block order; beside those, under
+    each block shape (m, n), the leading symbol of that shape's threshold
+    cycle, or None if its cycle check fails.  No key mentions the
     graph or its labels, so one memo serves every graph of a share (the
     whole catalog with one worker), and relabelled copies of a configuration
     share an entry.  The caller owns the memo; a context lives for one graph.
@@ -100,7 +101,11 @@ class _Ctx:
         return self._cache[key]
 
     def table(self, field: FieldSpec):
-        return self._once(("quotient", repr(field)), lambda: graph_betti_table(self.g, field))
+        # a graph under the campaign's caps.max_n may exceed the library's table cap
+        return self._once(
+            ("quotient", repr(field)),
+            lambda: graph_betti_table(self.g, field, max_vars=max(MAX_TABLE_VARS, self.g.n)),
+        )
 
     def cover_table(self, field: FieldSpec):
         return self._once(("cover", repr(field)), lambda: cover_betti_table(self.g, self.table(field)))
@@ -609,8 +614,8 @@ class Campaign:
     and ``block_vertices`` (most vertices in a T1.1 block, default 5, at
     least 2).  Malformed fields raise ``ValueError``.
 
-    ``seed`` is a label copied into the report; nothing reads it, because
-    every catalog is exhaustive and every assertion deterministic.
+    ``seed`` is an integer label copied into the report; nothing reads it,
+    because every catalog is exhaustive and every assertion deterministic.
     """
 
     __slots__ = ("name", "graphs", "fields", "caps", "assertions", "seed")
@@ -648,10 +653,9 @@ class Campaign:
         if unknown:
             raise ValueError(f"unknown assertion tags: {unknown}")
         self.assertions = list(assertions)
-        try:
-            self.seed = int(seed)
-        except (TypeError, ValueError):
-            raise ValueError(f"campaign 'seed' must be an integer, got {seed!r}") from None
+        if not _is_int(seed):
+            raise ValueError(f"campaign 'seed' must be an integer, got {seed!r}")
+        self.seed = seed
 
     @classmethod
     def from_json(cls, obj) -> "Campaign":
@@ -712,13 +716,18 @@ class Report:
         return out
 
     def to_csv(self) -> str:
-        lines = ["graph,n,field,assertion,status,violations"]
-        for r in self.results:
-            lines.append(
-                f"{r['graph']},{r['n']},{r['field']},{r['assertion']},"
-                f"{r['status']},{len(r['violations'])}"
-            )
-        return "\n".join(lines) + "\n"
+        # imported here: a run without --csv never needs it; a field is quoted
+        # only when it holds a comma, a quote or a line break
+        import csv
+        import io
+
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("graph", "n", "field", "assertion", "status", "violations"))
+        writer.writerows(
+            (r["graph"], r["n"], r["field"], r["assertion"], r["status"], len(r["violations"])) for r in self.results
+        )
+        return out.getvalue()
 
     def human(self) -> str:
         counts = self.summary()

@@ -251,6 +251,9 @@ class MonomialIdeal:
         if not isinstance(obj, dict):
             raise ValueError("ideal JSON must be an object")
         check_keys(obj, ("variables", "generators"), "ideal JSON")
+        missing = [key for key in ("variables", "generators") if key not in obj]
+        if missing:
+            raise ValueError(f"ideal JSON needs {' and '.join(map(repr, missing))}")
         variables, gens = obj["variables"], obj["generators"]
         if not (isinstance(variables, list) and all(isinstance(x, str) for x in variables)):
             raise ValueError("'variables' must be a list of strings")

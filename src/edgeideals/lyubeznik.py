@@ -236,21 +236,9 @@ def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle):
     leading symbol is maximal admissible; None otherwise.
 
     Raises ValueError if the terms are not same-degree admissible symbols.
-    The three parts run in order: ``_check_terms``, ``_unit_image_cancels``
-    and ``_maximal_leading``.
-    """
-    _check_terms(ideal, cycle)
-    if not _unit_image_cancels(ideal, cycle):
-        return None
-    return _maximal_leading(ideal, cycle)
-
-
-def _check_terms(ideal: MonomialIdeal, cycle: Cycle) -> None:
-    """Raise ValueError unless every term is an admissible symbol and all
-    terms share one multidegree.
-
     Terms are compared by the OR of their generator masks, which is equal
-    exactly when their lcms are.
+    exactly when their lcms are; only the leading symbol's degree is built
+    as a ``Monomial``.
     """
     masks = ideal.masks
     degrees = set()
@@ -264,25 +252,13 @@ def _check_terms(ideal: MonomialIdeal, cycle: Cycle) -> None:
         degrees.add(deg)
     if len(degrees) != 1:
         raise ValueError("cycle terms have mixed multidegrees")
-
-
-def _unit_image_cancels(ideal: MonomialIdeal, cycle: Cycle) -> bool:
-    """Whether the unit-cofactor part of the cycle's boundary is zero over Z.
-
-    It reads only the generators that the terms use, and their positions
-    only through their order.
-    """
     image: dict[tuple[int, ...], int] = {}
     for sym, coeff in cycle.terms.items():
         for sub, sign, cof in taylor_boundary(ideal, sym):
             if cof.is_one():
                 image[sub] = image.get(sub, 0) + coeff * sign
-    return not any(image.values())
-
-
-def _maximal_leading(ideal: MonomialIdeal, cycle: Cycle):
-    """(s, degree) when the leading symbol is maximal admissible, else None;
-    only this degree is built as a ``Monomial``."""
+    if any(image.values()):
+        return None
     if not is_maximal_admissible(ideal, cycle.leading):
         return None
     return cycle.s, symbol_degree(ideal, cycle.leading)
@@ -304,11 +280,6 @@ def bipartite_cycle(m: int, n: int):
     for beta in range(n):
         for alpha in range(m):
             gens.append(Monomial.from_support(1 << alpha | 1 << (m + beta), m + n))
-    return MonomialIdeal(variables, gens), _threshold_cycle(m, n)
-
-
-def _threshold_cycle(m: int, n: int) -> Cycle:
-    """The cycle of ``bipartite_cycle(m, n)``, which depends on (m, n) alone."""
 
     def tau(ts: tuple[int, ...]) -> tuple[int, ...]:
         bounds = (1,) + ts + (m,)
@@ -322,8 +293,7 @@ def _threshold_cycle(m: int, n: int) -> Cycle:
     all_ts = combinations_with_replacement(range(1, m + 1), n - 1)
     norm = (-1) ** (m * (n - 1))
     terms = {tau(ts): norm * (-1) ** sum(ts) for ts in all_ts}
-    leading = tau((m,) * (n - 1))
-    return Cycle(terms, leading)
+    return MonomialIdeal(variables, gens), Cycle(terms, tau((m,) * (n - 1)))
 
 
 def product_cycle(parts) -> Cycle:
@@ -357,30 +327,48 @@ def _block_order_certificate(shapes, rows, memo: dict):
     representative's first end's part, then n of the other part.  The
     generator supports are each block's cross edges row-major, then its
     edges inside a part, then every edge between blocks, each run in
-    increasing position pairs.
+    increasing position pairs.  The certificate is the product of the
+    blocks' threshold cycles (``bipartite_cycle``), and it is checked block
+    by block; every member of a product term is a cross edge of its block.
 
-    Every member of a cycle term is a cross edge of its block, so the
-    cancellation part of the check reads the shapes alone: two keys with
-    the same shapes differ there only by a shift of generator positions,
-    which keeps their order.  memo keeps that verdict under ``shapes`` and
-    each block's threshold cycle under (m, n); the admissibility and
-    maximality parts read the whole ideal and run for every key.
+    - *Admissibility.*  Every generator before a member in block k lies
+      inside an earlier block, which is disjoint from the suffix lcm, or is
+      an earlier cross edge of block k, which meets only block k's part of
+      it.  So a product term is admissible exactly when each factor is
+      admissible in the ideal of ``bipartite_cycle(m, n)``.
+    - *One multidegree.*  All product terms share one multidegree exactly
+      when the terms of each block do.
+    - *Cancellation.*  Dropping a member changes the lcm only inside its own
+      block, and all terms of one block have one length, so the product's
+      unit-cofactor image is a signed sum, over the blocks, of that block's
+      image times the other blocks' cycles.  It vanishes exactly when each
+      block's image does.
+
+    So ``check_cycle_certificate`` runs once per block shape, on
+    ``bipartite_cycle(m, n)``, and memo keeps under (m, n) the cycle's
+    leading symbol, or None when the check fails.  That check also asks for
+    maximality inside K_{m,n}, which changes no verdict: an admissible
+    extension there would also extend the product's leading symbol.  Each
+    key then builds its ideal and asks only that the concatenated, shifted
+    leading symbols be maximal admissible in it.
     """
     supports: list[int] = []
-    parts = []
+    leading: list[int] = []
     start = 0
     for m, n in shapes:
+        if (m, n) not in memo:
+            ideal, cycle = bipartite_cycle(m, n)
+            memo[m, n] = None if check_cycle_certificate(ideal, cycle) is None else cycle.leading
+        block = memo[m, n]
+        if block is None:
+            return None
+        leading += [len(supports) + i for i in block]
         mid, end = start + m, start + m + n
-        run = [1 << a | 1 << b for b in range(mid, end) for a in range(start, mid)]
+        supports.extend(1 << a | 1 << b for b in range(mid, end) for a in range(start, mid))
         for a in range(start, end):
             top = mid if a < mid else end
             for b in iter_bits(rows[a] & (1 << top) - (2 << a)):
-                run.append(1 << a | 1 << b)
-        supports.extend(run)
-        threshold = memo.get((m, n))
-        if threshold is None:
-            threshold = memo[m, n] = _threshold_cycle(m, n)
-        parts.append((len(run), threshold))
+                supports.append(1 << a | 1 << b)
         start = end
     start = 0
     for m, n in shapes:
@@ -394,14 +382,9 @@ def _block_order_certificate(shapes, rows, memo: dict):
         [f"x{i}" for i in range(nvars)],
         [Monomial.from_support(s, nvars) for s in supports],
     )
-    cycle = product_cycle(parts)
-    _check_terms(ideal, cycle)
-    cancels = memo.get(shapes)
-    if cancels is None:
-        cancels = memo[shapes] = _unit_image_cancels(ideal, cycle)
-    if not cancels:
+    if not is_maximal_admissible(ideal, leading):
         return None
-    return _maximal_leading(ideal, cycle)
+    return len(leading), symbol_degree(ideal, leading)
 
 
 def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | None = None):
@@ -414,19 +397,20 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | N
     other end v last, other vertices in increasing label order.  Each
     block's generators come first (cross edges row-major, then the edges
     inside its parts), then the edges between blocks; the product of the
-    blocks' threshold cycles then goes through the cycle certificate.
-    Returns (|sigma| - r, sigma) on success.
+    blocks' threshold cycles is the certificate, checked block by block in
+    ``_block_order_certificate``.  Returns (|sigma| - r, sigma) on success.
 
     That check reads only the block shapes (m, n) and the block-ordered
     adjacency of G[sigma], so memo, a dict the caller owns, keeps its result
     under the key (shapes, rows), rows[i] being the mask, over these
-    positions, of the i-th vertex's neighbours inside sigma.  The same memo
-    keeps, for ``_block_order_certificate``, the cancellation verdict of each
-    shapes tuple (a bool) and the threshold cycle of each block shape (m, n)
-    (a ``Cycle``).  No key names the graph, its labels or the field, so one
-    memo serves every graph and field; campaigns keep one per
-    ``run_campaign`` call and other callers pass none, so every part of the
-    check runs.  The family is validated, and the result's strand checked,
+    positions, of the i-th vertex's neighbours inside sigma: an (s, degree)
+    pair, or None.  The same memo keeps the verdict of each block shape
+    under (m, n): the leading symbol of ``bipartite_cycle(m, n)`` when that
+    cycle passes ``check_cycle_certificate``, else None.  No key names the
+    graph, its labels or the field, so one memo serves every graph and
+    field; campaigns keep one per ``run_campaign`` call and other callers
+    pass none, so every part of the check runs, ``taylor_boundary``
+    included.  The family is validated, and the result's strand checked,
     on every call, memo hit or not.
     """
     reps = valid_representatives(g, fam)

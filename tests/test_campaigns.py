@@ -3,7 +3,10 @@
 import concurrent.futures
 import gc
 import json
+import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
 from types import FunctionType
@@ -129,6 +132,13 @@ def test_vertex_cap_enforced():
         "caps": {"max_n": 9},
     })
     assert run_campaign(c2).ok
+    # 17 vertices is past hochster.MAX_TABLE_VARS; caps.max_n consents to it
+    c3 = Campaign.from_json({
+        "graphs": {"class": "named", "names": ["path_17"]},
+        "assertions": ["P5.1", "T2.2"],
+        "caps": {"max_n": 17},
+    })
+    assert run_campaign(c3).summary() == {"ok": 2, "violation": 0, "skipped": 0}
 
 
 def test_violation_reporting():
@@ -287,10 +297,28 @@ def sigma_order_certificate(g, fam, memo):
 
 
 def verdicts(memo):
-    """The (shapes, rows) verdicts of a certificate memo, without the
-    cancellation verdicts (bools under shapes) and threshold cycles (under
-    (m, n)) that it also keeps."""
-    return {key: res for key, res in memo.items() if not isinstance(res, (bool, Cycle))}
+    """The (shapes, rows) verdicts of a certificate memo, without the verdicts
+    of block shapes (m, n) that it also keeps; a shape key starts with an
+    int, a (shapes, rows) key with a tuple."""
+    return {key: res for key, res in memo.items() if isinstance(key[0], tuple)}
+
+
+def shape_entries(memo):
+    """The block shape (m, n) verdicts of a certificate memo."""
+    return {key: res for key, res in memo.items() if isinstance(key[0], int)}
+
+
+def product_cycle_check(shapes, rows, check=check_cycle_certificate):
+    """The full cycle check of the key (shapes, rows): the product of the
+    blocks' threshold cycles on the ideal of ``block_order_supports``."""
+    supports, counts = block_order_supports(shapes, rows)
+    nvars = len(rows)
+    ideal = MonomialIdeal(
+        [f"x{i}" for i in range(nvars)],
+        [Monomial.from_support(s, nvars) for s in supports],
+    )
+    cycle = product_cycle([(k, bipartite_cycle(m, n)[1]) for (m, n), k in zip(shapes, counts)])
+    return check(ideal, cycle)
 
 
 def test_certificate_memo_never_changes_a_verdict():
@@ -307,15 +335,8 @@ def test_certificate_memo_never_changes_a_verdict():
         # each verdict is the cycle check on exactly what its key names: the
         # (m, n) block shapes and the block-ordered adjacency rows of G[sigma]
         for (shapes, rows), result in verdicts(memo).items():
-            supports, counts = block_order_supports(shapes, rows)
-            nvars = len(rows)
-            ideal = MonomialIdeal(
-                [f"x{i}" for i in range(nvars)],
-                [Monomial.from_support(s, nvars) for s in supports],
-            )
-            cycle = product_cycle([(k, bipartite_cycle(m, n)[1]) for (m, n), k in zip(shapes, counts)])
-            assert check_cycle_certificate(ideal, cycle) == result
-            assert check_cycle_certificate_by_monomials(ideal, cycle) == result
+            assert product_cycle_check(shapes, rows) == result
+            assert product_cycle_check(shapes, rows, check_cycle_certificate_by_monomials) == result
     assert calls - rejected > 2 * keys > 0 and rejected > 0
 
 
@@ -367,7 +388,7 @@ def test_certificate_memo_keeps_rejecting_invalid_families():
     assert memo == before
 
 
-def test_shape_entries_hold_the_cancellation_verdict_of_each_key(monkeypatch):
+def test_shape_entries_hold_the_leading_symbol_of_each_block_cycle(monkeypatch):
     seen = spy_contexts(monkeypatch)
     specs = [
         {"class": "all", "max_n": 6},
@@ -379,41 +400,35 @@ def test_shape_entries_hold_the_cancellation_verdict_of_each_key(monkeypatch):
     memo = {}
     for _, certificates in seen:
         memo.update(certificates)
-    keys = verdicts(memo)
-    # a cancellation verdict per shapes tuple of a key, a threshold cycle per block shape
-    assert {k for k, v in memo.items() if isinstance(v, bool)} == {shapes for shapes, _ in keys}
-    assert {k for k, v in memo.items() if isinstance(v, Cycle)} == {b for shapes, _ in keys for b in shapes}
+    keys, shapes_of = verdicts(memo), shape_entries(memo)
+    # the memo holds the two kinds of entries and nothing else
+    assert len(keys) + len(shapes_of) == len(memo)
+    # one entry per block shape of a key: the leading symbol of its threshold cycle
+    assert set(shapes_of) == {b for shapes, _ in keys for b in shapes}
+    for (m, n), leading in shapes_of.items():
+        assert leading == bipartite_cycle(m, n)[1].leading
     for (shapes, rows), result in keys.items():
-        supports, counts = block_order_supports(shapes, rows)
-        nvars = len(rows)
-        ideal = MonomialIdeal(
-            [f"x{i}" for i in range(nvars)],
-            [Monomial.from_support(s, nvars) for s in supports],
-        )
-        cycle = product_cycle([(k, bipartite_cycle(m, n)[1]) for (m, n), k in zip(shapes, counts)])
-        # the cancellation part recomputed on this key's own ideal
-        assert lyubeznik._unit_image_cancels(ideal, cycle) is memo[shapes] is True
-        full = check_cycle_certificate(ideal, cycle)
-        assert full == check_cycle_certificate_by_monomials(ideal, cycle) == result
+        full = product_cycle_check(shapes, rows)
+        assert full == product_cycle_check(shapes, rows, check_cycle_certificate_by_monomials) == result
         assert result is not None
         # with every shape entry warm
         assert _block_order_certificate(shapes, rows, memo) == full
-    assert len(keys) > 300 and len({shapes for shapes, _ in keys}) > 30
+    assert len(keys) > 300 and len({shapes for shapes, _ in keys}) > 30 and len(shapes_of) > 5
 
 
-def test_a_cancellation_verdict_is_read_only_under_its_own_shapes():
+def test_a_shape_verdict_is_read_only_under_its_own_block_shape():
     g = path_graph(6)
     star, other = CompleteBipartiteSub(1 << 1, 1 << 0 | 1 << 2), CompleteBipartiteSub(1 << 4, 1 << 3 | 1 << 5)
     alone = DisjointFamily([star], [(0, 1)])
     both = DisjointFamily([star, other], [(0, 1), (4, 5)])
-    shapes, _ = certificate_key(g, alone)
-    assert shapes == ((2, 1),)
-    memo = {shapes: False}
-    # the two-block family starts with the same block shape, and certifies
-    assert main_theorem_certificate(g, both, memo) == (4, 0b111111)
+    assert certificate_key(g, alone)[0] == ((2, 1),)
+    assert certificate_key(g, both)[0] == ((2, 1), (1, 2))
+    # a refused (1, 2) refuses the two-block family, but not the (2, 1) block alone
+    memo = {(1, 2): None}
     with pytest.raises(RuntimeError, match="certificate construction failed"):
-        main_theorem_certificate(g, alone, memo)
-    assert main_theorem_certificate(g, alone) == (2, 0b111)
+        main_theorem_certificate(g, both, memo)
+    assert main_theorem_certificate(g, alone, memo) == (2, 0b111)
+    assert main_theorem_certificate(g, both) == (4, 0b111111)
 
 
 def block_order_key(g, blocks, reps):
@@ -467,6 +482,81 @@ def test_only_the_full_certificate_sees_three_disjoint_representatives():
                     assert certifies((shapes[1:], tuple(r >> cut for r in rows[cut:])), single)
                     counts[valid] += 1
     assert counts == {True: 1036, False: 17706}
+
+
+def random_block_key(rng, shapes, p):
+    """A certificate key (shapes, rows) whose blocks are complete across their
+    parts, every other pair of positions an edge with probability p."""
+    cross, start = set(), 0
+    for m, n in shapes:
+        cross |= {(a, b) for a in range(start, start + m) for b in range(start + m, start + m + n)}
+        start += m + n
+    rows = [0] * start
+    for a, b in combinations(range(start), 2):
+        if (a, b) in cross or rng.random() < p:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return tuple(shapes), tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def block_order_corpus():
+    """Distinct certificate keys, valid or not: every key of one, two or three
+    blocks of at most 5 vertices in graphs_on(2..6), with every cross edge of
+    each block as its representative, and 300 seeded keys of one to three
+    blocks up to K_{3,3} with random edges, at densities from 0 to 0.6,
+    inside parts and between blocks."""
+    keys = set()
+    for n in range(2, 7):
+        for g in graphs_on(n):
+            for blocks in disjoint_families(all_blocks(g, max_vertices=5), 3):
+                cross = ([(u, v) for u in iter_bits(b.left) for v in iter_bits(b.right)] for b in blocks)
+                for reps in product(*cross):
+                    keys.add(block_order_key(g, blocks, reps))
+    rng = random.Random(5)
+    sizes = [(m, n) for m in range(1, 4) for n in range(1, 4)]
+    for _ in range(300):
+        shapes = [rng.choice(sizes) for _ in range(rng.randint(1, 3))]
+        keys.add(random_block_key(rng, shapes, rng.choice((0, 0.1, 0.3, 0.6))))
+    return sorted(keys)
+
+
+def test_block_order_verdicts_match_the_product_cycle_check():
+    warm: dict = {}
+    counts = Counter()
+    for shapes, rows in block_order_corpus():
+        full = product_cycle_check(shapes, rows)
+        assert _block_order_certificate(shapes, rows, {}) == full
+        assert _block_order_certificate(shapes, rows, warm) == full
+        counts[len(shapes), full is not None] += 1
+    # one block alone always certifies; two and three blocks go both ways
+    assert counts[1, False] == 0 and counts[1, True] >= 20, counts
+    assert all(counts[r, ok] >= 20 for r in (2, 3) for ok in (True, False)), counts
+    assert set(shape_entries(warm)) >= {(m, n) for m in range(1, 4) for n in range(1, 4)}
+
+
+def test_a_flipped_sign_in_one_block_cycle_refuses_every_key_of_its_shape(monkeypatch):
+    original = lyubeznik.bipartite_cycle
+
+    def flipped(m, n):
+        ideal, cycle = original(m, n)
+        if (m, n) == (2, 2):
+            terms = dict(cycle.terms)
+            sym = next(t for t in terms if t != cycle.leading)
+            terms[sym] = -terms[sym]
+            cycle = Cycle(terms, cycle.leading)
+        return ideal, cycle
+
+    before = {key: _block_order_certificate(*key, {}) for key in block_order_corpus()}
+    monkeypatch.setattr(lyubeznik, "bipartite_cycle", flipped)
+    warm: dict = {}
+    refused = 0
+    for (shapes, rows), verdict in before.items():
+        expected = None if (2, 2) in shapes else verdict
+        assert _block_order_certificate(shapes, rows, {}) == expected
+        assert _block_order_certificate(shapes, rows, warm) == expected
+        refused += verdict is not None and expected is None
+    assert refused > 20 and warm[2, 2] is None and warm[2, 1] is not None
 
 
 def certificate_key(g, fam):
@@ -792,6 +882,10 @@ def test_campaign_searches_leave_no_reference_cycles():
         # an empty list would check nothing and pass
         ("fields", []),
         ("assertions", []),
+        # a seed is an int, not a float, a bool or a string
+        ("seed", 1.9),
+        ("seed", True),
+        ("seed", "3"),
     ],
 )
 def test_malformed_campaign_fields_raise_value_error(field, value):

@@ -1,5 +1,7 @@
 """End-to-end command-line checks driven through main(argv)."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -11,7 +13,7 @@ import pytest
 
 from edgeideals import hochster
 from edgeideals.cli import main
-from edgeideals.graphs import SimpleGraph
+from edgeideals.graphs import SimpleGraph, path_graph
 from edgeideals.ideals import edge_ideal
 from edgeideals.witness import max_pd_witness
 from edgeideals.catalog import generate_catalog, named_graph
@@ -323,6 +325,30 @@ def test_csv_on_stdout_is_the_file_bytes(capsys, tmp_path):
     assert rc == 0 and out.encode() == dest.read_bytes() and err == text
 
 
+def test_csv_rows_keep_six_fields_when_a_graph_path_holds_a_comma_and_a_quote(capsys, tmp_path):
+    graph = tmp_path / 'p,"3".json'
+    graph.write_text(json.dumps(path_graph(3).to_json()))
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"graphs": {"class": "files", "files": [str(graph)]}, "assertions": ["P5.1", "T2.2"]}))
+    rc, out, err = run(capsys, "verify", str(campaign), "--csv", "-")
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["graph", "n", "field", "assertion", "status", "violations"]
+    assert rows[1:] == [[f"file/{graph}", "3", "gf2", tag, "ok", "0"] for tag in ("P5.1", "T2.2")]
+
+
+def test_a_campaign_past_the_table_cap_exits_zero_with_nothing_on_stderr(capsys, tmp_path):
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({
+        "graphs": {"class": "named", "names": ["path_17"]},
+        "assertions": ["P5.1", "T2.2"],
+        "caps": {"max_n": 17},
+    }))
+    rc, out, err = run(capsys, "verify", str(campaign))
+    assert rc == 0 and err == ""
+    assert out.endswith("ok=2 skipped=0 violations=0\nPASS\n\n")
+
+
 def test_json_and_csv_cannot_share_stdout(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "verify", "tests/data/smoke_campaign.json", "--json", "-", "--csv", "-")
@@ -405,6 +431,10 @@ def test_unknown_graph_and_command(capsys):
         # an empty list would check nothing and pass
         ("assertions", []),
         ("fields", []),
+        # a seed is an int, not a float, a bool or a string
+        ("seed", 1.9),
+        ("seed", True),
+        ("seed", "3"),
     ],
 )
 def test_malformed_campaign_fields_fail_in_one_line(capsys, tmp_path, field, value):

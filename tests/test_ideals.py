@@ -205,6 +205,10 @@ def test_ideal_malformed_json_raises_value_error():
     ):
         with pytest.raises(ValueError):
             MonomialIdeal.from_json(obj)
+    # a missing key is named, not raised as a bare KeyError
+    for obj, key in (({"generators": [[1]]}, "'variables'"), ({"variables": ["a"]}, "'generators'")):
+        with pytest.raises(ValueError, match=f"needs {key}$"):
+            MonomialIdeal.from_json(obj)
 
 
 def test_edge_ideal_generators_are_edges():
