@@ -240,6 +240,7 @@ def cmd_lyubeznik(args) -> int:
     from .witness import DisjointFamily
 
     ideal, g = _load_ideal_or_graph(args.source, args.max_n)
+    field = _field(args)
     if args.order:
         try:
             order = tuple(int(tok) for tok in args.order.split(",") if tok.strip())
@@ -278,7 +279,6 @@ def cmd_lyubeznik(args) -> int:
         print(f"certified: beta_{s},{{{sig}}}(S/I(G)) >= 1 over every field")
         acted = True
     if not acted:
-        field = _field(args)
         try:
             table = lyubeznik_betti_table(ideal, field=field)
         except (ValueError, ResourceLimitError) as exc:

@@ -31,11 +31,27 @@ Each symbol costs time linear in its length:
   ``is_admissible`` makes one lookup per member instead of scanning every
   earlier generator.  The memo lives and dies with one ideal object;
   nothing is shared across ideals or orders.
+- *Pair filter.*  Every pair of members of an admissible symbol is
+  admissible, so ``admissible_symbols`` extends a prefix only by positions
+  whose pairs with all of its members are admissible (one mask AND per
+  extension), and checks each such candidate once with ``is_admissible``.
+  The filter is exact for every monomial ideal.
+- *Pair lemma.*  When every generator mask has at most two bits (an edge
+  ideal), a symbol whose pairs are all admissible is admissible.  Suppose
+  m_q lies inside lcm(m_{l_t}, ..., m_{l_s}) with q < l_t.  As m_q has at
+  most two bits, it lies inside m_x | m_y for members l_t <= x <= y, and
+  x < y since no generator mask lies inside another.  If x = l_t, the pair
+  (x, y) fails at l_t; otherwise q < l_t < x, and the pair fails at x.
+  So on an edge ideal ``is_admissible`` passes every candidate and runs
+  once per symbol.
 - *Twice-covered facets.*  While a strand table ORs a symbol's masks into
   its degree, it also collects ``twice``, the bits that two or more members
   cover.  Dropping member t leaves the degree unchanged, that is the facet
   has a unit cofactor, exactly when ``masks[t] & ~twice == 0``; only those
   facets are built.
+- *Prefix strands.*  A strand table reads a symbol's degree, ``twice`` and
+  position mask from its prefix, one OR each, and finds each facet by its
+  position mask (see ``lyubeznik_betti_table``).
 - ``taylor_boundary`` takes each facet's lcm as the lcm of a prefix and a
   suffix lcm of the members, O(s) lcms per symbol instead of O(s^2).
 """
@@ -130,33 +146,49 @@ def is_admissible(ideal: MonomialIdeal, indices) -> bool:
 
 
 def admissible_symbols(ideal: MonomialIdeal, s: int | None = None):
-    """All admissible symbols (of homological degree s when given), by DFS.
+    """All admissible symbols (of homological degree s when given), in
+    depth-first preorder.
 
     Admissibility is closed under taking subsets, so pruning inadmissible
-    extensions never loses a symbol.
+    extensions never loses a symbol, and every pair of members of an
+    admissible symbol is admissible.  So a prefix is extended only by the
+    positions in the AND of ``later[i]`` over its members i, ``later[i]``
+    being the mask of the j > i with (i, j) admissible, and ``is_admissible``
+    runs once per such candidate: once per symbol on an edge ideal, by the
+    pair lemma of the module docstring.
     """
     u = ideal.ngens
     if u > MAX_ADMISSIBLE_GENS:
         raise ResourceLimitError(
             f"{u} generators exceeds the admissible-symbol cap of {MAX_ADMISSIBLE_GENS}"
         )
+    masks = ideal.masks
+    first = ideal.first_divisor
+    later = []
+    for i, mi in enumerate(masks):
+        row = 0
+        for j in range(i + 1, u):
+            # the pair's lcm contains masks[i], so its first divisor is at most i
+            if first(mi | masks[j]) == i:
+                row |= 1 << j
+        later.append(row)
     out: list[tuple[int, ...]] = []
-    # one frame per admissible prefix: (prefix, generators still to try after
-    # it); a frame resumes where its child was pushed, so symbols come in
-    # depth-first preorder
-    stack = [((), iter(range(u)))] if s != 0 else []
+    # candidates still to check, the next one on top: (candidate, the
+    # positions whose pairs with all of its members are admissible)
+    stack = [((i,), later[i]) for i in reversed(range(u))] if s != 0 else []
     while stack:
-        prefix, nexts = stack[-1]
-        for nxt in nexts:
-            cand = prefix + (nxt,)
-            if is_admissible(ideal, cand):
-                if s is None or len(cand) == s:
-                    out.append(cand)
-                if s is None or len(cand) != s:
-                    stack.append((cand, iter(range(nxt + 1, u))))
-                    break
-        else:
-            stack.pop()
+        cand, cands = stack.pop()
+        if not is_admissible(ideal, cand):
+            continue
+        if s is None or len(cand) == s:
+            out.append(cand)
+        if s is None or len(cand) != s:
+            # pushed from the highest position down, so the lowest comes next
+            rest = cands
+            while rest:
+                j = rest.bit_length() - 1
+                rest ^= 1 << j
+                stack.append((cand + (j,), cands & later[j]))
     return out
 
 
@@ -231,14 +263,12 @@ class Cycle:
         return f"Cycle({body}; leading=e{list(self.leading)})"
 
 
-def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle):
-    """(s, degree) when the unit-cofactor boundary cancels integrally and the
-    leading symbol is maximal admissible; None otherwise.
+def _cycle_cancels(ideal: MonomialIdeal, cycle: Cycle) -> bool:
+    """Whether the cycle's unit-cofactor boundary cancels over the integers.
 
     Raises ValueError if the terms are not same-degree admissible symbols.
     Terms are compared by the OR of their generator masks, which is equal
-    exactly when their lcms are; only the leading symbol's degree is built
-    as a ``Monomial``.
+    exactly when their lcms are.
     """
     masks = ideal.masks
     degrees = set()
@@ -257,7 +287,18 @@ def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle):
         for sub, sign, cof in taylor_boundary(ideal, sym):
             if cof.is_one():
                 image[sub] = image.get(sub, 0) + coeff * sign
-    if any(image.values()):
+    return not any(image.values())
+
+
+def check_cycle_certificate(ideal: MonomialIdeal, cycle: Cycle):
+    """(s, degree) when the unit-cofactor boundary cancels integrally and the
+    leading symbol is maximal admissible; None otherwise.
+
+    Raises ValueError if the terms are not same-degree admissible symbols
+    (see ``_cycle_cancels``); only the leading symbol's degree is built
+    as a ``Monomial``.
+    """
+    if not _cycle_cancels(ideal, cycle):
         return None
     if not is_maximal_admissible(ideal, cycle.leading):
         return None
@@ -344,13 +385,13 @@ def _block_order_certificate(shapes, rows, memo: dict):
       image times the other blocks' cycles.  It vanishes exactly when each
       block's image does.
 
-    So ``check_cycle_certificate`` runs once per block shape, on
-    ``bipartite_cycle(m, n)``, and memo keeps under (m, n) the cycle's
-    leading symbol, or None when the check fails.  That check also asks for
-    maximality inside K_{m,n}, which changes no verdict: an admissible
-    extension there would also extend the product's leading symbol.  Each
-    key then builds its ideal and asks only that the concatenated, shifted
-    leading symbols be maximal admissible in it.
+    So these three checks (``_cycle_cancels``) run once per block shape,
+    on ``bipartite_cycle(m, n)``, and memo keeps under (m, n) the cycle's
+    leading symbol, or None when they fail.  Maximality is not asked
+    inside K_{m,n}: an admissible extension there would also extend the
+    product's leading symbol, which each key checks anyway.  Each key then
+    builds its ideal and asks only that the concatenated, shifted leading
+    symbols be maximal admissible in it.
     """
     supports: list[int] = []
     leading: list[int] = []
@@ -358,7 +399,7 @@ def _block_order_certificate(shapes, rows, memo: dict):
     for m, n in shapes:
         if (m, n) not in memo:
             ideal, cycle = bipartite_cycle(m, n)
-            memo[m, n] = None if check_cycle_certificate(ideal, cycle) is None else cycle.leading
+            memo[m, n] = cycle.leading if _cycle_cancels(ideal, cycle) else None
         block = memo[m, n]
         if block is None:
             return None
@@ -406,7 +447,7 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | N
     positions, of the i-th vertex's neighbours inside sigma: an (s, degree)
     pair, or None.  The same memo keeps the verdict of each block shape
     under (m, n): the leading symbol of ``bipartite_cycle(m, n)`` when that
-    cycle passes ``check_cycle_certificate``, else None.  No key names the
+    cycle passes ``_cycle_cancels``, else None.  No key names the
     graph, its labels or the field, so one memo serves every graph and
     field; campaigns keep one per ``run_campaign`` call and other callers
     pass none, so every part of the check runs, ``taylor_boundary``
@@ -467,19 +508,30 @@ def lyubeznik_betti_table(ideal: MonomialIdeal, field: FieldSpec = GF2) -> Betti
     ``linalg.rank_over``.  Degrees are ORs of generator masks, which for a
     squarefree ideal are the supports.  Independent of the Hochster engine,
     so the two routes cross-check each other.
+
+    Symbols come in depth-first preorder, so the prefix of a symbol of
+    length k (the symbol without its last member) is the last symbol of
+    length k - 1 seen before it; its degree, twice-covered bits and key, the
+    mask of its members' positions, are each one OR away.  A facet is found
+    by its key.
     """
     if not ideal.is_squarefree():
         raise ValueError("Betti tables here are for squarefree ideals")
     masks = ideal.masks
-    # degree -> s -> [(symbol, bits that two or more of its members cover)]
-    by_degree: dict[int, dict[int, list[tuple[tuple[int, ...], int]]]] = {}
+    # degree -> s -> [(symbol, key, bits that two or more of its members cover)]
+    by_degree: dict[int, dict[int, list[tuple[tuple[int, ...], int, int]]]] = {}
+    # last[k] is (degree, twice, key) of the last symbol of length k so far
+    last = [(0, 0, 0)] * (ideal.ngens + 1)
     for sym in admissible_symbols(ideal):
-        deg = twice = 0
-        for i in sym:
-            m = masks[i]
-            twice |= deg & m
-            deg |= m
-        by_degree.setdefault(deg, {}).setdefault(len(sym), []).append((sym, twice))
+        k = len(sym)
+        deg, twice, key = last[k - 1]
+        i = sym[-1]
+        m = masks[i]
+        twice |= deg & m
+        deg |= m
+        key |= 1 << i
+        last[k] = (deg, twice, key)
+        by_degree.setdefault(deg, {}).setdefault(k, []).append((sym, key, twice))
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     for deg, strata in by_degree.items():
         ranks: dict[int, int] = {}
@@ -488,14 +540,14 @@ def lyubeznik_betti_table(ideal: MonomialIdeal, field: FieldSpec = GF2) -> Betti
             if not below:
                 ranks[s] = 0
                 continue
-            lower = {sym: k for k, (sym, _) in enumerate(below)}
+            lower = {key: k for k, (_, key, _) in enumerate(below)}
             rows = []
-            for sym, twice in terms:
+            for sym, key, twice in terms:
                 row = {}
                 for t, i in enumerate(sym):
                     # the facet without member t has a unit cofactor
                     if masks[i] & ~twice == 0:
-                        row[lower[sym[:t] + sym[t + 1 :]]] = -1 if t & 1 else 1
+                        row[lower[key ^ 1 << i]] = -1 if t & 1 else 1
                 rows.append(row)
             ranks[s] = rank_over(field, rows)
         for s, terms in strata.items():

@@ -320,6 +320,8 @@ def max_pd_witness(g: SimpleGraph) -> WitnessResult:
     """Exact maximum of |sigma| - r over valid disjoint families (branch and bound)."""
     blocks = all_blocks(g)
     blocks.sort(key=lambda b: -b.size)
+    verts = [b.vertices for b in blocks]
+    sizes = [v.bit_count() for v in verts]
     n = g.n
     best_value = 0
     best_blocks: list[CompleteBipartiteSub] = []
@@ -332,13 +334,14 @@ def max_pd_witness(g: SimpleGraph) -> WitnessResult:
         todo, used, value, chosen, assignments = stack[-1]
         free = n - used.bit_count()
         for idx in todo:
-            b = blocks[idx]
-            if b.vertices & used:
+            if verts[idx] & used:
                 continue
-            grown_value = value + b.size - 1
-            bound = grown_value + max(0, free - b.size - 1)
+            size = sizes[idx]
+            grown_value = value + size - 1
+            bound = grown_value + max(0, free - size - 1)
             if bound <= best_value:
                 continue
+            b = blocks[idx]
             extended = list(_extend(g, assignments, b))
             if not extended:
                 continue
@@ -346,7 +349,7 @@ def max_pd_witness(g: SimpleGraph) -> WitnessResult:
             if grown_value > best_value:
                 best_value, best_blocks = grown_value, grown
             if bound > best_value:
-                stack.append((iter(range(idx + 1, len(blocks))), used | b.vertices, grown_value, grown, extended))
+                stack.append((iter(range(idx + 1, len(blocks))), used | verts[idx], grown_value, grown, extended))
                 break
         else:
             stack.pop()

@@ -124,6 +124,18 @@ def test_malformed_order_and_field_fail_in_one_line(capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_lyubeznik_parses_the_field_before_symbols_or_a_certificate(capsys, tmp_path):
+    g = named_graph("path_3")
+    family = tmp_path / "fam.json"
+    family.write_text(json.dumps(max_pd_witness(g).family.to_json(g)))
+    for extra in (["--symbols", "1"], ["--certify", str(family)]):
+        assert run(capsys, "lyubeznik", "path_3", *extra)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "lyubeznik", "path_3", *extra, "--field", "gf4")
+        assert str(exc.value) == "edgeideals: error: GF order must be prime, got 4"
+        assert capsys.readouterr().out == ""
+
+
 def test_malformed_family_file_fails_in_one_line(capsys, tmp_path):
     family = tmp_path / "fam.json"
     for text in ('{"blocks": 3}', '{"blocks": [{"left": ["zz"], "right": [1]}]}', "{"):

@@ -369,31 +369,84 @@ def test_is_admissible_matches_the_definition_with_live_memos():
 
 
 # module-level is_admissible calls that admissible_symbols makes, one per
-# candidate, and the symbols they yield; the tracer's admissible_checks and
-# admissible_yield count these calls, so a faster check must not move them
+# candidate that passes the pair filter, and the symbols they yield; the
+# tracer's admissible_checks and admissible_yield count these calls.  On an
+# edge ideal the pair lemma makes every candidate a symbol, so the two agree
 PINNED_CHECKS = {
-    "C5": (cycle_graph(5), 25, 23),
+    "C5": (cycle_graph(5), 23, 23),
     "P6": (path_graph(6), 31, 31),
-    "K33": (complete_bipartite_graph(3, 3), 161, 103),
+    "K33": (complete_bipartite_graph(3, 3), 103, 103),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_CHECKS))
 def test_admissible_symbols_check_count_is_pinned(monkeypatch, name):
-    import edgeideals.lyubeznik as lyu
-
     g, checks, symbols = PINNED_CHECKS[name]
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return is_admissible(*args, **kwargs)
-
-    monkeypatch.setattr(lyu, "is_admissible", counted)
-    got = lyu.admissible_symbols(edge_ideal(g))
+    calls = counting_admissible_calls(monkeypatch)
+    got = admissible_symbols(edge_ideal(g))
     assert (len(calls), len(got)) == (checks, symbols)
     # one call per candidate, and every symbol is a candidate that passed
     assert len(set(calls)) == len(calls) and set(got) <= set(calls)
+
+
+def counting_admissible_calls(monkeypatch):
+    """Patch the module-level is_admissible to record each symbol it is asked about."""
+    import edgeideals.lyubeznik as lyu
+
+    calls = []
+
+    def counted(ideal, sym):
+        calls.append(sym)
+        return is_admissible(ideal, sym)
+
+    monkeypatch.setattr(lyu, "is_admissible", counted)
+    return calls
+
+
+def test_pair_lemma_one_check_per_symbol_on_every_small_edge_ideal(monkeypatch):
+    # every generator of an edge ideal has two bits, so a candidate whose
+    # pairs are all admissible is admissible, in any generator order
+    calls = counting_admissible_calls(monkeypatch)
+    rng = random.Random(29)
+    seen = 0
+    for n in range(2, 8):
+        for g in graphs_on(n):
+            ideal = edge_ideal(g)
+            order = list(range(ideal.ngens))
+            rng.shuffle(order)
+            for copy in (ideal, ideal.reordered(order)):
+                calls.clear()
+                got = admissible_symbols(copy)
+                assert calls == got
+                seen += len(got)
+    assert seen > 400_000
+
+
+def reference_symbols(ideal, s=None, prefix=()):
+    """Admissible symbols by the plain depth-first search: each admissible
+    prefix tries every later generator in turn, and each candidate is checked
+    by the definition."""
+    out = []
+    for j in range(prefix[-1] + 1 if prefix else 0, ideal.ngens):
+        cand = prefix + (j,)
+        if reference_admissible(ideal, cand):
+            if s is None or len(cand) == s:
+                out.append(cand)
+            if s is None or len(cand) < s:
+                out += reference_symbols(ideal, s, cand)
+    return out
+
+
+def test_pair_filter_keeps_every_symbol_in_preorder_on_non_squarefree_ideals():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 400:
+        ideal = random_ideal(rng, rng.randint(2, 5), rng.randint(2, 9), max_exp=3)
+        if ideal.is_squarefree():
+            continue
+        for s in (None, 0, 1, 2, 3, 4):
+            assert admissible_symbols(ideal, s=s) == reference_symbols(ideal, s), (ideal.generators, s)
+        checked += 1
 
 
 def test_lyubeznik_rejects_non_squarefree():
