@@ -106,7 +106,12 @@ def _load_ideal_or_graph(arg: str, max_n=None):
 
 def _out(args, path: str):
     """The stream a --json or --csv OUT names: stdout for '-', else the file."""
-    return nullcontext(args.stdout) if path == "-" else open(path, "w", encoding="utf-8")
+    if path == "-":
+        return nullcontext(args.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        _fail(f"cannot write {path!r}: {exc.strerror or exc}")
 
 
 def _write_json(args, path: str, obj):

@@ -240,6 +240,34 @@ def test_closed_stdout_ends_without_a_traceback():
     assert b"Traceback" not in err and err == b""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "cycle_5", "--json"],
+        ["dual", "cycle_5", "--json"],
+        ["witness", "cycle_5", "--json"],
+        ["verify", "tests/data/smoke_campaign.json", "--json"],
+        ["verify", "tests/data/smoke_campaign.json", "--csv"],
+    ],
+)
+@pytest.mark.parametrize("kind", ["missing directory", "directory"])
+def test_an_unwritable_out_fails_in_one_line(tmp_path, argv, kind):
+    dest = tmp_path / "missing" / "out" if kind == "missing directory" else tmp_path
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgeideals.cli", *argv, str(dest)],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).resolve().parents[1],
+        env=source_env(),
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line]
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"edgeideals: error: cannot write {str(dest)!r}: ")
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     # only a run with a second worker starts a pool; a fresh import of the
     # CLI must not pay for multiprocessing

@@ -215,6 +215,16 @@ def test_table_json_shape():
     }
 
 
+def test_a_misspelt_subject_is_refused_before_any_walk(monkeypatch):
+    def no_engine(*args):
+        raise AssertionError("the engine was built")
+
+    monkeypatch.setattr(hochster, "_SupportEngine", no_engine)
+    for subject in ("quotent", "Ideal", ""):
+        with pytest.raises(ValueError, match="'quotient' or 'ideal'"):
+            graph_betti_table(cycle_graph(14), GF2, subject=subject)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         betti_table(MonomialIdeal(["x"], [Monomial((2,))]), GF2)
@@ -495,7 +505,7 @@ def test_walk_visits_every_union_of_supports_once_submasks_first():
                     covered |= s
             if covered == mask:
                 unions.add(mask)
-        visited = list(engine.walk())
+        visited = engine.walk()
         assert len(visited) == len(set(visited)) and set(visited) == unions, ideal.supports()
         seen = set()
         for active in visited:
@@ -509,8 +519,7 @@ def test_equal_vectors_share_one_dict_after_a_full_walk():
     for ideal in walk_corpus():
         for field, _ in FIELDS:
             engine = _SupportEngine(ideal, field)
-            for sigma in engine.walk():
-                engine.vector(sigma, covered=True)
+            engine.walk()
             vectors = list(engine._memo.values())
             distinct = {tuple(sorted(v.items())) for v in vectors}
             assert len({id(v) for v in vectors}) == len(distinct), (ideal.supports(), field)
@@ -524,6 +533,55 @@ def test_walk_tables_match_reference_route():
             assert table_entries(betti_table(ideal, field)) == reference_ideal_entries(
                 ideal, char
             ), f"supports={ideal.supports()} field={field!r}"
+
+
+def dense_walk_corpus():
+    """Seeded dense edge ideals of G(n, p), n = 8..11 and p = .5-.8, where a
+    quarter to two thirds of the walk sets fold through a witness inherited
+    from their parent; the walk corpus ideals with supports of three or more
+    vertices; and antichains of pairs, triples and quadruples on 6..8
+    variables, where a witness meets wide supports through w and survives
+    some of them."""
+    rng = random.Random(89)
+    out = [edge_ideal(random_graph(rng, n, rng.uniform(0.5, 0.8))) for n in (8, 8, 9, 9, 10, 11)]
+    out += [ideal for ideal in walk_corpus() if any(s.bit_count() > 2 for s in ideal.supports())]
+    rng = random.Random(97)
+    while len(out) < 25:
+        n = rng.randint(6, 8)
+        masks = set()
+        for _ in range(rng.randint(n, 3 * n)):
+            masks.add(sum(1 << v for v in rng.sample(range(n), rng.choice((2, 2, 3, 3, 4)))))
+        minimal = [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
+        if any(m.bit_count() > 2 for m in minimal):
+            gens = [Monomial.from_support(m, n) for m in minimal]
+            out.append(MonomialIdeal([f"x{i}" for i in range(n)], gens))
+    return out
+
+
+def test_inherited_fold_witnesses_keep_every_walk_vector():
+    # a witness (x, w) survives a new top vertex v unless v ~ w and v !~ x,
+    # or a new wide support through w and v leaves x out of its domination
+    # mask; every walk set, folded by an inherited witness or not, must still
+    # carry the chain complex's homology
+    corpus = dense_walk_corpus()
+    assert sum(any(s.bit_count() > 2 for s in ideal.supports()) for ideal in corpus) >= 19
+    inherited = 0
+    for ideal in corpus:
+        for field, char in FIELDS:
+            engine = _SupportEngine(ideal, field)
+            searched = []
+            search = engine._fold
+            engine._fold = lambda sigma: searched.append(sigma) or search(sigma)
+            walked = engine.walk()
+            inherited += len(walked) - len(searched)
+            for sigma in walked:
+                inside = [s for s in engine.supports if s & ~sigma == 0]
+                expect = StrandComplex(sigma, inside).homology(field)
+                assert engine._memo[sigma] == expect, (ideal.supports(), sigma, field)
+            assert table_entries(betti_table(ideal, field)) == reference_ideal_entries(
+                ideal, char
+            ), f"supports={ideal.supports()} field={field!r}"
+    assert inherited > 0
 
 
 def complement_components(adj, sigma):
@@ -604,7 +662,7 @@ def test_split_engine_matches_the_chain_complex_and_reference_homology():
                 assert list(got) == sorted(got), (supports, sigma, field)
             engine = _SupportEngine(ideal, field)
             for sigma in engine.walk():
-                got = engine.vector(sigma, covered=True)
+                got = engine._memo[sigma]
                 inside = [s for s in supports if s & ~sigma == 0]
                 assert got == StrandComplex(sigma, inside).homology(field), (supports, sigma, field)
             # a table lists each sigma's entries in decreasing i, the order of
