@@ -196,7 +196,9 @@ def _certified(g, fam, memo=None):
         s, sigma = main_theorem_certificate(g, fam, memo)
     except Exception as exc:
         return False, f"{type(exc).__name__}: {exc}"
-    if s != fam.value or sigma != fam.sigma:
+    # fam.value is |fam.sigma| - r; the property ORs the blocks on each read
+    want = fam.sigma
+    if s != want.bit_count() - fam.r or sigma != want:
         return False, f"certificate landed at ({s}, {sigma}) instead"
     return True, ""
 

@@ -17,6 +17,7 @@ prime p or `rat` for the rationals.  Single-graph commands cap inputs at
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -112,6 +113,20 @@ def _out(args, path: str):
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
         _fail(f"cannot write {path!r}: {exc.strerror or exc}")
+
+
+def _check_out(path):
+    """Refuse a --json or --csv OUT that no run could write, before the run:
+    a directory, or a path whose parent is not a directory.  Nothing is
+    created or truncated; any other failure is reported by ``_out``."""
+    if path is None or path == "-":
+        return
+    if os.path.isdir(path):
+        _fail(f"cannot write {path!r}: {os.strerror(errno.EISDIR)}")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        _fail(f"cannot write {path!r}: {os.strerror(code)}")
 
 
 def _write_json(args, path: str, obj):
@@ -574,6 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for path in (getattr(args, "json", None), getattr(args, "csv", None)):
+        _check_out(path)
     # a document written to stdout ('-') has stdout to itself, and the
     # human-readable text goes to stderr
     args.stdout = sys.stdout

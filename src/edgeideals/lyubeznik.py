@@ -44,6 +44,15 @@ Each symbol costs time linear in its length:
   (x, y) fails at l_t; otherwise q < l_t < x, and the pair fails at x.
   So on an edge ideal ``is_admissible`` passes every candidate and runs
   once per symbol.
+- *Edge-join lemma.*  On an edge ideal let ``before[i]`` be the vertices
+  joined to an end of edge i by an edge that comes earlier than i.  For
+  i < j the pair (i, j) is admissible exactly when edge j misses
+  ``before[i]``.  A generator q < i inside e_i | e_j is neither e_i nor
+  e_j, so it has an end in each: it joins an end of e_i to an end of e_j,
+  which then lies in ``before[i]``.  Conversely a vertex of e_j in
+  ``before[i]`` names such an edge q < i inside e_i | e_j.  With the pair
+  lemma this decides admissibility and maximality of a symbol in one pass
+  over the edges (``_maximal_edge_symbol``).
 - *Twice-covered facets.*  While a strand table ORs a symbol's masks into
   its degree, it also collects ``twice``, the bits that two or more members
   cover.  Dropping member t leaves the degree unchanged, that is the facet
@@ -390,8 +399,12 @@ def _block_order_certificate(shapes, rows, memo: dict):
     leading symbol, or None when they fail.  Maximality is not asked
     inside K_{m,n}: an admissible extension there would also extend the
     product's leading symbol, which each key checks anyway.  Each key then
-    builds its ideal and asks only that the concatenated, shifted leading
-    symbols be maximal admissible in it.
+    asks only that the concatenated, shifted leading symbols be maximal
+    admissible among its generator supports, on the masks alone: by the
+    edge-join lemma of the module docstring, the pair (i, j), i < j, is
+    admissible exactly when edge j misses the vertices that edges before i
+    join to the ends of edge i (``_maximal_edge_symbol``).  No ideal is
+    built; only the result's degree is a ``Monomial``.
     """
     supports: list[int] = []
     leading: list[int] = []
@@ -418,14 +431,50 @@ def _block_order_certificate(shapes, rows, memo: dict):
             for b in iter_bits(rows[a] >> end << end):
                 supports.append(1 << a | 1 << b)
         start = end
-    nvars = len(rows)
-    ideal = MonomialIdeal(
-        [f"x{i}" for i in range(nvars)],
-        [Monomial.from_support(s, nvars) for s in supports],
-    )
-    if not is_maximal_admissible(ideal, leading):
+    degree = _maximal_edge_symbol(supports, leading)
+    if degree is None:
         return None
-    return len(leading), symbol_degree(ideal, leading)
+    return len(leading), Monomial.from_support(degree, len(rows))
+
+
+def _maximal_edge_symbol(supports, leading):
+    """The degree mask of the symbol leading when it is maximal admissible
+    for the edge supports in their order; None when it is admissible but
+    not maximal.  Raises ValueError when it is not admissible.
+
+    ``before[i]`` is built from running ``near`` masks, the vertices that
+    the edges so far join to each vertex, read before edge i is added.  By
+    the edge-join and pair lemmas of the module docstring, leading is
+    admissible when each member's ``before`` misses the later members'
+    edges, and another position k extends it when edge k misses the
+    ``before`` of every member below k and ``before[k]`` misses every
+    member above k.  Downward closure makes one-position extensions a
+    complete maximality test.
+    """
+    near = [0] * max(supports, default=0).bit_length()
+    before = []
+    for s in supports:
+        low = s & -s
+        a, b = low.bit_length() - 1, s.bit_length() - 1
+        before.append(near[a] | near[b])
+        near[a] |= s ^ low
+        near[b] |= low
+    # after[t] is the OR of the edges of leading[t:]
+    after = [0] * (len(leading) + 1)
+    for t in range(len(leading) - 1, -1, -1):
+        i = leading[t]
+        if before[i] & after[t + 1]:
+            raise ValueError("symbol is not admissible")
+        after[t] = after[t + 1] | supports[i]
+    # below is the OR of before[l] over the members l < k
+    below = t = 0
+    for k, s in enumerate(supports):
+        if t < len(leading) and leading[t] == k:
+            below |= before[k]
+            t += 1
+        elif not s & below and not before[k] & after[t]:
+            return None
+    return after[0]
 
 
 def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | None = None):

@@ -535,6 +535,21 @@ def test_block_order_verdicts_match_the_product_cycle_check():
     assert set(shape_entries(warm)) >= {(m, n) for m in range(1, 4) for n in range(1, 4)}
 
 
+def test_t11_keys_on_nine_vertex_graphs_match_the_product_cycle_check():
+    # 30 seeded G(9, .5) graphs: every key T1.1's families reach, checked
+    # on masks, against the full product cycle on Monomials
+    rng = random.Random(9)
+    keys = {}
+    for _ in range(30):
+        g = SimpleGraph(9, [(u, v) for u, v in combinations(range(9), 2) if rng.random() < 0.5])
+        ctx = _Ctx(g, {})
+        ctx.families(5, 2)
+        keys.update(verdicts(ctx.certificates))
+    for (shapes, rows), result in keys.items():
+        assert product_cycle_check(shapes, rows) == result
+    assert len(keys) > 7000 and sum(len(shapes) == 1 for shapes, _ in keys) > 100
+
+
 def test_a_flipped_sign_in_one_block_cycle_refuses_every_key_of_its_shape(monkeypatch):
     original = lyubeznik.bipartite_cycle
 

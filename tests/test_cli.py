@@ -262,6 +262,8 @@ def test_an_unwritable_out_fails_in_one_line(tmp_path, argv, kind):
         timeout=120,
     )
     assert proc.returncode != 0
+    # refused before any computation: nothing was printed
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = [line for line in proc.stderr.splitlines() if line]
     assert len(lines) == 1, proc.stderr

@@ -17,6 +17,7 @@ from edgeideals.ideals import Monomial, MonomialIdeal, cover_ideal, edge_ideal, 
 from edgeideals.linalg import GF2, RATIONALS, FieldSpec
 from edgeideals.lyubeznik import (
     Cycle,
+    _maximal_edge_symbol,
     admissible_symbols,
     barile_certificate,
     bipartite_cycle,
@@ -238,6 +239,52 @@ def test_maximal_admissible_paranoid_agreement():
     ideal = edge_ideal(cycle_graph(4))
     with pytest.raises(ValueError):
         is_maximal_admissible(ideal, (1, 2))
+
+
+def shuffled_edge_ideals(seed, count, max_n):
+    """count seeded edge ideals of G(n, p) with 4 <= n <= max_n, each in a
+    random generator order."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, max_n)
+        p = rng.choice((0.3, 0.5, 0.7))
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+        if len(edges) < 2:
+            continue
+        ideal = edge_ideal(SimpleGraph(n, edges))
+        order = list(range(ideal.ngens))
+        rng.shuffle(order)
+        out.append(ideal.reordered(order))
+    return out
+
+
+def test_edge_join_pair_rule_matches_is_admissible():
+    # a pair is refused exactly when it is not admissible
+    counts = {True: 0, False: 0}
+    for ideal in shuffled_edge_ideals(61, 60, 9):
+        for pair in itertools.combinations(range(ideal.ngens), 2):
+            admissible = is_admissible(ideal, pair)
+            if admissible:
+                _maximal_edge_symbol(ideal.masks, pair)
+            else:
+                with pytest.raises(ValueError, match="symbol is not admissible"):
+                    _maximal_edge_symbol(ideal.masks, pair)
+            counts[admissible] += 1
+    assert min(counts.values()) > 1000, counts
+
+
+def test_edge_join_maximality_matches_is_maximal_admissible():
+    counts = {True: 0, False: 0}
+    for ideal in shuffled_edge_ideals(67, 24, 9):
+        if ideal.ngens > 18:
+            continue
+        for sym in admissible_symbols(ideal):
+            maximal = is_maximal_admissible(ideal, sym)
+            got = _maximal_edge_symbol(ideal.masks, sym)
+            assert got == (symbol_degree(ideal, sym).support() if maximal else None)
+            counts[maximal] += 1
+    assert min(counts.values()) > 100, counts
 
 
 def test_strand_table_matches_hochster_on_graphs():
