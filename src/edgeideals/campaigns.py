@@ -24,13 +24,7 @@ from .graphs import (
     is_complete_bipartite,
     is_ferrers,
 )
-from .hochster import (
-    MAX_TABLE_VARS,
-    compare_bcp,
-    compare_eagon_reiner,
-    cover_betti_table,
-    graph_betti_table,
-)
+from .hochster import MAX_TABLE_VARS, cover_betti_table, graph_betti_table
 from .ideals import is_unmixed
 from .linalg import FieldSpec
 from .lyubeznik import main_theorem_certificate
@@ -81,13 +75,14 @@ class _Ctx:
     share sigma, are checked apart.
 
     ``certificates`` is the memo of ``main_theorem_certificate``.  It keeps
-    each verdict under the blocks' shapes (m, n) and G[sigma]'s adjacency
-    rows with sigma's vertices numbered in block order; beside those, under
-    each block shape (m, n), the leading symbol of that shape's threshold
-    cycle, or None if its cycle check fails.  No key mentions the
-    graph or its labels, so one memo serves every graph of a share (the
-    whole catalog with one worker), and relabelled copies of a configuration
-    share an entry.  The caller owns the memo; a context lives for one graph.
+    each verdict, (s, degree mask) or None, under the blocks' shapes (m, n)
+    and G[sigma]'s adjacency rows with sigma's vertices numbered in block
+    order; beside those, under each block shape (m, n), the leading symbol
+    of that shape's threshold cycle, or None if its cycle check fails.  No
+    key mentions the graph or its labels, so one memo serves every graph of
+    a share (the whole catalog with one worker), and relabelled copies of a
+    configuration share an entry.  The caller owns the memo; a context
+    lives for one graph.
     """
 
     def __init__(self, g: SimpleGraph, certificates: dict):
@@ -436,23 +431,36 @@ def _assert_t58(g, field, caps, ctx):
 
 
 def _assert_t61(g, field, caps, ctx):
-    """One row per extremal cover-ideal entry that differs from its quotient entry."""
+    """One row per extremal cover-ideal entry beta_{r,sigma}(I(G)*) that
+    differs from beta_{|sigma|-r,sigma}(S/I(G))."""
     if g.edge_count() == 0:
         return []
-    report = compare_bcp(ctx.cover_table(field), ctx.table(field))
-    return [
-        {"check": "extremal-duality", **c, "sigma": [g.labels[v] for v in c["sigma"]]}
-        for c in report.comparisons
-        if c["dual"] != c["quotient"]
-    ]
+    cover, table = ctx.cover_table(field), ctx.table(field)
+    out = []
+    for r, sigma in cover.extremal():
+        dual, quotient = cover.entry(r, sigma), table.entry(sigma.bit_count() - r, sigma)
+        if dual != quotient:
+            out.append(
+                {"check": "extremal-duality", "r": r, "sigma": g.label_set(sigma), "dual": dual, "quotient": quotient}
+            )
+    return out
 
 
 def _assert_t62(g, field, caps, ctx):
-    """One row per pd/reg pair that does not swap."""
+    """One row per pd/reg pair that does not swap: reg(I(G)*) = pd(S/I(G))
+    and pd(I(G)*) = reg(S/I(G))."""
     if g.edge_count() == 0:
         return []
-    report = compare_eagon_reiner(ctx.cover_table(field), ctx.table(field))
-    return [{"check": "dual-pd-reg-swap", **c} for c in report.comparisons if c["left"] != c["right"]]
+    cover, table = ctx.cover_table(field), ctx.table(field)
+    pairs = (
+        ("reg(dual)", cover.reg(), "pd(quotient)", table.pd()),
+        ("pd(dual)", cover.pd(), "reg(quotient)", table.reg()),
+    )
+    return [
+        {"check": "dual-pd-reg-swap", "lhs": lhs, "left": left, "rhs": rhs, "right": right}
+        for lhs, left, rhs, right in pairs
+        if left != right
+    ]
 
 
 def _reduction(g: SimpleGraph):
@@ -610,7 +618,8 @@ class Campaign:
 
     ``graphs`` is a catalog spec object (see ``catalog.generate_catalog``);
     ``fields`` and ``assertions`` are non-empty lists of field names and
-    registry tags (an empty one would check nothing and pass); ``caps`` may
+    registry tags (an empty one would check nothing and pass), each naming
+    a field or tag once (a repeat would only repeat rows); ``caps`` may
     set the integers ``max_n`` (vertex cap, default ``CAMPAIGN_CAP``, at least 1),
     ``family_size`` (most blocks in a T1.1 family, default 2, at least 1)
     and ``block_vertices`` (most vertices in a T1.1 block, default 5, at
@@ -627,15 +636,17 @@ class Campaign:
         if not isinstance(graphs, dict):
             raise ValueError(f"campaign 'graphs' must be a catalog spec object, got {graphs!r}")
         self.graphs = graphs
-        if not isinstance(fields, (list, tuple)) or not all(
-            isinstance(f, (str, FieldSpec)) for f in fields
-        ):
+        if not isinstance(fields, (list, tuple)) or not all(isinstance(f, str) for f in fields):
             raise ValueError(f"campaign 'fields' must be a list of field names, got {fields!r}")
         if not fields:
             raise ValueError("campaign 'fields' must name at least one field")
-        self.fields = [f if isinstance(f, str) else repr(f) for f in fields]
-        for f in self.fields:
-            FieldSpec.parse(f)
+        seen: dict = {}
+        for f in fields:
+            spec = FieldSpec.parse(f)
+            if spec in seen:
+                raise ValueError(f"campaign 'fields' names {spec!r} twice: {seen[spec]!r} and {f!r}")
+            seen[spec] = f
+        self.fields = list(fields)
         if caps is None:
             caps = {}
         if not isinstance(caps, dict):
@@ -654,6 +665,9 @@ class Campaign:
         unknown = [a for a in assertions if a not in REGISTRY]
         if unknown:
             raise ValueError(f"unknown assertion tags: {unknown}")
+        repeated = sorted({a for a in assertions if assertions.count(a) > 1})
+        if repeated:
+            raise ValueError(f"campaign 'assertions' repeat tags: {repeated}")
         self.assertions = list(assertions)
         if not _is_int(seed):
             raise ValueError(f"campaign 'seed' must be an integer, got {seed!r}")
@@ -778,9 +792,10 @@ def _run_graphs(campaign: Campaign, timing: bool, graphs):
 def run_campaign(campaign: Campaign, workers: int = 1, timing: bool = False) -> Report:
     """Evaluate every assertion on every graph over every field.
 
-    Fewer than one worker is a ValueError.  Sizes a catalog names
-    (``catalog.catalog_sizes``) are checked against ``caps.max_n`` before its
-    graphs are generated; other catalogs are checked once built.  w workers
+    Fewer than one worker is a ValueError, and so is a catalog that holds
+    no graph (the campaign would check nothing and pass).  Sizes a catalog
+    names (``catalog.catalog_sizes``) are checked against ``caps.max_n``
+    before its graphs are generated; other catalogs are checked once built.  w workers
     deal the graphs into strided shares (cost grows along a catalog), one
     process and one certificate memo each, and rows return in catalog order.
     """
@@ -794,6 +809,8 @@ def run_campaign(campaign: Campaign, workers: int = 1, timing: bool = False) -> 
             "raise caps.max_n explicitly"
         )
     catalog = generate_catalog(campaign.graphs)
+    if not catalog:
+        raise ValueError("the campaign's catalog holds no graph, so it would check nothing and pass")
     oversized = [(gid, g.n) for gid, g in catalog if g.n > cap_n]
     if oversized:
         raise ValueError(

@@ -324,6 +324,8 @@ def _poset_covers(p):
 
 
 def cmd_cm(args) -> int:
+    from collections import Counter
+
     from .cm_bipartite import extract_family, free_bases, hg_generators, maximal_boolean_bases
     from .errors import NoLabelingError
     from .graphs import bit_list
@@ -356,10 +358,8 @@ def cmd_cm(args) -> int:
     for gen in hg.generators:
         print(f"  {gen.pretty(hg.variables)}")
     print("free basis counts by homological degree:")
-    for i in range(p.n + 1):
-        cnt = len(free_bases(p, i))
-        if cnt:
-            print(f"  i={i}: {cnt}")
+    for i, cnt in sorted(Counter(b.i for b in free_bases(p)).items()):
+        print(f"  i={i}: {cnt}")
     print("maximal Boolean bases and extracted families:")
     maximal = maximal_boolean_bases(p)
     for basis in maximal:

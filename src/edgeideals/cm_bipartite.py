@@ -187,7 +187,7 @@ class FreeBasis:
         )
 
 
-def free_bases(p: Poset, i: int | None = None) -> list[FreeBasis]:
+def free_bases(p: Poset) -> list[FreeBasis]:
     full = (1 << p.n) - 1
     out = []
     for ideal in p.ideals():
@@ -195,8 +195,7 @@ def free_bases(p: Poset, i: int | None = None) -> list[FreeBasis]:
         rest = full & ~ideal
         sub = m
         while True:
-            if i is None or sub.bit_count() == i:
-                out.append(FreeBasis(p.n, ideal, rest | sub))
+            out.append(FreeBasis(p.n, ideal, rest | sub))
             if sub == 0:
                 break
             sub = (sub - 1) & m

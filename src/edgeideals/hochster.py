@@ -490,20 +490,6 @@ def graph_betti_table(g: SimpleGraph, field: FieldSpec = GF2, **kw) -> BettiTabl
     return betti_table(edge_ideal(g), field=field, **kw)
 
 
-class DualityReport:
-    """Outcome of a pointwise duality verification."""
-
-    __slots__ = ("ok", "comparisons")
-
-    def __init__(self, ok, comparisons):
-        self.ok = ok
-        self.comparisons = comparisons
-
-    def __repr__(self):
-        status = "ok" if self.ok else "FAILED"
-        return f"DualityReport({status}, {len(self.comparisons)} comparisons)"
-
-
 def cover_betti_table(g: SimpleGraph, quotient: BettiTable) -> BettiTable:
     """Betti table of the cover ideal I(G)* itself (subject "ideal"), read off
     ``quotient``, the table of S/I(G), over the field of that table.
@@ -543,27 +529,3 @@ def cover_betti_table(g: SimpleGraph, quotient: BettiTable) -> BettiTable:
     found.sort(key=lambda e: (e[0], -e[1]))
     return BettiTable("ideal", quotient.field, quotient.variables, {(i, s): v for s, i, v in found})
 
-
-def compare_bcp(dual_table: BettiTable, quot_table: BettiTable) -> DualityReport:
-    """For every extremal entry (r, sigma) of the cover-ideal table,
-    beta_{r,sigma}(I(G)*) must equal beta_{|sigma|-r,sigma}(S/I(G))."""
-    comparisons = []
-    ok = True
-    for r, sigma in dual_table.extremal():
-        left = dual_table.entry(r, sigma)
-        right = quot_table.entry(sigma.bit_count() - r, sigma)
-        comparisons.append(
-            {"r": r, "sigma": bit_list(sigma), "dual": left, "quotient": right}
-        )
-        ok = ok and left == right
-    return DualityReport(ok, comparisons)
-
-
-def compare_eagon_reiner(dual_table: BettiTable, quot_table: BettiTable) -> DualityReport:
-    """reg(I(G)*) = pd(S/I(G)) and pd(I(G)*) = reg(S/I(G))."""
-    comparisons = [
-        {"lhs": "reg(dual)", "left": dual_table.reg(), "rhs": "pd(quotient)", "right": quot_table.pd()},
-        {"lhs": "pd(dual)", "left": dual_table.pd(), "rhs": "reg(quotient)", "right": quot_table.reg()},
-    ]
-    ok = all(c["left"] == c["right"] for c in comparisons)
-    return DualityReport(ok, comparisons)

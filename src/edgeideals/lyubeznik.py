@@ -18,8 +18,9 @@ Admissibility and the strand tables work on the ideal's polarized generator
 masks (``MonomialIdeal.masks``): m_q divides an lcm exactly when its mask is
 inside the OR of the members' masks, and a boundary term has a unit cofactor
 exactly when dropping that member leaves the OR unchanged.  The public
-degrees and cofactors of ``symbol_degree``, ``taylor_boundary`` and the
-certificates stay ``Monomial``s.
+degrees and cofactors of ``symbol_degree``, ``taylor_boundary``,
+``check_cycle_certificate`` and ``barile_certificate`` stay ``Monomial``s;
+the memo of ``main_theorem_certificate`` keeps degree masks.
 
 Each symbol costs time linear in its length:
 
@@ -258,17 +259,8 @@ class Cycle:
     def s(self) -> int:
         return len(self.leading)
 
-    def scaled_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items())
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"indices": list(k), "coefficient": v, "leading": k == self.leading}
-            for k, v in self.scaled_terms()
-        ]
-
     def __repr__(self):
-        body = " + ".join(f"{v}*e{list(k)}" for k, v in self.scaled_terms())
+        body = " + ".join(f"{v}*e{list(k)}" for k, v in sorted(self.terms.items()))
         return f"Cycle({body}; leading=e{list(self.leading)})"
 
 
@@ -403,8 +395,8 @@ def _block_order_certificate(shapes, rows, memo: dict):
     admissible among its generator supports, on the masks alone: by the
     edge-join lemma of the module docstring, the pair (i, j), i < j, is
     admissible exactly when edge j misses the vertices that edges before i
-    join to the ends of edge i (``_maximal_edge_symbol``).  No ideal is
-    built; only the result's degree is a ``Monomial``.
+    join to the ends of edge i (``_maximal_edge_symbol``).  No ideal and
+    no ``Monomial`` is built: the result is (s, degree mask), or None.
     """
     supports: list[int] = []
     leading: list[int] = []
@@ -434,7 +426,7 @@ def _block_order_certificate(shapes, rows, memo: dict):
     degree = _maximal_edge_symbol(supports, leading)
     if degree is None:
         return None
-    return len(leading), Monomial.from_support(degree, len(rows))
+    return len(leading), degree
 
 
 def _maximal_edge_symbol(supports, leading):
@@ -494,9 +486,10 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | N
     adjacency of G[sigma], so memo, a dict the caller owns, keeps its result
     under the key (shapes, rows), rows[i] being the mask, over these
     positions, of the i-th vertex's neighbours inside sigma: an (s, degree)
-    pair, or None.  The same memo keeps the verdict of each block shape
-    under (m, n): the leading symbol of ``bipartite_cycle(m, n)`` when that
-    cycle passes ``_cycle_cancels``, else None.  No key names the
+    pair, degree being the position mask of the leading symbol's lcm, or
+    None.  The same memo keeps the verdict of each block shape under
+    (m, n): the leading symbol of ``bipartite_cycle(m, n)`` when that cycle
+    passes ``_cycle_cancels``, else None.  No key names the
     graph, its labels or the field, so one memo serves every graph and
     field; campaigns keep one per ``run_campaign`` call and other callers
     pass none, so every part of the check runs, ``taylor_boundary``
@@ -544,7 +537,7 @@ def main_theorem_certificate(g: SimpleGraph, fam: DisjointFamily, memo: dict | N
     if res is None:
         raise RuntimeError("certificate construction failed; theorem hypothesis violated")
     s, degree = res
-    if s != len(order) - len(shapes) or degree.support() != (1 << len(order)) - 1:
+    if s != len(order) - len(shapes) or degree != (1 << len(order)) - 1:
         raise RuntimeError("certificate landed in an unexpected strand")
     return s, sigma
 

@@ -310,14 +310,13 @@ def _dual_scores(red: AcyclicReduction):
 class UnmixedWitness:
     """Chosen maximizer of the weighted dual-table formula plus its lift."""
 
-    __slots__ = ("value", "family", "entry", "maximizers", "reduction")
+    __slots__ = ("value", "family", "entry", "maximizers")
 
-    def __init__(self, value, family, entry, maximizers, reduction):
+    def __init__(self, value, family, entry, maximizers):
         self.value = value
         self.family = family
         self.entry = entry
         self.maximizers = maximizers
-        self.reduction = reduction
 
     def __repr__(self):
         r, s = self.entry
@@ -380,4 +379,4 @@ def _witness(red: AcyclicReduction, scored) -> UnmixedWitness:
     fam = lift_family(red, extract_family(red.ghat, extremal[r, s], maximal))
     if fam.value != best:
         raise RuntimeError("lifted family value mismatch")
-    return UnmixedWitness(best, fam, (r, s), maximizers, red)
+    return UnmixedWitness(best, fam, (r, s), maximizers)

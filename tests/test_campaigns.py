@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import gc
+import hashlib
 import json
 import random
 from collections import Counter
@@ -25,7 +26,7 @@ from edgeideals.campaigns import (
 )
 from edgeideals.catalog import generate_catalog, graphs_on
 from edgeideals.graphs import SimpleGraph, iter_bits, path_graph
-from edgeideals.hochster import BettiTable, compare_bcp, compare_eagon_reiner, cover_betti_table, graph_betti_table
+from edgeideals.hochster import BettiTable, cover_betti_table, graph_betti_table
 from edgeideals.ideals import Monomial, MonomialIdeal
 from edgeideals.linalg import FieldSpec
 from edgeideals.lyubeznik import (
@@ -310,7 +311,8 @@ def shape_entries(memo):
 
 def product_cycle_check(shapes, rows, check=check_cycle_certificate):
     """The full cycle check of the key (shapes, rows): the product of the
-    blocks' threshold cycles on the ideal of ``block_order_supports``."""
+    blocks' threshold cycles on the ideal of ``block_order_supports``, as
+    the memo keeps it: (s, degree mask), or None."""
     supports, counts = block_order_supports(shapes, rows)
     nvars = len(rows)
     ideal = MonomialIdeal(
@@ -318,7 +320,8 @@ def product_cycle_check(shapes, rows, check=check_cycle_certificate):
         [Monomial.from_support(s, nvars) for s in supports],
     )
     cycle = product_cycle([(k, bipartite_cycle(m, n)[1]) for (m, n), k in zip(shapes, counts)])
-    return check(ideal, cycle)
+    res = check(ideal, cycle)
+    return None if res is None else (res[0], res[1].support())
 
 
 def test_certificate_memo_never_changes_a_verdict():
@@ -452,7 +455,7 @@ def certifies(key, memo):
     if key not in memo:
         shapes, rows = key
         res = _block_order_certificate(shapes, rows, {})
-        memo[key] = res is not None and res[0] == len(rows) - len(shapes) and res[1].support() == (1 << len(rows)) - 1
+        memo[key] = res is not None and res[0] == len(rows) - len(shapes) and res[1] == (1 << len(rows)) - 1
     return memo[key]
 
 
@@ -636,11 +639,16 @@ def test_duality_tags_on_shared_tables_match_fresh_verification():
                 continue
             quotient = graph_betti_table(g, field)
             cover = cover_betti_table(g, quotient)
-            for tag, compare in (("T6.1", compare_bcp), ("T6.2", compare_eagon_reiner)):
-                fresh = compare(cover, quotient)
-                assert rows[(gid, fname, tag)]["status"] == ("ok" if fresh.ok else "violation")
-                shared = compare(ctx.cover_table(field), ctx.table(field))
-                assert shared.comparisons == fresh.comparisons
+            # the shared tables are the fresh ones
+            for shared, fresh in ((ctx.table(field), quotient), (ctx.cover_table(field), cover)):
+                assert (shared.subject, shared.field, shared.variables) == (fresh.subject, fresh.field, fresh.variables)
+                assert list(shared.entries.items()) == list(fresh.entries.items())
+            bcp = all(
+                cover.entry(r, sigma) == quotient.entry(sigma.bit_count() - r, sigma) for r, sigma in cover.extremal()
+            )
+            eagon_reiner = (cover.reg(), cover.pd()) == (quotient.pd(), quotient.reg())
+            for tag, holds in (("T6.1", bcp), ("T6.2", eagon_reiner)):
+                assert rows[(gid, fname, tag)]["status"] == ("ok" if holds else "violation")
 
 
 def test_duality_violation_rows_name_what_differs(monkeypatch):
@@ -979,3 +987,58 @@ def test_n8_slice_campaign_runs_every_tag_with_no_violation(monkeypatch):
     assert set(campaign.assertions) == EXPECTED_TAGS and len(campaign.graphs["files"]) == 13
     report = run_campaign(campaign, workers=1)
     assert report.summary() == {"ok": 99, "violation": 0, "skipped": 109}
+
+
+# sha256 of json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n" for
+# each checked-in campaign at one worker: a change meant to keep reports
+# byte-identical must leave these as they are
+REPORT_DIGESTS = {
+    "smoke": "3205f830499bbf3f794bd3d87b922ea662127e27b821f99ef8f280dbe9166860",
+    "n8_slice": "a1b1b36fba30a2361577cc947c8b9541cf6b1793af6b16e4ea1e93ed9349b09c",
+    "unmixed_blowups": "e73caf7be70ee74d7aed1c5977f5d579b6499084faefa4d6d3babba41ad74e16",
+    "ferrers": "27f952f44b3fbab77bdb780d28cba15a8c258bccbf12f411f6cf0e3acbcb09b2",
+    "cm_posets": "dfb7dfb807a2b5f1d7c4d75a5c256d56b528a173143fd276aeb089bf1059745b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_checked_in_campaign_reports_keep_their_bytes(monkeypatch, name):
+    # the n = 8 slice names its graph files by paths from the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    report = run_campaign(Campaign.load(f"tests/data/{name}_campaign.json"), workers=1)
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"class": "named", "names": []},
+        {"class": "files", "files": []},
+        {"class": "ferrers", "max_rows": 0},
+        {"class": "cm_posets", "max_elements": 0},
+        {"class": "all", "max_n": 0},
+    ],
+)
+def test_a_catalog_with_no_graph_is_refused(spec):
+    # generate_catalog may return no graph, but a campaign over it would check nothing and pass
+    assert generate_catalog(spec) == []
+    with pytest.raises(ValueError, match="^the campaign's catalog holds no graph") as exc:
+        run_campaign(Campaign("empty", spec, ["gf2"], ["T2.2"]), workers=1)
+    assert "\n" not in str(exc.value)
+
+
+def test_a_field_named_twice_is_refused():
+    # "GF2" parses to the same field as "gf2", so its rows would repeat
+    with pytest.raises(ValueError, match="^campaign 'fields' names gf2 twice: 'gf2' and 'GF2'$"):
+        small_campaign(fields=["gf2", "GF2", "gf2"])
+    with pytest.raises(ValueError, match="names rat twice"):
+        small_campaign(fields=["rat", "gf3", "q"])
+    assert small_campaign(fields=["gf2", "gf3", "rat"]).fields == ["gf2", "gf3", "rat"]
+
+
+def test_a_repeated_tag_is_refused():
+    with pytest.raises(ValueError, match=r"^campaign 'assertions' repeat tags: \['T2\.2'\]$"):
+        small_campaign(assertions=["T2.2", "P5.1", "T2.2"])
+    with pytest.raises(ValueError, match=r"repeat tags: \['P5\.1', 'T2\.2'\]"):
+        small_campaign(assertions=["T2.2", "P5.1", "T2.2", "P5.1"])

@@ -312,6 +312,26 @@ def test_unmixed_analyze_builds_only_the_graph_table(capsys, monkeypatch):
     assert seen == [edge_ideal(g)]
 
 
+def test_cm_analyze_counts_the_free_bases_of_each_degree(capsys, tmp_path):
+    from collections import Counter
+
+    from edgeideals.catalog import cm_poset_graphs
+    from edgeideals.cm_bipartite import free_bases
+    from edgeideals.unmixed import acyclic_reduction
+
+    graphs = cm_poset_graphs(4)
+    for k, g in enumerate(graphs):
+        path = tmp_path / f"g{k}.json"
+        path.write_text(json.dumps(g.to_json()))
+        rc, out, _ = run(capsys, "cm", "analyze", str(path))
+        assert rc == 0
+        lines = out.split("free basis counts by homological degree:\n", 1)[1]
+        lines = lines.split("maximal Boolean bases and extracted families:\n", 1)[0]
+        counts = sorted(Counter(b.i for b in free_bases(acyclic_reduction(g).poset)).items())
+        assert lines == "".join(f"  i={i}: {cnt}\n" for i, cnt in counts)
+    assert len(graphs) == 19
+
+
 def test_verify_roundtrip(capsys, tmp_path):
     spec = {
         "name": "cli-smoke",
