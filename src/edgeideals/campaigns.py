@@ -53,20 +53,17 @@ class _Ctx:
     per field.
 
     Everything else an assertion needs is combinatorial and field-free, so it
-    is built once, on first use, and read by every field: T1.1's valid
-    families with their certificate verdicts, the star families that T2.4
-    and T2.5 share (with T2.5's verdicts), P5.1's complement component
-    counts, T5.8's induced complete bipartite subsets, C5.2's
-    ``witness_for`` results, the graph-class tests, the closed-form values,
-    the maximal witness, and one acyclic reduction (None when G is not
-    unmixed bipartite).  P6.6, C6.7, C6.8, P7.2 and T7.1 all read that
-    reduction: G is CM when ``is_cm`` (every class one column), P6.6's
-    families (``basis_families``) are extracted in ghat and lifted, C6.8's
-    closed form is its number of poset elements, and P7.2 and T7.1 share its
-    weighted scores (``reduced_scores``).  The scores are field-free: they
-    are read off the reduction poset's free bases, whose dual Betti entries
-    are 1 over every field.  Each assertion then only reads its field's
-    table, and emits its rows in the order of a fresh walk.
+    goes through one memo, ``of(fn, *args)``: ``fn(G, *args)`` is built on
+    first use and read by every field.  That covers T1.1's valid families,
+    the star families that T2.4 and T2.5 share, C5.2's ``witness_for``
+    results, the graph-class tests, the closed-form values, the maximal
+    witness, and one acyclic reduction (None when G is not unmixed
+    bipartite).  The reduction's own field-free products are kept beside it:
+    P6.6's families (``basis_families``), extracted in ghat and lifted, and
+    the weighted dual maximizer with its lifted family (``unmixed_witness``),
+    whose value P7.2 compares and whose family T7.1 checks.  Each assertion
+    then only reads its field's table, and emits its rows in the order of a
+    fresh walk.
 
     Certificate verdicts are kept per graph too: ``certified`` checks each
     distinct family (its blocks in order, each with its representative) once,
@@ -95,6 +92,10 @@ class _Ctx:
             self._cache[key] = build()
         return self._cache[key]
 
+    def of(self, fn, *args):
+        """fn(G, *args), computed once per graph; fn must not read a field."""
+        return self._once((fn, *args), lambda: fn(self.g, *args))
+
     def table(self, field: FieldSpec):
         # a graph under the campaign's caps.max_n may exceed the library's table cap
         return self._once(
@@ -108,58 +109,34 @@ class _Ctx:
     def basis_families(self):
         return self._once("basis families", lambda: _basis_families(self.of(_reduction)))
 
-    def reduced_scores(self):
-        return self._once("reduced", lambda: _dual_scores(self.of(_reduction)))
+    def unmixed_witness(self):
+        """``_witness`` on the reduction's weighted dual scores; G must be
+        unmixed bipartite."""
+
+        def build():
+            red = self.of(_reduction)
+            return _witness(red, _dual_scores(red))
+
+        return self._once("unmixed witness", build)
 
     def is_cm(self) -> bool:
         red = self.of(_reduction)
         return red is not None and red.is_cm
-
-    def of(self, fn):
-        """fn(G), computed once per graph; fn must not read a field."""
-        return self._once(fn, lambda: fn(self.g))
-
-    def witness(self, i: int, sigma: int):
-        return self._once(("witness", i, sigma), lambda: witness_for(self.g, i, sigma))
 
     def certified(self, fam: DisjointFamily):
         """``_certified(G, fam, certificates)``, run once per ordered family.
 
         A family is its blocks in order, each with its representative; the
         verdict reads nothing else, so a repeat would be the same call on the
-        same input.  A family without representatives is checked every time.
+        same input.  ``fam`` must carry its representatives, as every family
+        a campaign certifies does.
         """
-        if fam.representatives is None:
-            return _certified(self.g, fam, self.certificates)
         # one flat tuple, (left, right, u, v) per block: a graph's contexts
         # keep one key per family, and nested tuples would tax the collector
         key = ["certified"]
         for b, (u, v) in zip(fam.blocks, fam.representatives):
             key += (b.left, b.right, u, v)
         return self._once(tuple(key), lambda: _certified(self.g, fam, self.certificates))
-
-    def families(self, max_vertices: int, max_r: int):
-        """T1.1's valid families as (|sigma| - r, sigma, family, ok, error),
-        in search order."""
-
-        def build():
-            blocks = all_blocks(self.g, max_vertices=max_vertices)
-            return [
-                (i, sigma, fam, *self.certified(fam))
-                for i, sigma, fam in _valid_families(self.g, blocks, max_r)
-            ]
-
-        return self._once(("families", max_vertices, max_r), build)
-
-    def bouquet_certificates(self):
-        """``_bouquets(G)`` with each family's certificate verdict (ok, error)."""
-        return self._once(
-            "bouquet_certificates",
-            lambda: [
-                (sigma, fam, *self.certified(fam))
-                for sigma, fam in self.of(_bouquets)
-            ],
-        )
 
 
 def _subsets_down(g: SimpleGraph):
@@ -198,16 +175,17 @@ def _certified(g, fam, memo=None):
     return True, ""
 
 
-def _valid_families(g: SimpleGraph, blocks, max_r: int) -> list[tuple[int, int, DisjointFamily]]:
+def _valid_families(g: SimpleGraph, max_vertices: int, max_r: int) -> list[tuple[int, int, DisjointFamily]]:
     """(|sigma| - r, sigma, family) for every valid family of up to max_r
-    index-increasing, pairwise vertex-disjoint blocks, with representatives,
-    in depth-first preorder.
+    index-increasing, pairwise vertex-disjoint blocks of at most max_vertices
+    vertices (``all_blocks``), with representatives, in depth-first preorder.
 
     Each family carries its representative assignments, one per union of
     closed neighbourhoods (``witness._extend``), built from its parent's; a
     block joins exactly when it extends one of them, so a family with none
     is never reached.  A family that is not extended needs only its first.
     """
+    blocks = all_blocks(g, max_vertices=max_vertices)
     verts = [b.vertices for b in blocks]
     out: list[tuple[int, int, DisjointFamily]] = []
     # one frame per family being extended: (block indices still to try,
@@ -238,7 +216,8 @@ def _assert_t11(g, field, caps, ctx):
     certified by an explicit resolution cycle."""
     table = ctx.table(field)
     out = []
-    for i, sigma, fam, ok, err in ctx.families(caps.get("block_vertices", 5), caps.get("family_size", 2)):
+    for i, sigma, fam in ctx.of(_valid_families, caps.get("block_vertices", 5), caps.get("family_size", 2)):
+        ok, err = ctx.certified(fam)
         beta = table.entry(i, sigma)
         if beta < 1:
             out.append(
@@ -324,7 +303,8 @@ def _assert_t25(g, field, caps, ctx):
     entries and carry resolution certificates."""
     table = ctx.table(field)
     out = []
-    for sigma, fam, ok, err in ctx.bouquet_certificates():
+    for sigma, fam in ctx.of(_bouquets):
+        ok, err = ctx.certified(fam)
         beta = table.entry(fam.value, fam.sigma)
         if beta < 1:
             out.append(
@@ -376,7 +356,7 @@ def _assert_c52(g, field, caps, ctx):
                 {"check": "linear-table", "i": i, "sigma": g.label_set(s), "beta": v}
             )
             continue
-        fam = ctx.witness(i, s)
+        fam = ctx.of(witness_for, i, s)
         if fam is None or fam.r != 1:
             out.append({"check": "spanning-block", "i": i, "sigma": g.label_set(s)})
     return out
@@ -548,7 +528,7 @@ def _assert_p72(g, field, caps, ctx):
     if ctx.of(_reduction) is None:
         return None
     table = ctx.table(field)
-    closed = max(v for v, _, _ in ctx.reduced_scores())
+    closed = ctx.unmixed_witness().value
     if closed != table.pd():
         return [{"check": "pd-formula", "closed": closed, "table": table.pd()}]
     return []
@@ -561,7 +541,7 @@ def _assert_t71(g, field, caps, ctx):
         return None
     table = ctx.table(field)
     out = []
-    w = _witness(ctx.of(_reduction), ctx.reduced_scores())
+    w = ctx.unmixed_witness()
     if w.value != table.pd():
         out.append({"check": "pd-equality", "witness": w.value, "table": table.pd()})
     if not is_valid_family(g, w.family):

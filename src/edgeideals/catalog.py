@@ -151,15 +151,23 @@ _NAMED = {
 }
 
 
+def _sizes(name: str, parts: list[str]) -> list[int]:
+    """The integer sizes of a named graph; any other part names no graph."""
+    try:
+        return [int(x) for x in parts]
+    except ValueError:
+        raise ValueError(f"unknown named graph: {name!r}") from None
+
+
 def named_graph(name: str) -> SimpleGraph:
     """path_N, cycle_N, complete_N, complete_bipartite_M_N, ferrers_a_b_c."""
     parts = name.split("_")
     if parts[0] == "complete" and len(parts) == 4 and parts[1] == "bipartite":
-        return complete_bipartite_graph(int(parts[2]), int(parts[3]))
+        return complete_bipartite_graph(*_sizes(name, parts[2:]))
     if parts[0] == "ferrers":
-        return ferrers_graph(tuple(int(x) for x in parts[1:]))
+        return ferrers_graph(tuple(_sizes(name, parts[1:])))
     if parts[0] in _NAMED and len(parts) == 2:
-        return _NAMED[parts[0]](int(parts[1]))
+        return _NAMED[parts[0]](*_sizes(name, parts[1:]))
     raise ValueError(f"unknown named graph: {name!r}")
 
 
@@ -200,9 +208,14 @@ def _built_args(spec: dict) -> list[int]:
 
 
 def _spec_strings(spec: dict, key: str) -> list[str]:
+    """spec[key] as a list of distinct strings; a repeat would only repeat
+    a graph id and its rows."""
     value = spec.get(key)
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ValueError(f"catalog {key!r} must be a list of strings, got {value!r}")
+    for i, x in enumerate(value):
+        if x in value[:i]:
+            raise ValueError(f"catalog {key!r} repeats {x!r}")
     return value
 
 
@@ -225,6 +238,8 @@ def catalog_sizes(spec: dict) -> list[int] | None:
         return list(range(2, rows + cols + 1)) if rows and cols else []
     if cls not in _SIZED_CLASSES:
         return None
+    if "n" in spec and "max_n" in spec:
+        raise ValueError(f"catalog class {cls!r} takes 'n' or 'max_n', not both")
     if "n" in spec:
         return [_spec_int(spec, "n")]
     if "max_n" in spec:

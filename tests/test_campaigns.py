@@ -348,7 +348,7 @@ def test_block_order_certificate_matches_the_sigma_order_construction():
     reference: dict = {}
     for _, g in generate_catalog({"class": "all", "max_n": 6}):
         ctx = _Ctx(g, {})
-        families = [fam for _, _, fam, _, _ in ctx.families(5, 2)]
+        families = [fam for _, _, fam in ctx.of(_valid_families, 5, 2)]
         families += [fam for _, fam in _bouquets(g)]
         for fam in families:
             assert _certified(g, fam, ctx.certificates)[0] == sigma_order_certificate(g, fam, reference)[0]
@@ -365,7 +365,7 @@ def test_relabelled_copies_share_certificate_memo_entries():
     memo, reference = {}, {}
 
     def certify_families(graph):
-        for _, _, fam in _valid_families(graph, all_blocks(graph, max_vertices=5), 2):
+        for _, _, fam in _valid_families(graph, 5, 2):
             assert _certified(graph, fam, memo) == (True, "")
             assert sigma_order_certificate(graph, fam, reference)[0]
 
@@ -546,7 +546,8 @@ def test_t11_keys_on_nine_vertex_graphs_match_the_product_cycle_check():
     for _ in range(30):
         g = SimpleGraph(9, [(u, v) for u, v in combinations(range(9), 2) if rng.random() < 0.5])
         ctx = _Ctx(g, {})
-        ctx.families(5, 2)
+        for _, _, fam in ctx.of(_valid_families, 5, 2):
+            ctx.certified(fam)
         keys.update(verdicts(ctx.certificates))
     for (shapes, rows), result in keys.items():
         assert product_cycle_check(shapes, rows) == result
@@ -712,7 +713,7 @@ def test_valid_families_are_the_valid_disjoint_families():
     for _, g in generate_catalog({"class": "all", "max_n": 6}):
         for max_vertices, max_r in ((3, 3), (5, 2), (6, 1)):
             blocks = all_blocks(g, max_vertices=max_vertices)
-            got = _valid_families(g, blocks, max_r)
+            got = _valid_families(g, max_vertices, max_r)
             want = [fam for fam in disjoint_families(blocks, max_r) if is_valid_family(g, DisjointFamily(fam))]
             assert [fam.blocks for _, _, fam in got] == want
             for i, sigma, fam in got:
@@ -758,7 +759,7 @@ def test_field_free_results_belong_to_one_graph():
 
 
 def test_field_free_work_runs_once_per_graph(monkeypatch):
-    calls = {"bouquet_family": 0, "witness_for": 0, "main_theorem_certificate": 0}
+    calls = {"bouquet_family": 0, "witness_for": 0, "main_theorem_certificate": 0, "_witness": 0}
 
     def counted(name):
         original = getattr(campaigns, name)
@@ -771,20 +772,25 @@ def test_field_free_work_runs_once_per_graph(monkeypatch):
 
     for name in calls:
         counted(name)
-    def run(fields):
+    def run(fields, names, tags):
         for name in calls:
             calls[name] = 0
-        c = Campaign("k23", {"class": "named", "names": ["complete_bipartite_2_3"]},
-                     fields, ["T1.1", "T2.4", "T2.5", "C5.2"])
+        c = Campaign("once", {"class": "named", "names": names}, fields, tags)
         report = run_campaign(c, workers=1)
-        assert report.ok and len(report.results) == len(fields) * 4
+        assert report.ok and len(report.results) == len(fields) * len(names) * len(tags)
         return dict(calls)
 
-    three = run(["gf2", "gf3", "rat"])
+    k23 = (["complete_bipartite_2_3"], ["T1.1", "T2.4", "T2.5", "C5.2"])
+    three = run(["gf2", "gf3", "rat"], *k23)
     # one walk over the 31 nonempty subsets serves T2.4 and T2.5 on all fields
     assert three["bouquet_family"] == 31
     assert three["witness_for"] > 0 and three["main_theorem_certificate"] > 0
-    assert three == run(["gf2"])
+    assert three == run(["gf2"], *k23)
+    # P7.2 and T7.1 read one lifted witness per unmixed graph
+    unmixed = (["cycle_4", "path_4", "complete_bipartite_3_3"], ["P7.2", "T7.1"])
+    three = run(["gf2", "gf3", "rat"], *unmixed)
+    assert three["_witness"] == 3 and three["main_theorem_certificate"] > 0
+    assert three == run(["gf2"], *unmixed)
 
 
 def spy_contexts(monkeypatch):

@@ -184,6 +184,11 @@ def test_named_graphs():
         named_graph("petersen")
     with pytest.raises(ValueError):
         named_graph("ferrers_1_2")
+    # a size that is not an integer names no graph
+    for name in ("complete_bipartite_a_b", "path_x", "cycle_", "ferrers_2_a"):
+        with pytest.raises(ValueError) as exc:
+            named_graph(name)
+        assert str(exc.value) == f"unknown named graph: {name!r}"
 
 
 def test_generate_catalog_ids_and_errors():
@@ -204,6 +209,31 @@ def test_generate_catalog_ids_and_errors():
         generate_catalog({"class": "all"})
     with pytest.raises(ValueError):
         generate_catalog({"class": "mystery", "max_n": 3})
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"class": "named", "names": ["path_5", "cycle_4", "path_5"]}, "catalog 'names' repeats 'path_5'"),
+        # refused before any file is read
+        ({"class": "files", "files": ["g.json", "g.json"]}, "catalog 'files' repeats 'g.json'"),
+    ],
+)
+def test_a_repeated_catalog_entry_is_refused(spec, message):
+    # a repeat would give two rows under one graph id
+    with pytest.raises(ValueError) as exc:
+        generate_catalog(spec)
+    assert str(exc.value) == message
+
+
+def test_a_sized_spec_with_both_n_and_max_n_is_refused():
+    # one of the two would be dropped without a word
+    for cls in ("all", "connected", "chordal", "cochordal"):
+        spec = {"class": cls, "n": 3, "max_n": 2}
+        for build in (generate_catalog, catalog.catalog_sizes):
+            with pytest.raises(ValueError) as exc:
+                build(spec)
+            assert str(exc.value) == f"catalog class {cls!r} takes 'n' or 'max_n', not both"
 
 
 def test_generate_catalog_files(tmp_path):

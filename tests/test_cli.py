@@ -532,6 +532,23 @@ def test_malformed_catalog_specs_fail_in_one_line(capsys, tmp_path, graphs):
     assert msg.startswith("edgeideals: error: ") and "\n" not in msg
 
 
+@pytest.mark.parametrize(
+    "graphs, message",
+    [
+        ({"class": "named", "names": ["path_5", "path_5"]}, "catalog 'names' repeats 'path_5'"),
+        ({"class": "all", "n": 3, "max_n": 2}, "catalog class 'all' takes 'n' or 'max_n', not both"),
+        ({"class": "named", "names": ["complete_bipartite_a_b"]}, "unknown named graph: 'complete_bipartite_a_b'"),
+    ],
+)
+def test_catalog_refusals_name_the_entry_before_any_report(capsys, tmp_path, graphs, message):
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"graphs": graphs, "assertions": ["T2.2"]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(campaign)])
+    assert str(exc.value) == f"edgeideals: error: {message}"
+    assert capsys.readouterr().out == ""
+
+
 def bad_graph_file(tmp_path, kind):
     """A path that SimpleGraph.load cannot read or parse, and the error class it raises."""
     if kind == "directory":
