@@ -160,15 +160,23 @@ def _sizes(name: str, parts: list[str]) -> list[int]:
 
 
 def named_graph(name: str) -> SimpleGraph:
-    """path_N, cycle_N, complete_N, complete_bipartite_M_N, ferrers_a_b_c."""
+    """path_N, cycle_N, complete_N, complete_bipartite_M_N, ferrers_a_b_c.
+
+    A name of one of these families whose sizes build no graph raises a
+    ValueError that names it, with the builder's error as its cause."""
     parts = name.split("_")
     if parts[0] == "complete" and len(parts) == 4 and parts[1] == "bipartite":
-        return complete_bipartite_graph(*_sizes(name, parts[2:]))
-    if parts[0] == "ferrers":
-        return ferrers_graph(tuple(_sizes(name, parts[1:])))
-    if parts[0] in _NAMED and len(parts) == 2:
-        return _NAMED[parts[0]](*_sizes(name, parts[1:]))
-    raise ValueError(f"unknown named graph: {name!r}")
+        build, args = complete_bipartite_graph, _sizes(name, parts[2:])
+    elif parts[0] == "ferrers":
+        build, args = ferrers_graph, [tuple(_sizes(name, parts[1:]))]
+    elif parts[0] in _NAMED and len(parts) == 2:
+        build, args = _NAMED[parts[0]], _sizes(name, parts[1:])
+    else:
+        raise ValueError(f"unknown named graph: {name!r}")
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"named graph {name!r}: {exc}") from exc
 
 
 _SIZED_CLASSES = ("all", "connected", "chordal", "cochordal")

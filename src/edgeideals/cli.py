@@ -24,6 +24,7 @@ import sys
 from contextlib import nullcontext, redirect_stdout
 
 # each command imports the modules it runs, so a cold start compiles only those
+from .errors import ResourceLimitError
 from .linalg import FieldSpec
 
 SINGLE_GRAPH_CAP = 14
@@ -31,13 +32,6 @@ SINGLE_GRAPH_CAP = 14
 
 def _fail(msg: str):
     raise SystemExit(f"edgeideals: error: {msg}")
-
-
-def _field(args) -> FieldSpec:
-    try:
-        return FieldSpec.parse(args.field)
-    except ValueError as exc:
-        _fail(str(exc))
 
 
 def _enforce_cap(n: int, max_n, default_cap: int, what: str):
@@ -51,58 +45,42 @@ def _enforce_cap(n: int, max_n, default_cap: int, what: str):
         )
 
 
-def _load_graph(arg: str, max_n=None):
+def _read(arg: str, ideal=False):
+    """The graph a file holds, else the catalog graph named arg.  With
+    ``ideal``, a JSON object with "generators" gives its MonomialIdeal."""
     from .graphs import SimpleGraph
+    from .ideals import MonomialIdeal
 
-    if os.path.exists(arg):
-        try:
-            g = SimpleGraph.load(arg)
-        except OSError as exc:
-            _fail(f"cannot read graph file {arg!r}: {exc.strerror or exc}")
-        except (ValueError, KeyError) as exc:
-            _fail(f"cannot parse graph file {arg!r}: {exc}")
-    else:
+    if not os.path.exists(arg):
         from .catalog import named_graph
 
         try:
-            g = named_graph(arg)
-        except ValueError:
-            _fail(f"{arg!r} is neither a readable file nor a catalog name")
+            return named_graph(arg)
+        except ValueError as exc:
+            # a catalog name that builds no graph carries the builder's error
+            if exc.__cause__ is None:
+                _fail(f"{arg!r} is neither a readable file nor a catalog name")
+            raise
+    noun = "input file" if ideal else "graph file"
+    try:
+        with open(arg, encoding="utf-8") as fh:
+            text = fh.read()
+        if ideal and text.lstrip().startswith("{"):
+            data = json.loads(text)
+            if "generators" in data:
+                return MonomialIdeal.from_json(data)
+            return SimpleGraph.from_json(data)
+        return SimpleGraph.parse(text)
+    except OSError as exc:
+        _fail(f"cannot read {noun} {arg!r}: {exc.strerror or exc}")
+    except (ValueError, KeyError) as exc:
+        _fail(f"cannot parse {noun} {arg!r}: {exc}")
+
+
+def _load_graph(arg: str, max_n=None):
+    g = _read(arg)
     _enforce_cap(g.n, max_n, SINGLE_GRAPH_CAP, "graph")
     return g
-
-
-def _load_ideal_or_graph(arg: str, max_n=None):
-    """Returns (ideal, graph-or-None); graphs contribute their edge ideal."""
-    from .graphs import SimpleGraph
-    from .ideals import MonomialIdeal, edge_ideal
-
-    if os.path.exists(arg):
-        try:
-            with open(arg, encoding="utf-8") as fh:
-                text = fh.read()
-            if text.lstrip().startswith("{"):
-                data = json.loads(text)
-                if "generators" in data:
-                    ideal = MonomialIdeal.from_json(data)
-                    _enforce_cap(ideal.nvars, max_n, SINGLE_GRAPH_CAP, "ideal")
-                    return ideal, None
-                g = SimpleGraph.from_json(data)
-            else:
-                g = SimpleGraph.from_text(text)
-        except OSError as exc:
-            _fail(f"cannot read input file {arg!r}: {exc.strerror or exc}")
-        except (ValueError, KeyError) as exc:
-            _fail(f"cannot parse input file {arg!r}: {exc}")
-    else:
-        from .catalog import named_graph
-
-        try:
-            g = named_graph(arg)
-        except ValueError:
-            _fail(f"{arg!r} is neither a readable file nor a catalog name")
-    _enforce_cap(g.n, max_n, SINGLE_GRAPH_CAP, "graph")
-    return edge_ideal(g), g
 
 
 def _out(args, path: str):
@@ -181,9 +159,17 @@ def _print_table(table, title: str):
 # -- subcommands -------------------------------------------------------------
 
 
+def _pd_check(g, field, formula, *shown) -> int:
+    """Print a closed-form pd, any values shown, and the Betti table's pd; 0 if they agree."""
+    oracle = _table(g, field).pd()
+    verdict = "OK" if formula == oracle else "MISMATCH"
+    print(f"pd: {', '.join([f'formula {formula}', *shown, f'Betti table {oracle}'])}  [{verdict}]")
+    return 0 if formula == oracle else 1
+
+
 def cmd_betti(args) -> int:
     g = _load_graph(args.graph, args.max_n)
-    field = _field(args)
+    field = FieldSpec.parse(args.field)
     table = _table(g, field)
     _print_table(table, f"Betti table of S/I(G) over {field!r}")
     if args.multigraded:
@@ -196,26 +182,17 @@ def cmd_betti(args) -> int:
     return 0
 
 
-def cmd_pd(args) -> int:
+def cmd_invariant(args) -> int:
+    """pd or reg, as the command names it."""
     g = _load_graph(args.graph, args.max_n)
-    print(_table(g, _field(args)).pd())
-    return 0
-
-
-def cmd_reg(args) -> int:
-    g = _load_graph(args.graph, args.max_n)
-    print(_table(g, _field(args)).reg())
+    print(getattr(_table(g, FieldSpec.parse(args.field)), args.command)())
     return 0
 
 
 def cmd_dual(args) -> int:
     from .ideals import cover_ideal
 
-    g = _load_graph(args.graph, args.max_n)
-    try:
-        dual = cover_ideal(g)
-    except ValueError as exc:
-        _fail(str(exc))
+    dual = cover_ideal(_load_graph(args.graph, args.max_n))
     for gen in dual.generators:
         print(gen.pretty(dual.variables))
     if args.json:
@@ -227,7 +204,7 @@ def cmd_witness(args) -> int:
     from .witness import max_pd_witness, witness_for
 
     g = _load_graph(args.graph, args.max_n)
-    if args.target:
+    if args.target is not None:
         parts = args.target.split(",")
         try:
             i = int(parts[0])
@@ -255,13 +232,17 @@ def cmd_witness(args) -> int:
 
 
 def cmd_lyubeznik(args) -> int:
-    from .errors import ResourceLimitError
+    from .ideals import MonomialIdeal, edge_ideal
     from .lyubeznik import admissible_symbols, lyubeznik_betti_table, main_theorem_certificate
     from .witness import DisjointFamily
 
-    ideal, g = _load_ideal_or_graph(args.source, args.max_n)
-    field = _field(args)
-    if args.order:
+    source = _read(args.source, ideal=True)
+    # a graph contributes its edge ideal
+    g = None if isinstance(source, MonomialIdeal) else source
+    ideal = source if g is None else edge_ideal(g)
+    _enforce_cap(ideal.nvars, args.max_n, SINGLE_GRAPH_CAP, "ideal" if g is None else "graph")
+    field = FieldSpec.parse(args.field)
+    if args.order is not None:
         try:
             order = tuple(int(tok) for tok in args.order.split(",") if tok.strip())
         except ValueError:
@@ -276,10 +257,7 @@ def cmd_lyubeznik(args) -> int:
     if args.symbols is not None:
         if args.symbols < 0:
             _fail(f"--symbols takes a symbol size of at least 0, got {args.symbols}")
-        try:
-            syms = admissible_symbols(ideal, s=args.symbols)
-        except ResourceLimitError as exc:
-            _fail(str(exc))
+        syms = admissible_symbols(ideal, s=args.symbols)
         print(json.dumps([{"indices": list(t)} for t in syms]))
         acted = True
     if args.certify:
@@ -299,10 +277,7 @@ def cmd_lyubeznik(args) -> int:
         print(f"certified: beta_{s},{{{sig}}}(S/I(G)) >= 1 over every field")
         acted = True
     if not acted:
-        try:
-            table = lyubeznik_betti_table(ideal, field=field)
-        except (ValueError, ResourceLimitError) as exc:
-            _fail(str(exc))
+        table = lyubeznik_betti_table(ideal, field=field)
         _print_table(table, f"Betti table from the ordered-subset resolution over {field!r}")
     return 0
 
@@ -332,7 +307,7 @@ def cmd_cm(args) -> int:
     from .unmixed import acyclic_reduction, lift_family
 
     g = _load_graph(args.graph, args.max_n)
-    field = _field(args)
+    field = FieldSpec.parse(args.field)
     try:
         red = acyclic_reduction(g)
     except NoLabelingError:
@@ -369,11 +344,7 @@ def cmd_cm(args) -> int:
             f"  interval [{bit_list(lo)}, {bit_list(hi)}] i={basis.i}: "
             f"{json.dumps(fam.to_json(g))}"
         )
-    formula = red.t
-    oracle = _table(g, field).pd()
-    verdict = "OK" if formula == oracle else "MISMATCH"
-    print(f"pd: formula {formula}, Betti table {oracle}  [{verdict}]")
-    return 0 if formula == oracle else 1
+    return _pd_check(g, field, red.t)
 
 
 def cmd_unmixed(args) -> int:
@@ -382,7 +353,7 @@ def cmd_unmixed(args) -> int:
     from .unmixed import _dual_scores, _witness, acyclic_reduction
 
     g = _load_graph(args.graph, args.max_n)
-    field = _field(args)
+    field = FieldSpec.parse(args.field)
     try:
         red = acyclic_reduction(g)
     except ValueError as exc:
@@ -412,11 +383,7 @@ def cmd_unmixed(args) -> int:
     r, s = wit.entry
     print(f"chosen entry: r={r}, sigma-hat={{{','.join(red.ghat.label_set(s))}}}")
     print(f"lifted family: {json.dumps(wit.family.to_json(g))}")
-    formula = max(v for v, _, _ in scored)
-    oracle = _table(g, field).pd()
-    verdict = "OK" if formula == oracle else "MISMATCH"
-    print(f"pd: formula {formula}, witness {wit.value}, Betti table {oracle}  [{verdict}]")
-    return 0 if formula == oracle else 1
+    return _pd_check(g, field, max(v for v, _, _ in scored), f"witness {wit.value}")
 
 
 def cmd_verify(args) -> int:
@@ -440,10 +407,7 @@ def cmd_verify(args) -> int:
                 "subsets per graph; graph counts grow superexponentially in the cap",
                 file=sys.stderr,
             )
-    try:
-        report = run_campaign(campaign, workers=args.workers, timing=args.timing)
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
+    report = run_campaign(campaign, workers=args.workers, timing=args.timing)
     print(report.human())
     if args.json:
         _write_json(args, args.json, report.to_json())
@@ -492,17 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_max_n(p)
     p.set_defaults(func=cmd_betti)
 
-    p = sub.add_parser("pd", help="projective dimension of S/I(G)")
-    p.add_argument("graph")
-    _add_field(p)
-    _add_max_n(p)
-    p.set_defaults(func=cmd_pd)
-
-    p = sub.add_parser("reg", help="Castelnuovo-Mumford regularity of S/I(G)")
-    p.add_argument("graph")
-    _add_field(p)
-    _add_max_n(p)
-    p.set_defaults(func=cmd_reg)
+    for name, what in (("pd", "projective dimension"), ("reg", "Castelnuovo-Mumford regularity")):
+        p = sub.add_parser(name, help=f"{what} of S/I(G)")
+        p.add_argument("graph")
+        _add_field(p)
+        _add_max_n(p)
+        p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("dual", help="generators of the cover ideal I(G)*")
     p.add_argument("graph")
@@ -549,23 +508,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_max_n(p)
     p.set_defaults(func=cmd_lyubeznik)
 
-    p = sub.add_parser("cm", help="Cohen-Macaulay bipartite analysis")
-    cm_sub = p.add_subparsers(dest="action", required=True)
-    q = cm_sub.add_parser("analyze", help="labeling, poset, dual ideal, bases, pd cross-check")
-    q.add_argument("graph")
-    _add_field(q)
-    _add_max_n(q)
-    q.set_defaults(func=cmd_cm)
-
-    p = sub.add_parser("unmixed", help="unmixed bipartite analysis")
-    um_sub = p.add_subparsers(dest="action", required=True)
-    q = um_sub.add_parser(
-        "analyze", help="labeling, classes, reduction, weighted formula, lifted witness"
-    )
-    q.add_argument("graph")
-    _add_field(q)
-    _add_max_n(q)
-    q.set_defaults(func=cmd_unmixed)
+    for name, what, func, shown in (
+        ("cm", "Cohen-Macaulay", cmd_cm, "labeling, poset, dual ideal, bases, pd cross-check"),
+        ("unmixed", "unmixed", cmd_unmixed,
+         "labeling, classes, reduction, weighted formula, lifted witness"),
+    ):
+        p = sub.add_parser(name, help=f"{what} bipartite analysis")
+        q = p.add_subparsers(dest="action", required=True).add_parser("analyze", help=shown)
+        q.add_argument("graph")
+        _add_field(q)
+        _add_max_n(q)
+        q.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run a theorem-verification campaign")
     p.add_argument("campaign", help="campaign JSON file")
@@ -605,6 +558,9 @@ def main(argv=None) -> int:
         # buffered to devnull, so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (OSError, ValueError, ResourceLimitError) as exc:
+        # a refused input: the library's message is the error line
+        _fail(str(exc))
 
 
 if __name__ == "__main__":

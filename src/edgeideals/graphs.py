@@ -251,13 +251,17 @@ class SimpleGraph:
         return {"labels": list(self.labels), "edges": [list(e) for e in self.edges()]}
 
     @classmethod
+    def parse(cls, text: str) -> "SimpleGraph":
+        """The graph of a file's text: JSON when its first non-blank character
+        is '{', else the line format.  JSON errors name their line in the text."""
+        if text.lstrip().startswith("{"):
+            return cls.from_json(text)
+        return cls.from_text(text)
+
+    @classmethod
     def load(cls, path: str) -> "SimpleGraph":
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            return cls.from_json(stripped)
-        return cls.from_text(text)
+            return cls.parse(fh.read())
 
 
 # -- constructors ------------------------------------------------------------

@@ -126,29 +126,16 @@ def _first_divisor_pair(masks) -> tuple[int, int] | None:
     """The first (i, j) in row-major order with i != j and masks[i] inside
     masks[j], or None when the masks form an antichain.
 
-    A mask lies inside another with as many bits only when the two are
-    equal, so besides duplicates only pairs of different bit counts are
-    tested: masks of one bit count cost O(g).
+    Distinct masks of one bit count form an antichain, which this tells in
+    O(g): every edge ideal is such a list.  Any other list takes the
+    pairwise loop.
     """
-    # positions of each distinct mask, and the distinct masks of each bit count
-    where: dict[int, list[int]] = {}
-    for j, m in enumerate(masks):
-        where.setdefault(m, []).append(j)
-    by_count: dict[int, list[int]] = {}
-    for m in where:
-        by_count.setdefault(m.bit_count(), []).append(m)
-    if len(by_count) == 1 and len(where) == len(masks):
+    if len(set(masks)) == len(masks) and len({m.bit_count() for m in masks}) < 2:
         return None
     for i, mi in enumerate(masks):
-        same = where[mi]
-        # the first other position holding the same mask
-        hits = [same[1] if same[0] == i else same[0]] if len(same) > 1 else []
-        count = mi.bit_count()
-        for c, group in by_count.items():
-            if c > count:
-                hits += [where[mj][0] for mj in group if mi & ~mj == 0]
-        if hits:
-            return i, min(hits)
+        for j, mj in enumerate(masks):
+            if i != j and mi & ~mj == 0:
+                return i, j
     return None
 
 

@@ -480,6 +480,86 @@ def test_unknown_graph_and_command(capsys):
         main(["frobnicate"])
 
 
+# the first '{' of a JSON graph file on its third line
+BLANK_LINES_JSON = '\n\n  {"labels": [1,}'
+JSON_AT_LINE_3 = "Expecting value: line 3 column 17 (char 18)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # an empty option value is a value, and is checked as one
+        (["witness", "path_4", "--target="], "--target must start with the homological degree, got ''"),
+        (
+            ["lyubeznik", "path_4", "--order="],
+            "--order must be a permutation of 0..2 (0-based generator positions), got []",
+        ),
+        # a catalog name that builds no graph says why
+        (["betti", "cycle_2"], "named graph 'cycle_2': cycle needs at least 3 vertices"),
+        (["betti", "path_100"], "named graph 'path_100': vertex count 100 outside 0..64"),
+        (["pd", "path_-1"], "named graph 'path_-1': vertex count -1 outside 0..64"),
+        (["lyubeznik", "ferrers_1_2"], "named graph 'ferrers_1_2': not a partition: [1, 2]"),
+        (
+            ["verify", {"class": "named", "names": ["cycle_2"]}],
+            "named graph 'cycle_2': cycle needs at least 3 vertices",
+        ),
+        # a JSON error names its line in the file as read
+        (["betti", BLANK_LINES_JSON], "cannot parse graph file {path!r}: " + JSON_AT_LINE_3),
+        (
+            ["verify", {"class": "files", "files": [BLANK_LINES_JSON]}],
+            "cannot load graph file {path!r}: " + JSON_AT_LINE_3,
+        ),
+    ],
+)
+def test_refused_inputs_end_in_their_own_line(capsys, tmp_path, argv, message):
+    """A graph text is written to a file, and a catalog spec to a campaign on it."""
+    command, arg, *options = argv
+    path = str(tmp_path / "g.json")
+    if isinstance(arg, dict):
+        if arg["class"] == "files":
+            Path(path).write_text(arg["files"][0])
+            arg = dict(arg, files=[path])
+        campaign = tmp_path / "c.json"
+        campaign.write_text(json.dumps({"graphs": arg, "assertions": ["T2.2"]}))
+        arg = str(campaign)
+    elif arg == BLANK_LINES_JSON:
+        Path(path).write_text(arg)
+        arg = path
+    with pytest.raises(SystemExit) as exc:
+        main([command, arg, *options])
+    # a string exit code leaves the process with status 1
+    assert exc.value.code == "edgeideals: error: " + message.format(path=path)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        ("ValueError('a value')", "edgeideals: error: a value"),
+        ("ResourceLimitError('over a cap')", "edgeideals: error: over a cap"),
+        ("OSError('no disk')", "edgeideals: error: no disk"),
+        # stdout closed early: nothing to say, and nowhere to say it
+        ("BrokenPipeError()", None),
+    ],
+)
+def test_main_turns_each_refusal_into_one_stderr_line(error, line):
+    code = (
+        "import sys\n"
+        "from edgeideals import cli\n"
+        "from edgeideals.errors import ResourceLimitError\n"
+        "def refuse(args):\n"
+        f"    raise {error}\n"
+        "cli.cmd_betti = refuse\n"
+        "sys.exit(cli.main(['betti', 'cycle_4']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=source_env(), timeout=60
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("" if line is None else line + "\n")
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -157,6 +157,18 @@ def test_json_round_trip(tmp_path):
     assert SimpleGraph.load(str(path2)).edge_count() == 2
 
 
+def test_parse_and_load_name_the_true_line_of_a_json_error(tmp_path):
+    # the first '{' sits on the third line, after blank lines and indentation
+    text = '\n\n  {"labels": [1,}'
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    for read in (lambda: SimpleGraph.parse(text), lambda: SimpleGraph.load(str(path))):
+        with pytest.raises(json.JSONDecodeError) as exc:
+            read()
+        assert (exc.value.lineno, exc.value.colno, exc.value.pos) == (3, 17, 18)
+    assert SimpleGraph.parse('\n  {"edges": [[0, 1]]}') == SimpleGraph.parse("2\n0 1\n")
+
+
 def test_three_disjoint_matches_brute_force():
     for g in small_graphs(5):
         edges = g.edges()
