@@ -13,6 +13,13 @@ restriction it tries, in order:
   support s inside sigma with w in s, some support r with x in r has
   r - x inside s - w. For edge ideals this is the fold lemma,
   N(w) inside N(x) with x, w non-adjacent;
+- one-dimensional rule: with no support of three or more vertices inside
+  sigma, the complex is the clique complex of H, the complement of the
+  support graph on sigma. When H has no triangle the complex is the graph H,
+  so h_0 = c(H) - 1 and h_1 = e(H) - |sigma| + c(H) over every field, from
+  one triangle scan and one component pass over H. It is tried only where
+  no fold is found: the walk hands a fold witness down to the larger sets,
+  and a set the rule answered first would hand none down;
 - join: a disconnected generator-support graph splits the complex as a join
   of its components;
 - split: a vertex v is pair-only when every support through it is a pair
@@ -71,7 +78,9 @@ serves the whole subtree. On the seed-1 betti-dense-gf2 list 16,883 of
 Results are memoized per table in a dict keyed by the active mask, with equal
 homology vectors shared as one object. A fold stores the already shared
 vector of its target, so a fold to another target stores the same object.
-Only the sets with no fold reach a join or split: components grow along the
+Only the sets with no fold reach the one-dimensional rule, a join or a split: on the
+seed-1 betti-dense-gf2 list 2,250 of the 2,375 such walk sets end in the
+rule. Components grow along the
 nbr masks and the wide supports inside the set, the split takes N[v] as
 nbr(v) & active | v, and only the chain-complex fallback lists the supports
 inside. A fold, join or split looks up a smaller mask, which the walk has
@@ -261,10 +270,12 @@ class _SupportEngine:
         shared = self._shared
         through = [0] * len(nbr)  # one support-index mask per variable
         tops = [0] * len(nbr)  # per variable v, the supports whose top vertex is v
+        reach = [0] * len(nbr)  # per variable v, the union of the supports through v
         wide_tops: list[list[tuple[int, int]]] = [[] for _ in nbr]
         for j, s in enumerate(sups):
             for v in iter_bits(s):
                 through[v] |= 1 << j
+                reach[v] |= s
             top = s.bit_length() - 1
             tops[top] |= 1 << j
             if s.bit_count() > 2:
@@ -273,7 +284,14 @@ class _SupportEngine:
         for w, tests in enumerate(self.wide_tests):
             for t, dom in tests:
                 dom_at[t | 1 << w, 1 << w] = dom
-        verts = [v for v, thr in enumerate(through) if thr]
+        # one tuple per position: v's bit, nbr(v), the supports through v, the
+        # mask that keeps all but those whose top vertex is v, the wide ones
+        # among the latter, and the union of the supports through v
+        pos = [
+            (1 << v, nbr[v], thr, ~tops[v], wide_tops[v], reach[v])
+            for v, thr in enumerate(through)
+            if thr
+        ]
         walked = []
         stack = [(0, 0, 0, (1 << len(sups)) - 1, 0, 0)]
         while stack:
@@ -292,13 +310,11 @@ class _SupportEngine:
                 walked.append(chosen)
             # children are pushed in increasing p, so the largest p, whose
             # set leaves out the most vertices, is explored first
-            for p in range(start, len(verts)):
-                v = verts[p]
-                hit = alive & through[v]
+            for p in range(start, len(pos)):
+                vb, near, thr, keep, wide_top, union = pos[p]
+                hit = alive & thr
                 if not hit:
                     continue
-                vb = 1 << v
-                near = nbr[v]
                 cov = covered
                 if near & chosen:
                     cov |= near & chosen | vb
@@ -306,22 +322,25 @@ class _SupportEngine:
                 x, w = xb, wb
                 if near & w and not near & x:
                     x = w = 0
-                for b, s in wide_tops[v]:
+                for b, s in wide_top:
                     if alive & b:
                         cov |= s
                         if s & w and not dom_at[s, w] & x:
                             x = w = 0
-                stack.append((p + 1, chosen | vb, cov, alive & ~tops[v], x, w))
+                stack.append((p + 1, chosen | vb, cov, alive & keep, x, w))
                 # later siblings leave v out: its supports die, and a chosen
-                # vertex that loses its last one ends the loop
+                # vertex that loses its last one ends the loop; only a pending
+                # vertex in a support through v can lose one
                 alive ^= hit
-                rest = pending
+                if not alive:
+                    break
+                rest = pending & union
                 while rest:
                     low = rest & -rest
                     if not alive & through[low.bit_length() - 1]:
                         break
                     rest ^= low
-                if rest or not alive:
+                if rest:
                     break
         return walked
 
@@ -386,10 +405,55 @@ class _SupportEngine:
         return known
 
     def _join(self, active: int) -> dict[int, int]:
-        """Join of the components of the support graph, or the split of a
-        connected restriction. No component (active = 0) leaves {empty face}."""
+        """The one-dimensional rule, the join of the components of the
+        support graph, or the split of a connected restriction. No component
+        (active = 0) leaves {empty face}.
+
+        One-dimensional rule: with no wide support inside, the complex is the
+        clique complex of H, the complement of the support graph on active.
+        When H has no triangle the complex is H itself, a graph with c
+        components and e edges, so h_0 = c - 1 and h_1 = e - |active| + c
+        over every field. A triangle u, v, w of H is found at its top vertex
+        u, whose lower neighbours in H are already known when u is reached.
+        """
         nbr = self.nbr
         wide = [s for s in self.wide if s & ~active == 0]
+        if active and not wide:
+            non = {}  # bit of u -> its neighbours in H
+            edges = 0
+            rest = active
+            while rest:
+                ub = rest & -rest
+                rest ^= ub
+                nu = non[ub] = active & ~nbr[ub.bit_length() - 1] & ~ub
+                below = nu & (ub - 1)
+                edges += below.bit_count()
+                part = below
+                while part:
+                    vb = part & -part
+                    if non[vb] & below:
+                        break
+                    part ^= vb
+                if part:
+                    break
+            else:
+                comps = 0
+                left = active
+                while left:
+                    comp = todo = left & -left
+                    while todo:
+                        low = todo & -todo
+                        new = non[low] & ~comp
+                        comp |= new
+                        todo = todo ^ low | new
+                    left &= ~comp
+                    comps += 1
+                out = {}
+                if comps > 1:
+                    out[0] = comps - 1
+                if edges + comps > active.bit_count():
+                    out[1] = edges - active.bit_count() + comps
+                return out
         comps = []
         left = active
         while left:
@@ -475,11 +539,10 @@ def betti_table(
     live = ~engine.singletons
     entries: dict[tuple[int, int], int] = {}
     for sigma in carriers:
-        size = sigma.bit_count()
+        # a face of a restriction to sigma has at most |sigma| vertices
+        top = sigma.bit_count() - 1
         for d, rank in memo[sigma & live].items():
-            i = size - d - 1
-            if 0 <= i:
-                entries[(i, sigma)] = rank
+            entries[top - d, sigma] = rank
     if subject == "ideal":
         shifted = {(i - 1, s): v for (i, s), v in entries.items() if i >= 1}
         return BettiTable("ideal", field, ideal.variables, shifted)

@@ -127,15 +127,30 @@ def _first_divisor_pair(masks) -> tuple[int, int] | None:
     masks[j], or None when the masks form an antichain.
 
     Distinct masks of one bit count form an antichain, which this tells in
-    O(g): every edge ideal is such a list.  Any other list takes the
-    pairwise loop.
+    O(g): every edge ideal is such a list.  In any other list a mask lies
+    inside another with as many bits only when the two are equal, so each
+    mask is tested against its own duplicates and the distinct masks with
+    more bits.
     """
     if len(set(masks)) == len(masks) and len({m.bit_count() for m in masks}) < 2:
         return None
+    # positions of each distinct mask, and the distinct masks of each bit count
+    where: dict[int, list[int]] = {}
+    for j, m in enumerate(masks):
+        where.setdefault(m, []).append(j)
+    by_count: dict[int, list[int]] = {}
+    for m in where:
+        by_count.setdefault(m.bit_count(), []).append(m)
     for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if i != j and mi & ~mj == 0:
-                return i, j
+        same = where[mi]
+        # the first other position holding the same mask
+        hits = [same[1] if same[0] == i else same[0]] if len(same) > 1 else []
+        count = mi.bit_count()
+        for c, group in by_count.items():
+            if c > count:
+                hits += [where[mj][0] for mj in group if mi & ~mj == 0]
+        if hits:
+            return i, min(hits)
     return None
 
 

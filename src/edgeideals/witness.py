@@ -425,10 +425,25 @@ def witness_for(g: SimpleGraph, i: int, sigma: int) -> DisjointFamily | None:
 
 
 def cochordal_pd(g: SimpleGraph) -> int:
-    """pd(S/I(G)) for co-chordal G: max of m+n-1 over complete bipartite subgraphs."""
+    """pd(S/I(G)) for co-chordal G: max of m+n-1 over complete bipartite subgraphs.
+
+    A block (L, R) has R inside the common neighbourhood N(L) of L, and
+    (L, N(L)) is itself a block, so the maximum is that of |L| + |N(L)| - 1
+    over the left parts L with N(L) nonempty.
+    """
     if not is_cochordal(g):
         raise ValueError("graph is not co-chordal")
-    return max((b.size - 1 for b in all_blocks(g)), default=0)
+    best = 0
+    # (left part's size, its common neighbours, next vertex that may join it)
+    stack = [(0, g.vertex_mask(), 0)]
+    while stack:
+        size, common, start = stack.pop()
+        for v in range(start, g.n):
+            shared = common & g.adj[v]
+            if shared:
+                best = max(best, size + shared.bit_count())
+                stack.append((size + 1, shared, v + 1))
+    return best
 
 
 def bouquet_family(g: SimpleGraph, sigma: int) -> DisjointFamily | None:

@@ -672,6 +672,55 @@ def test_split_engine_matches_the_chain_complex_and_reference_homology():
             assert keys == sorted(keys, key=lambda k: (k[1], -k[0])), (supports, field)
 
 
+def one_dim_corpus():
+    """Seeded squarefree ideals whose restrictions are often graphs: edge
+    ideals of the complements of C_n, P_n, 2K_2 and C_4 + C_4 (Ind of a
+    complement is the clique complex of the graph), of K_{m,n} and of
+    G(n, p), and ideals with supports of three or four vertices."""
+    rng = random.Random(73)
+    graphs = [cycle_graph(n) for n in range(3, 11)] + [path_graph(n) for n in range(2, 11)]
+    graphs += [disjoint_union(path_graph(2), path_graph(2)), disjoint_union(cycle_graph(4), cycle_graph(4))]
+    out = [edge_ideal(g.complement()) for g in graphs]
+    out += [edge_ideal(complete_bipartite_graph(m, n)) for m in range(1, 4) for n in range(m, 4)]
+    out += [edge_ideal(random_graph(rng, rng.randint(3, 10), rng.uniform(0.1, 0.8))) for _ in range(40)]
+    while len(out) < 95:
+        n = rng.randint(4, 8)
+        masks = {sum(1 << v for v in rng.sample(range(n), rng.choice((3, 4))))}
+        for _ in range(rng.randint(2, 2 * n)):
+            masks.add(sum(1 << v for v in rng.sample(range(n), rng.choice((2, 2, 2, 3)))))
+        minimal = sorted(m for m in masks if not any(o != m and o & ~m == 0 for o in masks))
+        if any(m.bit_count() > 2 for m in minimal):
+            out.append(MonomialIdeal([f"x{i}" for i in range(n)], [Monomial.from_support(m, n) for m in minimal]))
+    return out
+
+
+def test_one_dimensional_rule_matches_the_chain_complex_and_reference_homology():
+    # a restriction with no fold and no wide support whose complement graph H
+    # has no triangle is answered from c(H) and e(H) alone, so every memo
+    # entry is checked against the chain complex, and a few sigma against the
+    # dense reference
+    rng = random.Random(79)
+    for ideal in one_dim_corpus():
+        supports = ideal.supports()
+        full = (1 << ideal.nvars) - 1
+        faces = [f for f in range(full + 1) if all(s & ~f for s in supports)]
+        queries = {full, rng.randrange(full + 1), rng.randrange(full + 1)}
+        for field, char in FIELDS:
+            engine = _SupportEngine(ideal, field)
+            engine.walk()
+            for sigma, got in engine._memo.items():
+                inside = [s for s in supports if s & ~sigma == 0]
+                assert got == StrandComplex(sigma, inside).homology(field), (supports, sigma, field)
+                assert list(got) == sorted(got), (supports, sigma, field)
+            for sigma in queries:
+                expect = {}
+                for d in range(-1, sigma.bit_count()):
+                    h = reference_homology([f for f in faces if f & ~sigma == 0], d, char)
+                    if h:
+                        expect[d] = h
+                assert _SupportEngine(ideal, field).vector(sigma) == expect, (supports, sigma, field)
+
+
 def test_split_falls_back_to_the_chain_complex_when_two_tries_overlap(monkeypatch):
     built = []
     passed = []

@@ -436,3 +436,13 @@ def test_cochordal_pd_agrees_with_table():
     assert checked > 100 and edgeless == 6
     with pytest.raises(ValueError):
         cochordal_pd(cycle_graph(5))
+
+
+def test_cochordal_pd_is_the_largest_block_size_less_one():
+    checked = 0
+    for n in range(1, 8):
+        for g in graphs_on(n):
+            if is_cochordal(g):
+                assert cochordal_pd(g) == max((b.size - 1 for b in all_blocks(g)), default=0), g.edges()
+                checked += 1
+    assert checked == 531
