@@ -440,8 +440,16 @@ def _add_json_out(p):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose malformed command line ends in one error line and exit 2,
+    without argparse's usage line; subparsers are made of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"edgeideals: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edgeideals",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -491,7 +499,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="ordered-subset resolution: strand table, admissible symbols, certificates",
     )
     p.add_argument("source", help="ideal JSON, graph file, or catalog name")
-    p.add_argument("--order", metavar="i1,i2,...", help="generator order, 0-based positions")
+    p.add_argument(
+        "--order",
+        metavar="i1,i2,...",
+        help="generator order of --symbols, 0-based positions; the printed table is the same for every order",
+    )
     _add_field(p)
     p.add_argument(
         "--symbols",

@@ -90,9 +90,22 @@ def test_witness_max_and_target_are_exclusive(capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert [line for line in err.splitlines() if "error:" in line] == [
-        "edgeideals witness: error: argument --target: not allowed with argument --max"
-    ]
+    assert err == "edgeideals: error: argument --target: not allowed with argument --max\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("pd", "cycle_4", "--max-n", "x"), ("frobnicate", "cycle_4"), ("pd",), ("cm", "analyze")],
+)
+def test_a_malformed_command_line_is_one_error_line(capsys, argv):
+    # an invalid value, an unknown subcommand and a missing argument, at the
+    # top level and in nested subparsers: no usage line, exit 2
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("edgeideals: error: ")
 
 
 def test_lyubeznik_table_symbols_order(capsys):

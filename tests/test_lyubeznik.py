@@ -17,6 +17,7 @@ from edgeideals.ideals import Monomial, MonomialIdeal, cover_ideal, edge_ideal, 
 from edgeideals.linalg import GF2, RATIONALS, FieldSpec
 from edgeideals.lyubeznik import (
     Cycle,
+    _connector_order,
     _maximal_edge_symbol,
     admissible_symbols,
     barile_certificate,
@@ -656,3 +657,122 @@ def test_lyubeznik_and_witness_searches_leave_no_reference_cycles():
         gc.garbage.clear()
     assert maximal and witness.family is not None and witness.value <= graph_betti_table(g).pd()
     assert not leaked & closures, sorted(leaked & closures)
+
+
+# symbols the strand table enumerates in its connector order, and in the
+# given order (every subset of a path's edges is admissible in path order)
+CONNECTOR_SYMBOLS = {
+    "P12": (path_graph(12), 671, 2047),
+    "C11": (cycle_graph(11), 671, 1535),
+    "P6": (path_graph(6), 19, 31),
+    "C5": (cycle_graph(5), 19, 23),
+    "K33": (complete_bipartite_graph(3, 3), 103, 103),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTOR_SYMBOLS))
+def test_strand_table_symbol_count_is_pinned(monkeypatch, name):
+    import edgeideals.lyubeznik as lyu
+
+    g, table_symbols, given_symbols = CONNECTOR_SYMBOLS[name]
+    ideal = edge_ideal(g)
+    seen = []
+
+    def counted(ideal, s=None):
+        got = admissible_symbols(ideal, s)
+        seen.append(len(got))
+        return got
+
+    monkeypatch.setattr(lyu, "admissible_symbols", counted)
+    table = lyubeznik_betti_table(ideal)
+    assert seen == [table_symbols]
+    assert len(admissible_symbols(ideal)) == given_symbols
+    assert table.entries == graph_betti_table(g).entries
+
+
+def reference_connector_order(masks):
+    """The greedy order by its definition: pairs as tuples, every score
+    counted afresh at every step."""
+    u = len(masks)
+    alive = {(a, b) for a in range(u) for b in range(a + 1, u)}
+    left = list(range(u))
+    order = []
+    while left:
+
+        def covered(q):
+            return {(a, b) for a, b in alive if q not in (a, b) and masks[q] & ~(masks[a] | masks[b]) == 0}
+
+        q = max(left, key=lambda q: len(covered(q)))
+        alive -= covered(q)
+        alive = {(a, b) for a, b in alive if q not in (a, b)}
+        left.remove(q)
+        order.append(q)
+    return order
+
+
+def test_connector_order_matches_its_definition():
+    rng = random.Random(53)
+    ideals = [MonomialIdeal(["x", "y", "z"], [gen]) for gen in ((1, 0, 0), (2, 1, 0), (1, 1, 1))]
+    ideals += [edge_ideal(g) for n in range(2, 6) for g in graphs_on(n) if g.edge_count()]
+    # wide (non-edge) supports, and polarized masks of non-squarefree generators
+    ideals += [random_squarefree(rng, rng.randint(3, 8), rng.randint(1, 12)) for _ in range(60)]
+    ideals += [random_ideal(rng, rng.randint(2, 5), rng.randint(1, 9), max_exp=3) for _ in range(60)]
+    assert any(not ideal.is_squarefree() for ideal in ideals)
+    assert any(max(ideal.masks).bit_count() > 2 for ideal in ideals)
+    for ideal in ideals:
+        order = _connector_order(ideal.masks)
+        assert sorted(order) == list(range(ideal.ngens))
+        assert order == reference_connector_order(ideal.masks), ideal.generators
+
+
+def test_strand_table_is_the_same_in_the_given_order(monkeypatch):
+    # the connector order changes which symbols are enumerated, never the table
+    import edgeideals.lyubeznik as lyu
+
+    rng = random.Random(59)
+    fields = (GF2, FieldSpec.parse("gf3"), RATIONALS)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        g = SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        if g.edge_count():
+            cases.append((edge_ideal(g), rng.choice(fields)))
+    for _ in range(40):
+        ideal = random_squarefree(rng, rng.randint(2, 8), rng.randint(1, 9))
+        cases.append((ideal, rng.choice(fields)))
+    connector = [lyubeznik_betti_table(ideal, field=field).entries for ideal, field in cases]
+    monkeypatch.setattr(lyu, "_connector_order", lambda masks: list(range(len(masks))))
+    given = [lyubeznik_betti_table(ideal, field=field).entries for ideal, field in cases]
+    assert connector == given
+
+
+def test_strand_table_keeps_the_projective_plane_torsion():
+    from test_hochster import rp2_ideal
+
+    ideal = rp2_ideal()
+    tables = {}
+    for name in ("gf2", "gf3", "rat"):
+        field = FieldSpec.parse(name)
+        tables[name] = lyubeznik_betti_table(ideal, field=field).entries
+        assert tables[name] == betti_table(ideal, field).entries, name
+    # beta_{3,[6]} and beta_{4,[6]} are 2-torsion: over GF(2) only
+    full = (1 << 6) - 1
+    assert tables["gf2"][(3, full)] == tables["gf2"][(4, full)] == 1
+    assert (3, full) not in tables["rat"] and (4, full) not in tables["rat"]
+    assert tables["gf3"] == tables["rat"]
+
+
+def test_strand_table_refuses_past_the_cap_before_ordering(monkeypatch):
+    import edgeideals.lyubeznik as lyu
+
+    def no_order(masks):
+        raise AssertionError("the generator cap is checked before any order work")
+
+    monkeypatch.setattr(lyu, "_connector_order", no_order)
+    n = 25
+    ideal = MonomialIdeal(
+        [f"x{i + 1}" for i in range(n)],
+        [Monomial.from_support(1 << i, n) for i in range(n)],
+    )
+    with pytest.raises(ResourceLimitError):
+        lyubeznik_betti_table(ideal)
