@@ -15,7 +15,7 @@ closed-form projective dimension.
 from __future__ import annotations
 
 from .graphs import SimpleGraph, bit_list, bits_of, canonical_form, iter_bits
-from .ideals import Monomial, MonomialIdeal
+from .ideals import MonomialIdeal
 from .witness import CompleteBipartiteSub, DisjointFamily
 
 
@@ -139,11 +139,7 @@ def hg_generators(p: Poset) -> MonomialIdeal:
     n = p.n
     variables = [f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]
     full = (1 << n) - 1
-    gens = [
-        Monomial.from_support(ideal | (full & ~ideal) << n, 2 * n)
-        for ideal in p.ideals()
-    ]
-    return MonomialIdeal(variables, gens)
+    return MonomialIdeal(variables, [ideal | (full & ~ideal) << n for ideal in p.ideals()])
 
 
 class FreeBasis:

@@ -1,19 +1,27 @@
 """Monomials, monomial ideals, covers, Alexander duals and Betti tables.
 
-Everything this package stores is squarefree (edge ideals and their duals),
-but monomials carry full exponent vectors so that Taylor-complex cofactors
-and lcm arithmetic work for arbitrary monomial input.
+Everything this package builds is squarefree (edge ideals, cover ideals,
+their duals), and a squarefree generator is stored as its support mask: bit
+i for variable i.  ``edge_ideal``, ``cover_ideal`` and ``alexander_dual``
+hand ``MonomialIdeal`` plain ``int`` masks, and both table engines read
+nothing else, so a table of an edge ideal builds no ``Monomial``.  Such an
+ideal makes its ``generators`` (``Monomial`` exponent vectors) only when they
+are first read, as the Taylor boundaries of the certificate path and the
+printed generators do.
 
-Each ideal also carries the polarized bitmask of every generator
-(``MonomialIdeal.masks``).  Variable i gets one bit per distinct nonzero
-exponent it takes among the generators, and exponent e sets the bit of every
-such threshold <= e.  Polarization keeps the lcm lattice of the generators:
-divisibility is mask inclusion, lcm is OR, and two lcms are equal exactly
-when their masks are.  Bit i is the lowest threshold of variable i and
-further thresholds sit above bit nvars - 1, so ``mask & (2**nvars - 1)`` is
-the support, and the masks of a squarefree ideal are its supports.  The
-width counts distinct exponents, not their size: an exponent of 10**9 costs
-one bit.
+An ideal may also be given by exponent vectors, which is how ideal files are
+read and how any monomial ideal, squarefree or not, gets in.  It carries the
+polarized bitmask of every generator (``MonomialIdeal.masks``).  Variable i
+gets one bit per distinct nonzero exponent it takes among the generators,
+and exponent e sets the bit of every such threshold <= e.  Polarization
+keeps the lcm lattice of the generators: divisibility is mask inclusion,
+lcm is OR, and two lcms are equal exactly when their masks are.  Bit i is
+the lowest threshold of variable i and further thresholds sit above bit
+nvars - 1, so ``mask & (2**nvars - 1)`` is the support, and the masks of a
+squarefree ideal are its supports whichever way it was given.  The width
+counts distinct exponents, not their size: an exponent of 10**9 costs one
+bit.  Polarization gives x^2 the same mask as x, so an ideal given by
+exponent vectors decides ``is_squarefree`` from its exponents.
 
 ``BettiTable`` holds a multigraded Betti table; it lives here, beside the
 ideals, because both table engines (Hochster's formula and the Lyubeznik
@@ -157,36 +165,72 @@ def _first_divisor_pair(masks) -> tuple[int, int] | None:
 class MonomialIdeal:
     """Monomial ideal given by a minimal generating set; generator order is significant.
 
-    ``masks[k]`` is the polarized bitmask of ``generators[k]``.
+    ``generators`` is either a list of support masks (plain ``int``s, bit i
+    for variable i), which gives a squarefree ideal, or a list of exponent
+    vectors (``Monomial``s or integer sequences), which may be any monomial
+    ideal.  ``masks[k]`` is the polarized bitmask of generator k, and for a
+    squarefree ideal it is the generator's support.  An ideal built from
+    masks keeps only the masks, and makes its ``generators`` tuple of
+    ``Monomial``s the first time it is read.  An ideal built from exponent
+    vectors decides ``is_squarefree`` from its exponents, since polarization
+    gives x^2 the same mask as x.
+
     ``first_divisors`` is the first-divisor memo of ``first_divisor``: it maps
     a mask to the least generator position whose mask lies inside it.  It
     starts empty, fills as masks are asked about, and belongs to this object
     alone: ``reordered`` gives the copy an empty one, since positions move.
     """
 
-    __slots__ = ("variables", "generators", "masks", "first_divisors")
+    __slots__ = ("variables", "masks", "first_divisors", "_generators", "_squarefree")
 
     def __init__(self, variables, generators):
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
-        gens = []
-        for g in generators:
-            if not isinstance(g, Monomial):
-                g = Monomial(g)
-            if len(g.exps) != len(self.variables):
-                raise ValueError("generator length does not match variable count")
-            if g.is_one():
-                raise ValueError("unit generator: the ideal is not proper")
-            gens.append(g)
-        masks = _polarized_masks(gens, len(self.variables))
+        nvars = len(self.variables)
+        raw = list(generators)
+        if all(isinstance(g, int) for g in raw):
+            for g in raw:
+                if isinstance(g, bool) or not 0 < g < 1 << nvars:
+                    raise ValueError(
+                        f"support mask {g!r} is not a nonempty subset of the {nvars} variables"
+                    )
+            masks = tuple(raw)
+            gens = None
+            squarefree = True
+        else:
+            gens = []
+            for g in raw:
+                if isinstance(g, int):
+                    raise ValueError("generators mix support masks and exponent vectors")
+                exps = g.exps if isinstance(g, Monomial) else tuple(g)
+                if not all(isinstance(e, int) and not isinstance(e, bool) for e in exps):
+                    raise ValueError(f"exponents must be integers, not {exps}")
+                if not isinstance(g, Monomial):
+                    g = Monomial(exps)
+                if len(g.exps) != nvars:
+                    raise ValueError("generator length does not match variable count")
+                if g.is_one():
+                    raise ValueError("unit generator: the ideal is not proper")
+                gens.append(g)
+            masks = _polarized_masks(gens, nvars)
+            gens = tuple(gens)
+            squarefree = all(g.is_squarefree() for g in gens)
         pair = _first_divisor_pair(masks)
         if pair is not None:
             i, j = pair
             raise ValueError(f"generators not minimal: #{i} divides #{j}")
-        self.generators = tuple(gens)
         self.masks = masks
         self.first_divisors: dict[int, int] = {}
+        self._generators = gens
+        self._squarefree = squarefree
+
+    @property
+    def generators(self) -> tuple[Monomial, ...]:
+        if self._generators is None:
+            nvars = len(self.variables)
+            self._generators = tuple(Monomial.from_support(m, nvars) for m in self.masks)
+        return self._generators
 
     @property
     def nvars(self) -> int:
@@ -194,10 +238,10 @@ class MonomialIdeal:
 
     @property
     def ngens(self) -> int:
-        return len(self.generators)
+        return len(self.masks)
 
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree() for g in self.generators)
+        return self._squarefree
 
     def first_divisor(self, mask: int) -> int:
         """Least position k with ``masks[k]`` inside mask (``ngens`` when there is
@@ -221,25 +265,36 @@ class MonomialIdeal:
             raise ValueError(f"order {order} is not a permutation of 0..{self.ngens - 1}")
         out = object.__new__(MonomialIdeal)
         out.variables = self.variables
-        out.generators = tuple(self.generators[i] for i in order)
         out.masks = tuple(self.masks[i] for i in order)
         out.first_divisors = {}
+        gens = self._generators
+        out._generators = None if gens is None else tuple(gens[i] for i in order)
+        out._squarefree = self._squarefree
         return out
+
+    def _content(self) -> tuple:
+        """What identifies the generators: the masks of a squarefree ideal
+        (its supports), the exponent vectors of any other."""
+        return self.masks if self._squarefree else self.generators
 
     def __eq__(self, other):
         return (
             isinstance(other, MonomialIdeal)
             and self.variables == other.variables
-            and self.generators == other.generators
+            and self._squarefree == other._squarefree
+            and self._content() == other._content()
         )
 
     def __hash__(self):
-        return hash((self.variables, self.generators))
+        # equal generators polarize to equal masks
+        return hash((self.variables, self.masks))
 
     def same_generators(self, other: "MonomialIdeal") -> bool:
         """Equality as ideals (generating sets compared unordered)."""
-        return self.variables == other.variables and set(self.generators) == set(
-            other.generators
+        return (
+            self.variables == other.variables
+            and self._squarefree == other._squarefree
+            and set(self._content()) == set(other._content())
         )
 
     def __repr__(self):
@@ -290,7 +345,12 @@ class BettiTable:
         self.subject = subject
         self.field = field
         self.variables = tuple(variables)
-        self.entries = {k: v for k, v in entries.items() if v}
+        # the table engines hand over no zeros, and a plain copy is faster
+        # than the filter
+        if all(entries.values()):
+            self.entries = dict(entries)
+        else:
+            self.entries = {k: v for k, v in entries.items() if v}
 
     def entry(self, i: int, sigma: int) -> int:
         return self.entries.get((i, sigma), 0)
@@ -375,10 +435,7 @@ class BettiTable:
 
 def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
     """I(G), generators ordered lexicographically on sorted endpoint pairs."""
-    gens = [
-        Monomial.from_support(1 << u | 1 << v, g.n) for u, v in sorted(g.edges())
-    ]
-    return MonomialIdeal(g.labels, gens)
+    return MonomialIdeal(g.labels, [1 << u | 1 << v for u, v in sorted(g.edges())])
 
 
 def maximal_independent_sets(g: SimpleGraph) -> list[int]:
@@ -421,8 +478,7 @@ def cover_ideal(g: SimpleGraph) -> MonomialIdeal:
     """Alexander dual of I(G): generated by the minimal vertex covers."""
     if g.edge_count() == 0:
         raise ValueError("edgeless graph: the dual of the zero ideal is the unit ideal")
-    gens = [Monomial.from_support(c, g.n) for c in minimal_vertex_covers(g)]
-    return MonomialIdeal(g.labels, gens)
+    return MonomialIdeal(g.labels, minimal_vertex_covers(g))
 
 
 def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -454,6 +510,4 @@ def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
         (full & ~f for f in free if not any(f != h and f & ~h == 0 for h in free)),
         key=lambda c: (c.bit_count(), c),
     )
-    return MonomialIdeal(
-        ideal.variables, [Monomial.from_support(t, ideal.nvars) for t in transversals]
-    )
+    return MonomialIdeal(ideal.variables, transversals)

@@ -330,7 +330,7 @@ def bipartite_cycle(m: int, n: int):
     gens = []
     for beta in range(n):
         for alpha in range(m):
-            gens.append(Monomial.from_support(1 << alpha | 1 << (m + beta), m + n))
+            gens.append(1 << alpha | 1 << (m + beta))
 
     def tau(ts: tuple[int, ...]) -> tuple[int, ...]:
         bounds = (1,) + ts + (m,)

@@ -6,7 +6,15 @@ import random
 
 import pytest
 
-from edgeideals.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph
+from edgeideals.catalog import posets_on
+from edgeideals.cm_bipartite import hg_generators
+from edgeideals.graphs import (
+    SimpleGraph,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+)
 from edgeideals.ideals import (
     Monomial,
     MonomialIdeal,
@@ -18,7 +26,10 @@ from edgeideals.ideals import (
     minimal_vertex_covers,
     lcm_of,
 )
-from edgeideals.hochster import build_strand
+from edgeideals.hochster import betti_table, build_strand, cover_betti_table, graph_betti_table
+from edgeideals.linalg import GF2, RATIONALS, FieldSpec
+from edgeideals.lyubeznik import bipartite_cycle, lyubeznik_betti_table, main_theorem_certificate
+from edgeideals.witness import max_pd_witness
 from conftest import brute_independent_sets
 
 
@@ -317,3 +328,146 @@ def test_alexander_dual_generators_are_minimal_transversals():
             if s >> v & 1:
                 reduced = s & ~(1 << v)
                 assert not all(reduced & t for t in supports)
+
+
+FIELDS = (GF2, FieldSpec.parse("gf3"), RATIONALS)
+
+
+def seeded_graph(rng, n, p):
+    return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_ideal_refuses_generators_that_are_not_integers_in_range():
+    # the Python API refuses the exponents that from_json refuses, and masks
+    # that are no nonempty set of the variables
+    rng = random.Random(37)
+    bad_exponents = (1.5, 1.0, True, False)
+    for _ in range(100):
+        nvars = rng.randint(1, 5)
+        variables = [f"x{i + 1}" for i in range(nvars)]
+        gens = [list(e) for e in random_exponent_lists(rng, nvars, rng.randint(1, 4))]
+        rng.choice(gens)[rng.randrange(nvars)] = rng.choice(bad_exponents)
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            MonomialIdeal(variables, gens)
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            MonomialIdeal(variables, [Monomial(e) if rng.random() < 0.5 else e for e in gens])
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_json({"variables": variables, "generators": gens})
+        masks = [rng.randrange(1, 1 << nvars) for _ in range(rng.randint(1, 4))]
+        too_wide = rng.randrange(1 << nvars, 1 << nvars + 3)
+        bad_mask = rng.choice((0, -rng.randint(1, 9), True, False, too_wide))
+        masks.insert(rng.randint(0, len(masks)), bad_mask)
+        with pytest.raises(ValueError, match="support mask"):
+            MonomialIdeal(variables, masks)
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        MonomialIdeal(["x"], [(1.5,)])
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        MonomialIdeal(["x"], [(True,)])
+    with pytest.raises(ValueError, match="mix"):
+        MonomialIdeal(["x", "y"], [(1, 0), 0b10])
+
+
+def exponent_twin(ideal):
+    """The same squarefree ideal, given by exponent vectors instead of masks."""
+    n = ideal.nvars
+    exps = [tuple(m >> v & 1 for v in range(n)) for m in ideal.masks]
+    return MonomialIdeal(ideal.variables, exps)
+
+
+def assert_same_ideal(by_mask, by_exps, rng, lyubeznik=True):
+    """The two ideals agree on everything an ideal answers, and on every table."""
+    assert by_mask.masks == by_exps.masks
+    assert by_mask.is_squarefree() and by_exps.is_squarefree()
+    assert by_mask == by_exps and by_exps == by_mask and hash(by_mask) == hash(by_exps)
+    assert by_mask.same_generators(by_exps) and by_exps.same_generators(by_mask)
+    order = list(range(by_mask.ngens))
+    rng.shuffle(order)
+    # one copy reordered before the lazy generators are built, one after
+    before = by_mask.reordered(order)
+    assert repr(by_mask) == repr(by_exps)
+    assert by_mask.generators == by_exps.generators
+    after = by_mask.reordered(order)
+    want = tuple(by_exps.generators[i] for i in order)
+    assert by_exps.reordered(order).generators == want
+    for got in (before, after):
+        assert got == by_exps.reordered(order) and got.generators == want
+        assert got.masks == tuple(by_mask.masks[i] for i in order)
+    assert by_mask.to_json() == by_exps.to_json()
+    probes = [rng.randrange(1 << by_mask.nvars) for _ in range(20)] + list(by_mask.masks)
+    for mask in probes:
+        assert by_mask.first_divisor(mask) == by_exps.first_divisor(mask)
+    for field in FIELDS:
+        tables = [betti_table(by_mask, field), betti_table(by_exps, field)]
+        if lyubeznik:
+            tables += [lyubeznik_betti_table(ideal, field) for ideal in (by_mask, by_exps)]
+        for a, b in zip(tables[::2], tables[1::2]):
+            assert a.variables == b.variables
+            assert list(a.entries.items()) == list(b.entries.items())
+
+
+def test_ideals_from_masks_and_from_exponent_vectors_agree():
+    rng = random.Random(59)
+    ideals = []
+    for _ in range(8):
+        g = seeded_graph(rng, rng.randint(3, 7), rng.uniform(0.25, 0.6))
+        if g.edge_count():
+            ideals += [edge_ideal(g), cover_ideal(g), alexander_dual(edge_ideal(g))]
+    for _ in range(6):
+        ideal = random_squarefree_ideal(rng, rng.randint(2, 6), rng.randint(1, 5))
+        ideals.append(alexander_dual(ideal))
+    ideals += [bipartite_cycle(m, n)[0] for m in (1, 2, 3) for n in (1, 2, 3)]
+    ideals += [hg_generators(p) for k in range(1, 5) for p in posets_on(k)]
+    for ideal in ideals:
+        assert_same_ideal(ideal, exponent_twin(ideal), rng, lyubeznik=ideal.ngens <= 12)
+    # an ideal file stays on the exponent path, and its masks rebuild it
+    with open("tests/data/rp2_ideal.json") as fh:
+        rp2 = MonomialIdeal.from_json(json.load(fh))
+    assert_same_ideal(MonomialIdeal(rp2.variables, list(rp2.masks)), rp2, rng)
+
+
+def test_squarefreeness_of_exponent_vectors_is_read_off_the_exponents():
+    # polarization gives x^2 the mask of x, but not its squarefreeness
+    square = MonomialIdeal(["x", "y"], [(2, 0), (0, 1)])
+    plain = MonomialIdeal(["x", "y"], [0b01, 0b10])
+    assert square.masks == plain.masks
+    assert not square.is_squarefree() and plain.is_squarefree()
+    assert not square.reordered((1, 0)).is_squarefree()
+    assert square != plain and plain != square
+    assert not square.same_generators(plain)
+    assert square == MonomialIdeal(["x", "y"], [Monomial((2, 0)), (0, 1)])
+    with pytest.raises(ValueError, match="squarefree"):
+        betti_table(square)
+    with pytest.raises(ValueError, match="squarefree"):
+        alexander_dual(square)
+
+
+def test_edge_ideal_tables_build_no_monomial(monkeypatch):
+    built = []
+    init = Monomial.__init__
+
+    def counting_init(self, exps):
+        built.append(exps)
+        init(self, exps)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    rng = random.Random(61)
+    graphs = [seeded_graph(rng, rng.randint(4, 9), 0.35) for _ in range(8)]
+    graphs = [g for g in graphs if g.edge_count()]
+    assert len(graphs) >= 6
+    for g in graphs:
+        for field in FIELDS:
+            cover_betti_table(g, graph_betti_table(g, field))
+            lyubeznik_betti_table(edge_ideal(g), field)
+    assert built == []
+    # the certificate path still divides Monomials in its Taylor boundaries
+    divided = []
+    divides = Monomial.divides
+
+    def counting_divides(self, other):
+        divided.append(other)
+        return divides(self, other)
+
+    monkeypatch.setattr(Monomial, "divides", counting_divides)
+    g = complete_bipartite_graph(2, 3)
+    assert main_theorem_certificate(g, max_pd_witness(g).family) == (4, 0b11111)
+    assert built and divided
