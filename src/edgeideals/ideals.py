@@ -272,17 +272,11 @@ class MonomialIdeal:
         out._squarefree = self._squarefree
         return out
 
-    def _content(self) -> tuple:
-        """What identifies the generators: the masks of a squarefree ideal
-        (its supports), the exponent vectors of any other."""
-        return self.masks if self._squarefree else self.generators
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialIdeal)
             and self.variables == other.variables
-            and self._squarefree == other._squarefree
-            and self._content() == other._content()
+            and self.generators == other.generators
         )
 
     def __hash__(self):
@@ -291,10 +285,8 @@ class MonomialIdeal:
 
     def same_generators(self, other: "MonomialIdeal") -> bool:
         """Equality as ideals (generating sets compared unordered)."""
-        return (
-            self.variables == other.variables
-            and self._squarefree == other._squarefree
-            and set(self._content()) == set(other._content())
+        return self.variables == other.variables and set(self.generators) == set(
+            other.generators
         )
 
     def __repr__(self):

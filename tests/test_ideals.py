@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -376,14 +377,14 @@ def exponent_twin(ideal):
 
 def assert_same_ideal(by_mask, by_exps, rng, lyubeznik=True):
     """The two ideals agree on everything an ideal answers, and on every table."""
-    assert by_mask.masks == by_exps.masks
-    assert by_mask.is_squarefree() and by_exps.is_squarefree()
-    assert by_mask == by_exps and by_exps == by_mask and hash(by_mask) == hash(by_exps)
-    assert by_mask.same_generators(by_exps) and by_exps.same_generators(by_mask)
     order = list(range(by_mask.ngens))
     rng.shuffle(order)
     # one copy reordered before the lazy generators are built, one after
     before = by_mask.reordered(order)
+    assert by_mask.masks == by_exps.masks
+    assert by_mask.is_squarefree() and by_exps.is_squarefree()
+    assert by_mask == by_exps and by_exps == by_mask and hash(by_mask) == hash(by_exps)
+    assert by_mask.same_generators(by_exps) and by_exps.same_generators(by_mask)
     assert repr(by_mask) == repr(by_exps)
     assert by_mask.generators == by_exps.generators
     after = by_mask.reordered(order)
@@ -420,7 +421,7 @@ def test_ideals_from_masks_and_from_exponent_vectors_agree():
     for ideal in ideals:
         assert_same_ideal(ideal, exponent_twin(ideal), rng, lyubeznik=ideal.ngens <= 12)
     # an ideal file stays on the exponent path, and its masks rebuild it
-    with open("tests/data/rp2_ideal.json") as fh:
+    with open(Path(__file__).resolve().parent / "data" / "rp2_ideal.json") as fh:
         rp2 = MonomialIdeal.from_json(json.load(fh))
     assert_same_ideal(MonomialIdeal(rp2.variables, list(rp2.masks)), rp2, rng)
 
